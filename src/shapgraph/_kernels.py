@@ -1,27 +1,12 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy implementations.
-
-The compiled path is used by default when numba imports cleanly.  Setting the
-environment variable ``SHAPGRAPH_NO_NUMBA=1`` (any non-empty value) selects the
-pure-numpy fallbacks instead; both paths are exercised by the test suite and
-timed against each other by ``benchmarks/kernel_bench.py``.
-"""
+"""Hot numeric kernels over dense tables indexed by subset bitmask."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("SHAPGRAPH_NO_NUMBA"))
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _DISABLED
+# There is no compiled kernel path; nothing branches on this flag.  It stays
+# because the benchmark's environment record reads it.
+USE_NUMBA = False
 
 
 def popcounts(num_bits: int) -> np.ndarray:
@@ -43,7 +28,17 @@ def popcounts(num_bits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _shapley_reduce_numpy(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndarray:
+def shapley_scatter(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndarray:
+    """Scores for all d features given a dense subset-value table.
+
+    ``values`` may be 1-d (one game) or 2-d of shape ``(2**d, m)`` for m games
+    sharing the same weights; the result is ``(d,)`` or ``(d, m)``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    w_member = np.asarray(w_member, dtype=np.float64)
+    squeeze = values.ndim == 1
+    if squeeze:
+        values = values[:, None]
     masks = np.arange(1 << d, dtype=np.int64)
     sizes = popcounts(d)
     out = np.empty((d,) + values.shape[1:], dtype=np.float64)
@@ -52,45 +47,6 @@ def _shapley_reduce_numpy(values: np.ndarray, d: int, w_member: np.ndarray) -> n
         weights = w_member[sizes[with_i]]
         marginals = values[with_i] - values[with_i & ~(1 << i)]
         out[i] = np.tensordot(weights, marginals, axes=(0, 0))
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _shapley_reduce_njit(values, d, w_member):  # pragma: no cover - timed via tests
-        n = 1 << d
-        cols = values.shape[1]
-        out = np.zeros((d, cols))
-        for mask in range(n):
-            size = 0
-            m = mask
-            while m:
-                m &= m - 1
-                size += 1
-            w = w_member[size]
-            for i in range(d):
-                if (mask >> i) & 1:
-                    other = mask & ~(1 << i)
-                    for c in range(cols):
-                        out[i, c] += w * (values[mask, c] - values[other, c])
-        return out
-
-
-def shapley_scatter(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndarray:
-    """Scores for all d features given a dense subset-value table.
-
-    ``values`` may be 1-d (one game) or 2-d of shape ``(2**d, m)`` for m games
-    sharing the same weights; the result is ``(d,)`` or ``(d, m)``.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[:, None]
-    if USE_NUMBA:
-        out = _shapley_reduce_njit(values, d, np.asarray(w_member, dtype=np.float64))
-    else:
-        out = _shapley_reduce_numpy(values, d, np.asarray(w_member, dtype=np.float64))
     return out[:, 0] if squeeze else out
 
 
@@ -100,7 +56,8 @@ def shapley_scatter(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _lowbit_component_numpy(adjacency: np.ndarray, d: int) -> np.ndarray:
+def lowbit_component_masks(adjacency: np.ndarray, d: int) -> np.ndarray:
+    """For every mask, the connected component containing its lowest set bit."""
     adj = [int(a) for a in adjacency]
     out = np.zeros(1 << d, dtype=np.int64)
     for mask in range(1, 1 << d):
@@ -120,62 +77,6 @@ def _lowbit_component_numpy(adjacency: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lowbit_component_njit(adjacency, d):  # pragma: no cover - timed via tests
-        n = 1 << d
-        out = np.zeros(n, dtype=np.int64)
-        for mask in range(1, n):
-            low = mask & -mask
-            comp = np.int64(0)
-            frontier = np.int64(low)
-            while frontier:
-                comp |= frontier
-                grow = np.int64(0)
-                f = frontier
-                while f:
-                    b = f & -f
-                    j = 0
-                    bb = b
-                    while bb > 1:
-                        bb >>= 1
-                        j += 1
-                    grow |= adjacency[j]
-                    f ^= b
-                frontier = grow & mask & ~comp
-            out[mask] = comp
-        return out
-
-
-def lowbit_component_masks(adjacency: np.ndarray, d: int) -> np.ndarray:
-    """For every mask, the connected component containing its lowest set bit."""
-    adjacency = np.asarray(adjacency, dtype=np.int64)
-    if USE_NUMBA:
-        return _lowbit_component_njit(adjacency, d)
-    return _lowbit_component_numpy(adjacency, d)
-
-
-def _component_sum_table_numpy(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(comp), dtype=np.float64)
-    for mask in range(1, len(comp)):
-        c = comp[mask]
-        out[mask] = raw[c] + out[mask & ~c]
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _component_sum_table_njit(comp, raw):  # pragma: no cover - timed via tests
-        n = len(comp)
-        out = np.zeros(n)
-        for mask in range(1, n):
-            c = comp[mask]
-            out[mask] = raw[c] + out[mask & ~c]
-        return out
-
-
 def component_sum_table(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Dense table of the component-additive extension.
 
@@ -185,9 +86,11 @@ def component_sum_table(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """
     comp = np.asarray(comp, dtype=np.int64)
     raw = np.asarray(raw, dtype=np.float64)
-    if USE_NUMBA:
-        return _component_sum_table_njit(comp, raw)
-    return _component_sum_table_numpy(comp, raw)
+    out = np.zeros(len(comp), dtype=np.float64)
+    for mask in range(1, len(comp)):
+        c = comp[mask]
+        out[mask] = raw[c] + out[mask & ~c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +100,7 @@ def component_sum_table(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _restriction_indices_numpy(d: int, mask: int) -> np.ndarray:
+def restriction_indices(d: int, mask: int) -> np.ndarray:
     xs = np.arange(1 << d, dtype=np.int64)
     out = np.zeros(1 << d, dtype=np.int64)
     pos = 0
@@ -206,37 +109,3 @@ def _restriction_indices_numpy(d: int, mask: int) -> np.ndarray:
             out |= ((xs >> j) & 1) << pos
             pos += 1
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _restriction_indices_njit(d, mask):  # pragma: no cover - timed via tests
-        n = 1 << d
-        out = np.zeros(n, dtype=np.int64)
-        for x in range(n):
-            r = 0
-            pos = 0
-            for j in range(d):
-                if (mask >> j) & 1:
-                    r |= ((x >> j) & 1) << pos
-                    pos += 1
-            out[x] = r
-        return out
-
-
-def restriction_indices(d: int, mask: int) -> np.ndarray:
-    if USE_NUMBA:
-        return _restriction_indices_njit(d, mask)
-    return _restriction_indices_numpy(d, mask)
-
-
-def warmup() -> None:
-    """Force compilation of the jitted kernels (no-op on the numpy path)."""
-    if not USE_NUMBA:
-        return
-    shapley_scatter(np.zeros(4), 2, np.ones(3))
-    adj = np.array([2, 1], dtype=np.int64)
-    comp = lowbit_component_masks(adj, 2)
-    component_sum_table(comp, np.zeros(4))
-    restriction_indices(2, 1)

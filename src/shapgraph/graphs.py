@@ -3,13 +3,16 @@
 Feature subsets are represented throughout the package as Python integer
 bitmasks: bit ``j`` set means feature ``j`` is in the subset.  This keeps
 memo keys cheap and enumeration allocation-free; :func:`subset_of` and
-:func:`members_of` convert to and from index collections.
+:func:`members_of` convert to and from index collections, and
+:func:`member_matrix` turns a batch of masks into boolean membership rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -34,6 +37,19 @@ def members_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
+
+
+def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
+    """Boolean ``(len(masks), d)`` matrix; row r is True at the members of masks[r].
+
+    Masks are Python or numpy integers and may be wider than 64 bits.  Each is
+    serialized little-endian, so bit j of a mask lands in column j after one
+    batched unpack.
+    """
+    width = (d + 7) // 8
+    packed = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

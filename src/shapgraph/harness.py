@@ -82,9 +82,8 @@ def mask_top_features(x: Instance, scores: np.ndarray, fraction: float) -> Insta
     if len(scores) != x.d:
         raise ValueError(f"got {len(scores)} scores for {x.d} features")
     n_masked = math.ceil(fraction * x.d)
-    masked = ranked_features(scores)[:n_masked]
-    keep = subset_of(j for j in range(x.d) if j not in set(int(m) for m in masked))
-    return plugin_masked_instance(x, keep)
+    masked = subset_of(ranked_features(scores)[:n_masked].tolist())
+    return plugin_masked_instance(x, ((1 << x.d) - 1) & ~masked)
 
 
 def attribution_scores(

@@ -11,34 +11,47 @@ import argparse
 import json
 import socket
 import sys
+import traceback
 
 import numpy as np
 
 from .models import load_model_json
 
 
+def _reply(model, request: dict) -> dict:
+    op = request["op"]
+    if op == "hello":
+        return {"op": "hello", "num_classes": model.num_classes}
+    if op == "eval":
+        values = np.asarray(request["instances"], dtype=np.float64)
+        log_probs = model.evaluate_batch(values)
+        return {
+            "op": "eval",
+            "id": request["id"],
+            "log_probs": [[float(v) for v in row] for row in log_probs],
+        }
+    return {"op": "error", "message": f"unknown op {op!r}"}
+
+
 def serve_stream(model, reader, writer) -> None:
-    """Answer protocol requests line by line until ``bye`` or EOF."""
+    """Answer protocol requests line by line until ``bye`` or EOF.
+
+    A malformed line, a request missing a field, or a model exception gets an
+    ``error`` reply and serving goes on, so one bad request never takes the
+    host down.
+    """
     for raw in reader:
         line = raw.strip()
         if not line:
             continue
-        request = json.loads(line)
-        op = request.get("op")
-        if op == "hello":
-            reply = {"op": "hello", "num_classes": model.num_classes}
-        elif op == "eval":
-            values = np.asarray(request["instances"], dtype=np.float64)
-            log_probs = model.evaluate_batch(values)
-            reply = {
-                "op": "eval",
-                "id": request["id"],
-                "log_probs": [[float(v) for v in row] for row in log_probs],
-            }
-        elif op == "bye":
-            return
-        else:
-            reply = {"op": "error", "message": f"unknown op {op!r}"}
+        try:
+            request = json.loads(line)
+            if request["op"] == "bye":
+                return
+            reply = _reply(model, request)
+        except Exception as exc:  # the host must outlive any one request
+            traceback.print_exc(file=sys.stderr)
+            reply = {"op": "error", "message": f"{type(exc).__name__}: {exc}"}
         writer.write(json.dumps(reply) + "\n")
         writer.flush()
 

@@ -513,6 +513,11 @@ class ExternalModel:
             try:
                 self._channel.send({"op": "eval", "id": request_id, "instances": payload_rows})
                 reply = self._parse(self._channel.recv_line())
+                if reply.get("op") == "error":
+                    raise EvaluationError(
+                        f"model host failed on request {request_id}: {reply.get('message')}",
+                        batch_indices=indices,
+                    )
                 if reply.get("op") != "eval" or reply.get("id") != request_id:
                     raise ProtocolError(f"response does not match request {request_id}: {reply!r}")
                 log_probs = np.asarray(reply["log_probs"], dtype=np.float64)

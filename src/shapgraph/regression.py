@@ -13,7 +13,7 @@ import numpy as np
 
 from .attribution import AttributionResult
 from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
-from .graphs import FeatureGraph, members_of, subset_of
+from .graphs import FeatureGraph, member_matrix, members_of, subset_of
 from .valuation import SetFunction
 
 LOG_GAMMA_THRESHOLD = 30
@@ -60,11 +60,7 @@ class DesignMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.rows), self.d))
-        for r, mask in enumerate(self.rows):
-            for j in members_of(mask):
-                out[r, j] = 1.0
-        return out
+        return member_matrix(self.rows, self.d).astype(np.float64)
 
     def to_csv(self) -> str:
         """Dump rows for external verification: subset indices, response, weight."""

@@ -17,6 +17,7 @@ from shapgraph import (
     members_of,
     subset_of,
 )
+from shapgraph.graphs import member_matrix
 
 from oracles import (
     bfs_distances,
@@ -24,6 +25,30 @@ from oracles import (
     connected_subsets_oracle,
     interval_count,
 )
+
+
+class TestMemberMatrix:
+    @staticmethod
+    def loop_matrix(masks, d):
+        out = np.zeros((len(masks), d), dtype=bool)
+        for r, m in enumerate(masks):
+            for j in members_of(int(m)):
+                out[r, j] = True
+        return out
+
+    def test_matches_members_of_loop(self):
+        rng = np.random.default_rng(0)
+        for d in (1, 7, 8, 9, 63, 64, 65, 400):
+            full = (1 << d) - 1
+            masks = [0, full] + [int.from_bytes(rng.bytes(d // 8 + 1), "little") & full for _ in range(20)]
+            got = member_matrix(masks, d)
+            assert got.dtype == bool and got.shape == (len(masks), d)
+            np.testing.assert_array_equal(got, self.loop_matrix(masks, d))
+            narrow = [np.int64(m) for m in masks if m < 1 << 63]
+            np.testing.assert_array_equal(member_matrix(narrow, d), self.loop_matrix(narrow, d))
+
+    def test_no_masks(self):
+        assert member_matrix([], 5).shape == (0, 5)
 
 
 class TestConstruction:

@@ -1,10 +1,24 @@
-"""Both kernel implementations must agree exactly; these tests call the numpy
-fallbacks directly against the public (possibly jitted) entry points."""
+"""Each kernel agrees with an independent brute-force path: the subset-form
+Shapley and BFS component oracles in ``oracles.py``, or a per-bit loop."""
 
 import numpy as np
+import pytest
 
+from oracles import components_oracle, shapley_subset_oracle
 from shapgraph import _kernels
 from shapgraph.attribution import exact_shapley_weights
+from shapgraph.graphs import chain_graph, general_graph, grid_graph, members_of
+
+GRAPHS = [
+    chain_graph(5),
+    grid_graph(2, 3),
+    general_graph(6, [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4), (4, 0), (1, 4)]),
+]
+
+
+def oracle_components(g, mask):
+    """Bitmasks of the components of ``mask``, ordered by smallest member."""
+    return [sum(1 << j for j in comp) for comp in components_oracle(g.d, g.edges, members_of(mask))]
 
 
 def test_popcounts():
@@ -15,11 +29,19 @@ def test_popcounts():
 def test_shapley_scatter_paths_agree():
     rng = np.random.default_rng(0)
     for d in (1, 3, 6):
-        values = rng.normal(size=(1 << d, 4))
         w = exact_shapley_weights(d)
-        via_numpy = _kernels._shapley_reduce_numpy(values, d, w)
-        via_public = _kernels.shapley_scatter(values, d, w)
-        np.testing.assert_allclose(via_public, via_numpy, rtol=0, atol=1e-12)
+        values = rng.normal(size=(1 << d, 4))
+        got = _kernels.shapley_scatter(values, d, w)
+        for col in range(values.shape[1]):
+            expected = shapley_subset_oracle(lambda m: values[m, col], d)
+            np.testing.assert_allclose(got[:, col], expected, rtol=0, atol=1e-12)
+        single = values[:, 0]
+        np.testing.assert_allclose(
+            _kernels.shapley_scatter(single, d, w),
+            shapley_subset_oracle(lambda m: single[m], d),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def test_shapley_scatter_1d_shape():
@@ -29,31 +51,32 @@ def test_shapley_scatter_1d_shape():
 
 
 def test_lowbit_component_paths_agree():
-    adj = np.array([0b00010, 0b00101, 0b01010, 0b10100, 0b01000], dtype=np.int64)  # chain of 5
-    d = 5
-    a = _kernels._lowbit_component_numpy(adj, d)
-    b = _kernels.lowbit_component_masks(adj, d)
-    np.testing.assert_array_equal(a, b)
-    # component of the lowest bit of {0,1,3,4} on a chain is {0,1}
-    assert a[0b11011] == 0b00011
+    for g in GRAPHS:
+        comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), g.d)
+        assert comp[0] == 0
+        for mask in range(1, 1 << g.d):
+            assert comp[mask] == oracle_components(g, mask)[0], (g.kind, mask)
 
 
 def test_component_sum_table_paths_agree():
-    adj = np.array([2, 5, 2], dtype=np.int64)  # chain of 3
-    comp = _kernels.lowbit_component_masks(adj, 3)
-    raw = np.arange(8, dtype=float)
-    a = _kernels._component_sum_table_numpy(comp, raw)
-    b = _kernels.component_sum_table(comp, raw)
-    np.testing.assert_array_equal(a, b)
-    # {0, 2} splits into {0} and {2}
-    assert a[0b101] == raw[0b001] + raw[0b100]
+    rng = np.random.default_rng(0)
+    for g in GRAPHS:
+        comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), g.d)
+        raw = rng.normal(size=1 << g.d)
+        table = _kernels.component_sum_table(comp, raw)
+        for mask in range(1 << g.d):
+            expected = sum(raw[c] for c in oracle_components(g, mask))
+            assert table[mask] == pytest.approx(expected, abs=1e-12), (g.kind, mask)
 
 
 def test_restriction_indices_paths_agree():
-    for d, mask in [(4, 0b1010), (6, 0b000111), (5, 0)]:
-        a = _kernels._restriction_indices_numpy(d, mask)
-        b = _kernels.restriction_indices(d, mask)
-        np.testing.assert_array_equal(a, b)
+    for d, mask in [(4, 0b1010), (6, 0b000111), (5, 0), (6, 0b101101), (3, 0b111)]:
+        idx = _kernels.restriction_indices(d, mask)
+        for x in range(1 << d):
+            packed = 0
+            for pos, j in enumerate(members_of(mask)):
+                packed |= ((x >> j) & 1) << pos
+            assert idx[x] == packed
 
 
 def test_restriction_indices_values():
@@ -66,4 +89,4 @@ def test_restriction_indices_values():
 
 
 def test_env_flag_reported():
-    assert isinstance(_kernels.USE_NUMBA, bool)
+    assert _kernels.USE_NUMBA is False

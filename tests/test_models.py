@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import threading
@@ -27,7 +28,7 @@ from shapgraph.models import (
     train_naive_bayes,
     two_topic_corpus,
 )
-from shapgraph.model_server import serve_tcp
+from shapgraph.model_server import serve_stream, serve_tcp
 
 
 class TestNaiveBayes:
@@ -234,6 +235,37 @@ class TestExternalModel:
         with pytest.raises(ProtocolError, match="malformed"):
             external_model(ExternalModelEndpoint("subprocess", cmd, timeout=2.0))
 
+    def test_host_error_message_reaches_the_caller(self, tmp_path):
+        _, path = _nb_fixture(tmp_path)
+        cmd = f"{sys.executable} -m shapgraph.model_server --model-file {path}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd))
+        try:
+            with pytest.raises(EvaluationError, match="token ids must lie in"):
+                ext.evaluate_batch(np.full((2, 10), 99.0))
+            # the host survived the failure and the channel is still in sync
+            assert ext.evaluate_batch(np.ones((1, 10))).shape == (1, 2)
+        finally:
+            ext.close()
+
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigurationError):
             ExternalModelEndpoint("carrier-pigeon", "nowhere")
+
+
+class TestModelServer:
+    def test_bad_requests_get_error_replies_and_serving_continues(self):
+        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=4, vocab_size=15), 15)
+        requests = [
+            "not json",
+            json.dumps({"op": "eval", "id": 0}),
+            json.dumps({"op": "eval", "id": 1, "instances": [[99, 0, 0, 0]]}),
+            json.dumps({"op": "hello", "version": 1}),
+        ]
+        writer = io.StringIO()
+        serve_stream(nb, io.StringIO("\n".join(requests) + "\n"), writer)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert [r["op"] for r in replies] == ["error", "error", "error", "hello"]
+        assert "JSONDecodeError" in replies[0]["message"]
+        assert "instances" in replies[1]["message"]
+        assert "token ids" in replies[2]["message"]
+        assert replies[3] == {"op": "hello", "num_classes": 2}

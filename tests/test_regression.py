@@ -61,6 +61,7 @@ class TestWeightedLeastSquares:
         responses = matrix @ coeffs
         weights = rng.uniform(0.1, 3.0, size=30)
         design = DesignMatrix(d, rows, responses, weights, intercept=0.0)
+        np.testing.assert_array_equal(design.matrix, matrix)
         report = weighted_least_squares(design)
         np.testing.assert_allclose(report.coefficients, coeffs, atol=1e-9)
 

@@ -3,6 +3,7 @@ import pytest
 
 from shapgraph import (
     ConfigurationError,
+    EvaluationError,
     Instance,
     ValueFunction,
     empirical_conditional,
@@ -10,6 +11,8 @@ from shapgraph import (
     marginal_contribution,
     plugin_masked_instance,
     subset_of,
+    chain_graph,
+    l_shapley_all,
     synthetic_game,
 )
 from shapgraph.models import UniformModel
@@ -193,11 +196,45 @@ class TestImportanceScore:
             def evaluate_batch(self, values):
                 raise RuntimeError("boom")
 
-        from shapgraph.errors import EvaluationError
-
         vf = ValueFunction(Broken(), make_instance())
         with pytest.raises(EvaluationError, match="subset"):
             vf(3)
+
+    def test_nan_log_probs_raise_instead_of_nan_scores(self):
+        class NaNModel:
+            num_classes = 2
+
+            def evaluate_batch(self, values):
+                return np.full((len(values), 2), np.nan)
+
+        g = chain_graph(6)
+        vf = ValueFunction(NaNModel(), Instance(np.arange(1.0, 7.0), np.zeros(6)))
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3, 4, 5\).*NaN"):
+            l_shapley_all(vf, g, 1)
+
+    def test_extra_class_column_raises_instead_of_zero_scores(self):
+        class ThreeColumns:
+            num_classes = 2
+
+            def evaluate_batch(self, values):
+                return np.full((len(values), 3), np.log(1 / 3))
+
+        g = chain_graph(6)
+        vf = ValueFunction(ThreeColumns(), Instance(np.arange(1.0, 7.0), np.zeros(6)))
+        with pytest.raises(EvaluationError, match=r"subsets \[.*shape \(1, 2\), got \(1, 3\)"):
+            l_shapley_all(vf, g, 1)
+
+    def test_minus_inf_log_probs_are_floored(self):
+        class Certain:
+            num_classes = 2
+
+            def evaluate_batch(self, values):
+                out = np.zeros((len(values), 2))
+                out[:, 1] = -np.inf
+                return out
+
+        vf = ValueFunction(Certain(), make_instance(), mode="expected_logprob")
+        assert vf(0) == 0.0
 
 
 class TestEmpiricalEstimator:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .graphs import (
     connected_subsets_containing,
     k_neighborhood,
 )
-from .valuation import GraphRestrictedGame, SetFunction
+from .valuation import DEFAULT_BATCH_SIZE, GraphRestrictedGame, SetFunction
 
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_MYERSON_LIMIT = 15
@@ -131,18 +131,81 @@ def l_shapley_terms(
     return terms
 
 
+def _marginal_sums(
+    game: SetFunction, plan: Iterable[tuple[int, list[tuple[int, float]]]]
+) -> tuple[np.ndarray, list[int]]:
+    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan of
+    (feature, terms) pairs, valuing the subsets in full batches.
+
+    Features are taken in plan order; their masks are sent to ``game.scores``
+    once at least ``DEFAULT_BATCH_SIZE`` are pending (checked after each
+    feature) and once at the end.  Each feature's sum starts from 0.0 and adds
+    its terms in order.  Returns the scores and, per planned feature, the
+    distinct subsets first valued during its turn.
+    """
+    scores = np.zeros(game.d)
+    per_feature: list[int] = []
+    features: list[int] = []
+    masks: list[int] = []  # S, S minus i, S, S minus i, ...
+    weights: list[float] = []
+    turns: list[int] = []  # mask count after each pending feature's terms
+
+    def flush() -> None:
+        # Charge each feature the subsets that neither the cache nor an
+        # earlier pending feature holds, as if it were valued on its own.
+        # What ``prepare`` values can only be new for a game that has valued
+        # nothing yet, so it falls to the first feature.
+        before = game.eval_count
+        game.prepare()
+        new: set[int] = set()
+        counts = []
+        start = 0
+        for end in turns:
+            seen = len(new)
+            new.update(m for m in masks[start:end] if m not in game)
+            counts.append(len(new) - seen)
+            start = end
+        counts[0] += game.eval_count - before
+        per_feature.extend(counts)
+        values = game.scores(masks)
+        np.add.at(scores, features, np.asarray(weights) * (values[0::2] - values[1::2]))
+        for pending in (features, masks, weights, turns):
+            pending.clear()
+
+    for i, terms in plan:
+        bit = 1 << i
+        for mask, weight in terms:
+            features.append(i)
+            masks += (mask, mask & ~bit)
+            weights.append(weight)
+        turns.append(len(masks))
+        if len(masks) >= DEFAULT_BATCH_SIZE:
+            flush()
+    if turns:
+        flush()
+    return scores, per_feature
+
+
 def _weighted_marginals(
     game: SetFunction, i: int, terms: list[tuple[int, float]]
 ) -> float:
-    masks = []
-    for mask, _ in terms:
-        masks.append(mask)
-        masks.append(mask & ~(1 << i))
-    vals = game.scores(masks)
-    total = 0.0
-    for pos, (_, weight) in enumerate(terms):
-        total += weight * (vals[2 * pos] - vals[2 * pos + 1])
-    return total
+    return float(_marginal_sums(game, [(i, terms)])[0][i])
+
+
+def _all_features(
+    game: SetFunction, method: str, k: int, plan: Iterable[tuple[int, list[tuple[int, float]]]]
+) -> AttributionResult:
+    start = time.perf_counter()
+    before = game.eval_count
+    scores, per_feature = _marginal_sums(game, plan)
+    return AttributionResult(
+        method=method,
+        scores=scores,
+        model_evaluations=game.eval_count - before,
+        order_k=k,
+        elapsed=time.perf_counter() - start,
+        per_feature_evaluations=per_feature,
+    )
 
 
 def l_shapley(
@@ -167,23 +230,10 @@ def l_shapley_all(
     k: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> AttributionResult:
-    """Local Shapley estimates for every feature, sharing one evaluation cache."""
-    start = time.perf_counter()
-    before = game.eval_count
-    per_feature = []
-    scores = np.zeros(g.d)
-    for i in range(g.d):
-        at = game.eval_count
-        scores[i] = l_shapley(game, g, i, k, budget)
-        per_feature.append(game.eval_count - at)
-    return AttributionResult(
-        method="l_shapley",
-        scores=scores,
-        model_evaluations=game.eval_count - before,
-        order_k=k,
-        elapsed=time.perf_counter() - start,
-        per_feature_evaluations=per_feature,
-    )
+    """Local Shapley estimates for every feature, sharing one evaluation cache
+    and filling the model batch across features."""
+    plan = ((i, l_shapley_terms(g, i, k, budget)) for i in range(g.d))
+    return _all_features(game, "l_shapley", k, plan)
 
 
 def connected_subset_weight(size: int, boundary: int) -> float:
@@ -256,23 +306,10 @@ def c_shapley_all(
     weighting: str = "myerson",
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> AttributionResult:
-    """Connected-subset estimates for every feature, sharing one cache."""
-    start = time.perf_counter()
-    before = game.eval_count
-    per_feature = []
-    scores = np.zeros(g.d)
-    for i in range(g.d):
-        at = game.eval_count
-        scores[i] = c_shapley(game, g, i, k, weighting, budget)
-        per_feature.append(game.eval_count - at)
-    return AttributionResult(
-        method="c_shapley",
-        scores=scores,
-        model_evaluations=game.eval_count - before,
-        order_k=k,
-        elapsed=time.perf_counter() - start,
-        per_feature_evaluations=per_feature,
-    )
+    """Connected-subset estimates for every feature, sharing one cache and
+    filling the model batch across features."""
+    plan = ((i, c_shapley_terms(g, i, k, weighting, budget)) for i in range(g.d))
+    return _all_features(game, "c_shapley", k, plan)
 
 
 def sample_shapley(

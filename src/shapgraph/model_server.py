@@ -24,12 +24,8 @@ def _reply(model, request: dict) -> dict:
         return {"op": "hello", "num_classes": model.num_classes}
     if op == "eval":
         values = np.asarray(request["instances"], dtype=np.float64)
-        log_probs = model.evaluate_batch(values)
-        return {
-            "op": "eval",
-            "id": request["id"],
-            "log_probs": [[float(v) for v in row] for row in log_probs],
-        }
+        log_probs = np.asarray(model.evaluate_batch(values), dtype=np.float64)
+        return {"op": "eval", "id": request["id"], "log_probs": log_probs.tolist()}
     return {"op": "error", "message": f"unknown op {op!r}"}
 
 

@@ -50,6 +50,11 @@ class NaiveBayesModel:
         object.__setattr__(
             self, "log_likelihoods", np.asarray(self.log_likelihoods, dtype=np.float64)
         )
+        # the likelihood table with padding scoring exactly 0.0, so a batch is
+        # one gather and one sum, with no (C, n, d) mask temporary
+        padded = self.log_likelihoods.copy()
+        padded[:, PADDING_TOKEN] = 0.0
+        object.__setattr__(self, "_padded_log_likelihoods", padded)
 
     @property
     def num_classes(self) -> int:
@@ -66,10 +71,7 @@ class NaiveBayesModel:
                 f"token ids must lie in [0, {self.vocab_size}), got range "
                 f"[{tokens.min()}, {tokens.max()}]"
             )
-        present = tokens > PADDING_TOKEN
-        # (C, n, d) gather, padding masked out
-        ll = self.log_likelihoods[:, tokens]
-        scores = self.log_priors[:, None] + np.where(present[None], ll, 0.0).sum(axis=2)
+        scores = self.log_priors[:, None] + self._padded_log_likelihoods[:, tokens].sum(axis=2)
         return _log_softmax(scores.T)
 
     def to_json(self) -> dict:
@@ -357,6 +359,8 @@ class ExternalModelEndpoint:
 
 
 class _SubprocessChannel:
+    """Stdio of a spawned model host; ``send`` takes one JSON line."""
+
     def __init__(self, command: str, timeout: float):
         self.timeout = timeout
         self.proc = subprocess.Popen(
@@ -367,9 +371,8 @@ class _SubprocessChannel:
         )
         self._buf = b""
 
-    def send(self, obj: dict) -> None:
-        payload = (json.dumps(obj) + "\n").encode()
-        self.proc.stdin.write(payload)
+    def send(self, line: str) -> None:
+        self.proc.stdin.write((line + "\n").encode())
         self.proc.stdin.flush()
 
     def recv_line(self) -> str:
@@ -391,7 +394,7 @@ class _SubprocessChannel:
 
     def close(self) -> None:
         try:
-            self.send({"op": "bye"})
+            self.send('{"op": "bye"}')
         except Exception:
             pass
         self.proc.terminate()
@@ -399,17 +402,20 @@ class _SubprocessChannel:
             self.proc.wait(timeout=1.0)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
 
 
 class _TcpChannel:
+    """A socket to a model host; ``send`` takes one JSON line."""
+
     def __init__(self, address: str, timeout: float):
         host, _, port = address.rpartition(":")
         self.sock = socket.create_connection((host, int(port)), timeout=timeout)
         self.sock.settimeout(timeout)
         self._buf = b""
 
-    def send(self, obj: dict) -> None:
-        self.sock.sendall((json.dumps(obj) + "\n").encode())
+    def send(self, line: str) -> None:
+        self.sock.sendall((line + "\n").encode())
 
     def recv_line(self) -> str:
         while b"\n" not in self._buf:
@@ -425,7 +431,7 @@ class _TcpChannel:
 
     def close(self) -> None:
         try:
-            self.send({"op": "bye"})
+            self.send('{"op": "bye"}')
         except Exception:
             pass
         self.sock.close()
@@ -455,7 +461,7 @@ class ExternalModel:
         return _TcpChannel(self.endpoint.address, self.endpoint.timeout)
 
     def _handshake(self, channel) -> int:
-        channel.send({"op": "hello", "version": WIRE_VERSION})
+        channel.send(json.dumps({"op": "hello", "version": WIRE_VERSION}))
         reply = self._parse(channel.recv_line())
         if reply.get("op") != "hello" or "num_classes" not in reply:
             raise ProtocolError(f"bad handshake reply: {reply!r}")
@@ -482,7 +488,11 @@ class ExternalModel:
         for attempt in range(self.MAX_ATTEMPTS):
             try:
                 channel = self._open_channel()
-                self.num_classes = self._handshake(channel)
+                try:
+                    self.num_classes = self._handshake(channel)
+                except BaseException:
+                    channel.close()  # a failed handshake must not leave the host running
+                    raise
                 self._channel = channel
                 return
             except (OSError, TimeoutError, ConnectionError) as exc:
@@ -503,7 +513,10 @@ class ExternalModel:
         return np.concatenate(chunks, axis=0)
 
     def _evaluate_chunk(self, block: np.ndarray, indices: list[int]) -> np.ndarray:
-        payload_rows = [[float(v) for v in row] for row in block]
+        # Serialised one row at a time: the bytes equal json.dumps of the whole
+        # request, without holding every row's float objects and JSON pieces
+        # at once.
+        instances = ", ".join(json.dumps(row.tolist()) for row in block)
         last = None
         for attempt in range(self.MAX_ATTEMPTS):
             if self._channel is None:
@@ -511,7 +524,7 @@ class ExternalModel:
             request_id = self._next_id
             self._next_id += 1
             try:
-                self._channel.send({"op": "eval", "id": request_id, "instances": payload_rows})
+                self._channel.send(f'{{"op": "eval", "id": {request_id}, "instances": [{instances}]}}')
                 reply = self._parse(self._channel.recv_line())
                 if reply.get("op") == "error":
                     raise EvaluationError(
@@ -527,11 +540,14 @@ class ExternalModel:
                         f"got {log_probs.shape}"
                     )
                 return log_probs
+            except ProtocolError:
+                # the channel may be out of step with the host; the next call
+                # starts over on a fresh connection
+                self.close()
+                raise
             except (OSError, TimeoutError, ConnectionError) as exc:
                 last = exc
-                if self._channel is not None:
-                    self._channel.close()
-                    self._channel = None
+                self.close()
                 time.sleep(self.BACKOFF * (2**attempt))
         raise EvaluationError(
             f"external model evaluation failed after {self.MAX_ATTEMPTS} attempts: {last}",

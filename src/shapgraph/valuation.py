@@ -109,6 +109,15 @@ class SetFunction:
     def eval_count(self) -> int:
         return len(self._cache)
 
+    def prepare(self) -> None:
+        """Value whatever every other subset's value depends on; the first
+        ``scores`` call that values anything does this too.  Plain set
+        functions depend on nothing."""
+
+    def __contains__(self, mask: int) -> bool:
+        """Whether the subset has been valued already."""
+        return mask in self._cache
+
     def __call__(self, mask: int) -> float:
         return float(self.scores([mask])[0])
 
@@ -222,6 +231,10 @@ class ValueFunction(SetFunction):
                 raise _evaluation_error(masks, "model returned NaN or +inf log-probs")
             chunks.append(out)
         return np.concatenate(chunks, axis=0)
+
+    def prepare(self) -> None:
+        with self._lock:
+            self._ensure_base()
 
     def _ensure_base(self) -> None:
         # The score of any subset needs the model's distribution at the full

@@ -20,10 +20,17 @@ from shapgraph.attribution import (
     c_shapley_terms,
     connected_subset_weight,
     interior_subset_weight,
+    l_shapley_terms,
     myerson_value_generic,
 )
+from shapgraph.cli import build_demo_nb
+from shapgraph.models import two_topic_corpus
 from shapgraph.valuation import (
+    DEFAULT_BATCH_SIZE,
+    FunctionGame,
     GraphRestrictedGame,
+    Instance,
+    ValueFunction,
     additive_game,
     decomposable_chain_game,
 )
@@ -163,7 +170,78 @@ class TestLShapley:
         assert res.scores[0] == pytest.approx(2.0)
 
 
+class CountingGame(FunctionGame):
+    """Deterministic pseudo-random game that counts its batched evaluations."""
+
+    def __init__(self, d: int):
+        super().__init__(d, lambda m: (m * 2654435761 % 1000003) / 1000003.0)
+        self.calls = 0
+
+    def _evaluate_many(self, masks):
+        self.calls += 1
+        return super()._evaluate_many(masks)
+
+
+def _per_feature_alone(estimator, make_game, g, k):
+    """Distinct subsets each feature adds when features are valued one call
+    at a time, in order, against one shared game."""
+    game = make_game()
+    counts = []
+    for i in range(g.d):
+        before = game.eval_count
+        estimator(game, g, i, k)
+        counts.append(game.eval_count - before)
+    return counts
+
+
+class TestBatchedPlan:
+    @pytest.mark.parametrize("all_fn,terms_fn", [(l_shapley_all, l_shapley_terms), (c_shapley_all, c_shapley_terms)])
+    def test_model_calls_fill_full_batches(self, all_fn, terms_fn):
+        d, k = 400, 2
+        g = chain_graph(d)
+        game = CountingGame(d)
+        all_fn(game, g, k)
+        terms = sum(len(terms_fn(g, i, k)) for i in range(d))
+        assert game.calls <= -(-2 * terms // DEFAULT_BATCH_SIZE) + 1
+
+    @pytest.mark.parametrize("all_fn,one_fn", [(l_shapley_all, l_shapley), (c_shapley_all, c_shapley)])
+    @pytest.mark.parametrize("d,k", [(7, 3), (40, 2), (9, 0)])
+    def test_per_feature_evaluations_match_one_feature_at_a_time(self, all_fn, one_fn, d, k):
+        # a value function also values its unmasked instance on first use;
+        # at d=7, k=3 some neighborhoods cover every feature, so the full set
+        # is requested again by a later feature of the same batch
+        nb = build_demo_nb()
+        doc = two_topic_corpus(5, 1, doc_len=d)[0][0]
+
+        def make_game():
+            return ValueFunction(nb, Instance(doc, np.zeros(d, dtype=int)))
+
+        g = chain_graph(d)
+        game = make_game()
+        res = all_fn(game, g, k)
+        assert res.per_feature_evaluations == _per_feature_alone(one_fn, make_game, g, k)
+        assert sum(res.per_feature_evaluations) == res.model_evaluations == game.eval_count
+        for i in range(d):
+            assert res.scores[i] == one_fn(make_game(), g, i, k)
+
+    def test_warm_cache_charges_only_new_subsets(self):
+        g = chain_graph(30)
+        game = CountingGame(30)
+        first = l_shapley_all(game, g, 1)
+        again = l_shapley_all(game, g, 1)
+        assert again.per_feature_evaluations == [0] * 30 and again.model_evaluations == 0
+        np.testing.assert_array_equal(again.scores, first.scores)
+
+
 class TestCShapley:
+    @pytest.mark.parametrize("weighting", ["myerson", "interior"])
+    @pytest.mark.parametrize("g", [chain_graph(6), grid_graph(3, 4)], ids=["chain6", "grid3x4"])
+    def test_all_matches_per_feature(self, weighting, g):
+        game = synthetic_game(g.d, seed=10)
+        res = c_shapley_all(game, g, 2, weighting=weighting)
+        for i in range(g.d):
+            assert res.scores[i] == pytest.approx(c_shapley(game, g, i, 2, weighting), abs=0)
+
     def test_interior_coefficients(self):
         assert interior_subset_weight(1) == pytest.approx(1 / 3)
         assert interior_subset_weight(2) == pytest.approx(1 / 12)

@@ -19,7 +19,9 @@ from shapgraph import (
     k_neighborhood,
 )
 from shapgraph.models import (
+    ExternalModel,
     ExternalModelEndpoint,
+    NaiveBayesModel,
     UniformModel,
     ValidatedModel,
     external_model,
@@ -74,6 +76,25 @@ class TestNaiveBayes:
         back = load_model_json(json.loads(json.dumps(nb.to_json())))
         vals = np.array([[1, 5, 0, 3, 0, 0, 0, 2]])
         np.testing.assert_allclose(nb.evaluate_batch(vals), back.evaluate_batch(vals))
+
+
+    @pytest.mark.parametrize("d", [16, 40, 100, 400])
+    def test_evaluate_batch_bitwise_equals_masked_gather(self, d):
+        # reference: gather every token's log-likelihood, zero the padding
+        # positions with np.where, sum, then log-softmax; column 0 holds
+        # junk so only the masking can make it count for nothing
+        rng = np.random.default_rng(d)
+        vocab = 50
+        ll = rng.normal(size=(3, vocab))
+        nb = NaiveBayesModel(np.log([0.2, 0.3, 0.5]), ll)
+        for n in (1, 8, 33, 256):
+            tokens = rng.integers(0, vocab, size=(n, d))
+            tokens[rng.random((n, d)) < 0.3] = 0
+            present = tokens > 0
+            scores = nb.log_priors[:, None] + np.where(present[None], ll[:, tokens], 0.0).sum(axis=2)
+            shifted = scores.T - scores.T.max(axis=1, keepdims=True)
+            expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            np.testing.assert_array_equal(nb.evaluate_batch(tokens), expected)
 
 
 class TestMarkovLabelModel:
@@ -154,6 +175,41 @@ def _nb_fixture(tmp_path):
     return nb, path
 
 
+def _record_channels(monkeypatch):
+    """Keep every channel an ExternalModel opens, to check it was closed."""
+    channels = []
+    open_channel = ExternalModel._open_channel
+
+    def recording(self):
+        channels.append(open_channel(self))
+        return channels[-1]
+
+    monkeypatch.setattr(ExternalModel, "_open_channel", recording)
+    return channels
+
+
+_STRAY_REPLY_HOST = """
+import json, math, os, sys
+
+marker = sys.argv[1]
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["op"] == "hello":
+        replies = [{"op": "hello", "num_classes": 2}]
+    elif request["op"] == "eval":
+        n = len(request["instances"])
+        reply = {"op": "eval", "id": request["id"], "log_probs": [[math.log(0.25), math.log(0.75)]] * n}
+        replies = [reply]
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            replies.insert(0, dict(reply, id=request["id"] + 1000))
+    else:
+        break
+    for reply in replies:
+        print(json.dumps(reply), flush=True)
+"""
+
+
 class TestExternalModel:
     def test_uniform_echo_scores_log_c(self, tmp_path):
         path = tmp_path / "uniform.json"
@@ -219,16 +275,73 @@ class TestExternalModel:
         # three attempts with 0.1 + 0.2 + 0.4 backoff
         assert time.perf_counter() - start >= 0.6
 
-    def test_unresponsive_subprocess_times_out(self):
+    def test_unresponsive_subprocess_times_out(self, monkeypatch):
+        channels = _record_channels(monkeypatch)
         cmd = f'{sys.executable} -c "import time; time.sleep(30)"'
         with pytest.raises(EvaluationError, match="3 attempts"):
             external_model(ExternalModelEndpoint("subprocess", cmd, timeout=0.2))
+        # every timed-out host was stopped, none left running
+        assert len(channels) == 3
+        assert all(c.proc.poll() is not None for c in channels)
 
-    def test_class_count_mismatch_is_protocol_error(self, tmp_path):
+    def test_class_count_mismatch_is_protocol_error(self, tmp_path, monkeypatch):
+        channels = _record_channels(monkeypatch)
         _, path = _nb_fixture(tmp_path)
         cmd = f"{sys.executable} -m shapgraph.model_server --model-file {path}"
         with pytest.raises(ProtocolError, match="classes"):
             external_model(ExternalModelEndpoint("subprocess", cmd, num_classes=7))
+        assert len(channels) == 1 and channels[0].proc.poll() is not None
+
+    def test_mismatched_reply_id_reconnects_on_the_next_call(self, tmp_path):
+        # the scripted host answers its first eval with a stray reply before
+        # the real one, so a client that kept the channel would stay one
+        # reply behind; the marker file makes only the first host do this
+        host = tmp_path / "host.py"
+        host.write_text(_STRAY_REPLY_HOST)
+        cmd = f"{sys.executable} {host} {tmp_path / 'marker'}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        first = ext._channel
+        try:
+            with pytest.raises(ProtocolError, match="does not match request"):
+                ext.evaluate_batch(np.zeros((2, 3)))
+            assert ext._channel is None and first.proc.wait(timeout=5) is not None
+            for n in (1, 3):
+                out = ext.evaluate_batch(np.zeros((n, 3)))
+                np.testing.assert_array_equal(out, np.log([[0.25, 0.75]] * n))
+        finally:
+            ext.close()
+
+    def test_eval_request_bytes_equal_json_dumps_of_the_request(self, monkeypatch):
+        sent = []
+
+        class CapturingChannel:
+            def send(self, line):
+                sent.append(line)
+
+            def recv_line(self):
+                request = json.loads(sent[-1])
+                if request["op"] == "hello":
+                    return json.dumps({"op": "hello", "num_classes": 2})
+                n = len(request["instances"])
+                return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[0.0, -1.0]] * n})
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: CapturingChannel())
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        rng = np.random.default_rng(4)
+        values = np.concatenate(
+            [
+                rng.integers(0, 300, size=(300, 5)).astype(float),
+                rng.normal(scale=1e6, size=(3, 5)),
+                np.array([[0.1, -0.0, 1e-300, 2.0**60, -7.25]]),
+            ]
+        )
+        assert ext.evaluate_batch(values).shape == (values.shape[0], 2)
+        blocks = [values[:256], values[256:]]
+        for request_id, (line, block) in enumerate(zip(sent[1:], blocks)):
+            assert line == json.dumps({"op": "eval", "id": request_id, "instances": block.tolist()})
 
     def test_malformed_reply_is_protocol_error(self):
         cmd = f"{sys.executable} -c \"print('not json', flush=True); import time; time.sleep(5)\""

@@ -155,6 +155,15 @@ class TestImportanceScore:
         vf.scores([3, 0])
         assert vf.eval_count == 4
 
+    def test_prepare_values_the_full_instance_once(self):
+        vf = ValueFunction(TokenSumModel(), make_instance())
+        assert 15 not in vf and vf.eval_count == 0
+        vf.prepare()
+        vf.prepare()
+        assert 15 in vf and vf.eval_count == 1
+        vf.scores([3, 15])
+        assert vf.eval_count == 2 and 3 in vf
+
     def test_memoization_transparency(self):
         x = make_instance()
         cached = ValueFunction(TokenSumModel(), x)
@@ -369,5 +378,8 @@ class TestSyntheticGame:
 
     def test_table_game_counts(self):
         game = TableGame(3, np.arange(8, dtype=float))
+        game.prepare()  # a plain table depends on nothing
+        assert game.eval_count == 0
         game.scores([1, 2, 1])
         assert game.eval_count == 2
+        assert 1 in game and 2 in game and 0 not in game

@@ -56,25 +56,38 @@ def shapley_scatter(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _neighbour_tables(adjacency: np.ndarray, d: int) -> list[np.ndarray]:
+    """Per-byte lookup tables: ``tables[b][v]`` is the union of the
+    neighbourhoods of the nodes ``8*b + j`` for the bits j set in byte v."""
+    byte = np.arange(256, dtype=np.int64)
+    tables = []
+    for b in range(0, d, 8):
+        table = np.zeros(256, dtype=np.int64)
+        for j in range(min(8, d - b)):
+            table[(byte >> j) & 1 == 1] |= int(adjacency[b + j])
+        tables.append(table)
+    return tables
+
+
 def lowbit_component_masks(adjacency: np.ndarray, d: int) -> np.ndarray:
-    """For every mask, the connected component containing its lowest set bit."""
-    adj = [int(a) for a in adjacency]
-    out = np.zeros(1 << d, dtype=np.int64)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        comp = 0
-        frontier = low
-        while frontier:
-            comp |= frontier
-            grow = 0
-            f = frontier
-            while f:
-                b = f & -f
-                grow |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = grow & mask & ~comp
-        out[mask] = comp
-    return out
+    """For every mask, the connected component containing its lowest set bit.
+
+    All 2**d components start at their mask's lowest bit and grow together,
+    each step adding the neighbours inside the mask, until none changes.
+    """
+    tables = _neighbour_tables(adjacency, d)
+    masks = np.arange(1 << d, dtype=np.int64)
+    comp = masks & -masks
+    live, cur = masks, comp  # masks still growing, and their components
+    while live.size:
+        grow = np.zeros(live.size, dtype=np.int64)
+        for b, table in enumerate(tables):
+            grow |= table[(cur >> (8 * b)) & 255]
+        grown = (cur | grow) & live
+        changed = grown != cur
+        live, cur = live[changed], grown[changed]
+        comp[live] = cur
+    return comp
 
 
 def component_sum_table(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -83,13 +96,21 @@ def component_sum_table(comp: np.ndarray, raw: np.ndarray) -> np.ndarray:
     ``comp`` comes from :func:`lowbit_component_masks`; ``raw[mask]`` must hold
     the base value for every connected mask (other entries are never read).
     Entry ``out[mask]`` is the sum of ``raw`` over the components of ``mask``.
+    The table fills level by level: ``rest = mask & ~comp[mask]`` has one
+    component fewer than ``mask``, so level t holds the masks of t components.
     """
     comp = np.asarray(comp, dtype=np.int64)
     raw = np.asarray(raw, dtype=np.float64)
+    masks = np.arange(len(comp), dtype=np.int64)
+    rest = masks & ~comp
     out = np.zeros(len(comp), dtype=np.float64)
-    for mask in range(1, len(comp)):
-        c = comp[mask]
-        out[mask] = raw[c] + out[mask & ~c]
+    done = np.zeros(len(comp), dtype=bool)
+    done[0] = True
+    level = np.flatnonzero(rest == 0)[1:]
+    while level.size:
+        out[level] = raw[comp[level]] + out[rest[level]]
+        done[level] = True
+        level = np.flatnonzero(~done & done[rest])
     return out
 
 

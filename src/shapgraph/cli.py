@@ -91,13 +91,28 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _load_pool(path: str | None, estimator: str) -> np.ndarray | None:
+    """The background pool of ``--pool``: the ``values`` of a JSON-lines dataset."""
+    if estimator != "empirical":
+        if path:
+            raise ShapgraphError("--pool is only used by --estimator empirical")
+        return None
+    if not path:
+        raise ShapgraphError("--estimator empirical needs --pool FILE (JSON lines, as for evaluate --dataset)")
+    instances, _ = load_dataset(path)
+    if not instances:
+        raise ShapgraphError(f"pool file {path!r} holds no rows")
+    return np.stack([inst.values for inst in instances])
+
+
 def cmd_explain(args) -> int:
     with open(args.input) as fh:
         row = json.load(fh)
     instance = Instance(np.array(row["values"]), np.array(row["reference"]))
+    pool = _load_pool(args.pool, args.estimator)
     model = resolve_model(args.model, instance.d, args.seed)
     graph = parse_graph(args.graph, instance.d)
-    vf = ValueFunction(model, instance, estimator=args.estimator, mode=args.mode, seed=args.seed)
+    vf = ValueFunction(model, instance, estimator=args.estimator, mode=args.mode, pool=pool, seed=args.seed)
     k = args.k
     if args.method == "exact":
         result = exact_shapley(vf)
@@ -273,6 +288,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--estimator", default="plugin", choices=["plugin", "empirical"])
+    p.add_argument("--pool", default=None,
+                   help="JSON-lines background pool for --estimator empirical (format of evaluate --dataset)")
     p.add_argument("--mode", default="predicted_class_logprob",
                    choices=["predicted_class_logprob", "expected_logprob"])
     p.add_argument("--permutations", type=int, default=10)

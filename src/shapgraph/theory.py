@@ -117,21 +117,24 @@ class _Marginals:
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
+        self._feature = joint.feature_marginal()
         self._cache: dict[tuple[int, bool], np.ndarray] = {}
 
     def atoms(self, mask: int, with_label: bool) -> np.ndarray:
         key = (mask, with_label)
         if key not in self._cache:
-            d = self.joint.d
-            idx = _kernels.restriction_indices(d, mask)
-            bits = bin(mask).count("1")
+            idx = _kernels.restriction_indices(self.joint.d, mask)
+            size = 1 << bin(mask).count("1")
+            # bincount adds each column in row order, as np.add.at would
             if with_label:
-                marg = np.zeros((1 << bits, self.joint.num_classes))
-                np.add.at(marg, idx, self.joint.table)
+                table = self.joint.table
+                marg = np.stack(
+                    [np.bincount(idx, weights=table[:, c], minlength=size) for c in range(table.shape[1])],
+                    axis=1,
+                )
                 self._cache[key] = marg[idx]
             else:
-                marg = np.zeros(1 << bits)
-                np.add.at(marg, idx, self.joint.feature_marginal())
+                marg = np.bincount(idx, weights=self._feature, minlength=size)
                 self._cache[key] = marg[idx][:, None]
         return self._cache[key]
 

@@ -84,6 +84,46 @@ class TestExplain:
         assert "unknown model" in proc.stderr
 
 
+class TestEmpiricalPool:
+    def test_pool_values_are_the_background(self, tmp_path, instance_file, dataset_file):
+        from shapgraph import cli, l_shapley_all
+        from shapgraph.graphs import chain_graph
+        from shapgraph.harness import load_dataset
+        from shapgraph.valuation import ValueFunction
+
+        out = tmp_path / "out.json"
+        code = cli.main([
+            "explain", "--model", "builtin:nb", "--method", "l-shapley", "--k", "1",
+            "--estimator", "empirical", "--pool", str(dataset_file),
+            "--input", str(instance_file), "--seed", "4", "--out", str(out),
+        ])
+        assert code == 0
+        data = json.loads(out.read_text())
+        row = json.loads(instance_file.read_text())
+        pool = np.stack([inst.values for inst in load_dataset(str(dataset_file))[0]])
+        vf = ValueFunction(
+            cli.build_demo_nb(), Instance(np.array(row["values"]), np.array(row["reference"])),
+            estimator="empirical", pool=pool, seed=4,
+        )
+        expected = l_shapley_all(vf, chain_graph(12), 1)
+        assert data["scores"] == expected.scores.tolist()
+        assert data["evals"] == expected.model_evaluations
+
+    def test_empirical_without_pool_rejected_before_model(self, instance_file, monkeypatch, capsys):
+        from shapgraph import cli
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "resolve_model", no_model)
+        code = cli.main([
+            "explain", "--model", "builtin:nb", "--method", "exact",
+            "--estimator", "empirical", "--input", str(instance_file),
+        ])
+        assert code == 2
+        assert "--pool" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_writes_csv_and_eval_table(self, tmp_path, dataset_file):
         out = tmp_path / "curves.csv"

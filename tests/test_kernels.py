@@ -69,6 +69,48 @@ def test_component_sum_table_paths_agree():
             assert table[mask] == pytest.approx(expected, abs=1e-12), (g.kind, mask)
 
 
+def loop_lowbit_component_masks(adjacency, d):
+    """The per-mask frontier loop the vectorised kernel replaced."""
+    adj = [int(a) for a in adjacency]
+    out = np.zeros(1 << d, dtype=np.int64)
+    for mask in range(1, 1 << d):
+        comp, frontier = 0, mask & -mask
+        while frontier:
+            comp |= frontier
+            grow, f = 0, frontier
+            while f:
+                b = f & -f
+                grow |= adj[b.bit_length() - 1]
+                f ^= b
+            frontier = grow & mask & ~comp
+        out[mask] = comp
+    return out
+
+
+def loop_component_sum_table(comp, raw):
+    """The per-mask loop the level-by-level kernel replaced."""
+    out = np.zeros(len(comp), dtype=np.float64)
+    for mask in range(1, len(comp)):
+        c = comp[mask]
+        out[mask] = raw[c] + out[mask & ~c]
+    return out
+
+
+BITWISE_GRAPHS = [chain_graph(d) for d in (1, 2, 12, 15, 16)] + [grid_graph(3, 5), grid_graph(4, 4)] + GRAPHS
+
+
+@pytest.mark.parametrize("g", BITWISE_GRAPHS, ids=lambda g: f"{g.kind}{g.d}")
+def test_component_kernels_equal_per_mask_loops(g):
+    adjacency = np.asarray(g.adjacency, dtype=np.int64)
+    comp = _kernels.lowbit_component_masks(adjacency, g.d)
+    expected = loop_lowbit_component_masks(adjacency, g.d)
+    assert comp.dtype == np.int64
+    assert (comp == expected).all()
+    raw = np.random.default_rng(g.d).normal(size=1 << g.d)
+    table = _kernels.component_sum_table(comp, raw)
+    assert (table == loop_component_sum_table(expected, raw)).all()
+
+
 def test_restriction_indices_paths_agree():
     for d, mask in [(4, 0b1010), (6, 0b000111), (5, 0), (6, 0b101101), (3, 0b111)]:
         idx = _kernels.restriction_indices(d, mask)

@@ -20,7 +20,8 @@ from shapgraph import (
     verify_theorem2,
 )
 from shapgraph.models import markov_label_model
-from shapgraph.theory import JointValueFunction, mutual_information, value_matrix
+from shapgraph import _kernels
+from shapgraph.theory import JointValueFunction, _Marginals, mutual_information, value_matrix
 
 from oracles import absolute_mi_oracle, conditional_oracle, shapley_subset_oracle
 
@@ -67,6 +68,23 @@ class TestDiscreteJoint:
         b = random_joint(5, 3, seed=4)
         np.testing.assert_array_equal(a.table, b.table)
         assert a.table.min() > 0
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("d", [1, 3, 6, 10])
+    def test_atoms_equal_add_at_formula(self, d):
+        joint = random_joint(d, 3, seed=d)
+        m = _Marginals(joint)
+        for mask in range(1 << d):
+            idx = _kernels.restriction_indices(d, mask)
+            size = 1 << bin(mask).count("1")
+            with_label = np.zeros((size, 3))
+            np.add.at(with_label, idx, joint.table)
+            assert (m.atoms(mask, True) == with_label[idx]).all()
+            without = np.zeros(size)
+            np.add.at(without, idx, joint.feature_marginal())
+            assert m.atoms(mask, False).shape == (1 << d, 1)
+            assert (m.atoms(mask, False) == without[idx][:, None]).all()
 
 
 class TestAbsoluteMutualInformation:

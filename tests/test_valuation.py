@@ -15,6 +15,7 @@ from shapgraph import (
     l_shapley_all,
     synthetic_game,
 )
+from shapgraph.graphs import member_matrix
 from shapgraph.models import UniformModel
 from shapgraph.valuation import TableGame, additive_game
 
@@ -272,15 +273,19 @@ class TestEmpiricalEstimator:
         x = make_instance()
         vf = ValueFunction(Recording(), x, estimator="empirical", pool=pool, m_samples=8, seed=0)
         vf.scores([0b0001, 0b0010])
-        # calls[0] probes the full mask; calls[1] and calls[2] are the two
-        # subsets, each one batch of the 8 fixed hybrid rows
-        assert len(calls) == 3
-        assert all(len(c) == 8 for c in calls[1:])
-        first, second = calls[1], calls[2]
+        # calls[0] probes the full mask; calls[1] is one 16-row block holding
+        # the 8 fixed hybrid rows of each of the two subsets, in subset order
+        assert len(calls) == 2
+        assert len(calls[1]) == 16
+        first, second = calls[1][:8], calls[1][8:]
         np.testing.assert_array_equal(first[:, 0], np.full(8, x.values[0]))  # kept position
         np.testing.assert_array_equal(second[:, 1], np.full(8, x.values[1]))
         # positions outside both subsets come from the same fixed pool draw
         np.testing.assert_array_equal(first[:, 2:], second[:, 2:])
+
+    def test_pool_width_must_match_instance(self):
+        with pytest.raises(ConfigurationError, match="4 features"):
+            ValueFunction(TokenSumModel(), make_instance(), estimator="empirical", pool=np.zeros((5, 3)))
 
     def test_full_mask_matches_plugin(self):
         pool = np.random.default_rng(7).normal(size=(6, 4))
@@ -303,6 +308,70 @@ class TestEmpiricalEstimator:
         base = vf.base_probs()
         expected = float(np.sum(base * np.log(p)))
         assert vf(0) == pytest.approx(expected, abs=0.05)
+
+
+def per_mask_probs(vf, masks):
+    """Class probabilities by the per-mask paths the block builders replaced:
+    one plug-in row array per mask, stacked and scored in ``batch_size``
+    blocks, and one model call per empirical subset."""
+    x = vf.instance
+    keep = member_matrix(masks, x.d)
+
+    def run(rows):
+        return np.concatenate(
+            [vf.model.evaluate_batch(rows[i : i + vf.batch_size]) for i in range(0, len(rows), vf.batch_size)]
+        )
+
+    if vf.estimator == "plugin":
+        return np.exp(run(np.stack([np.where(k, x.values, x.reference) for k in keep])))
+    return np.stack([np.exp(run(np.where(k, x.values, vf._pool_rows))).mean(axis=0) for k in keep])
+
+
+class TestBlockedRows:
+    D = 10
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        from shapgraph.cli import build_demo_nb
+
+        return build_demo_nb()
+
+    @pytest.mark.parametrize("estimator", ["plugin", "empirical"])
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_scores_equal_per_mask_paths(self, model, estimator, batch_size, n):
+        rng = np.random.default_rng(n)
+        x = Instance(rng.integers(1, 200, size=self.D), np.zeros(self.D, dtype=int))
+        pool = rng.integers(1, 200, size=(12, self.D))
+        # 10 samples per subset: with batch_size 7 every subset spans blocks
+        kwargs = {"pool": pool, "m_samples": 10, "seed": 3} if estimator == "empirical" else {}
+        masks = rng.permutation(1 << self.D)[:n].tolist()
+        for mode in ("predicted_class_logprob", "expected_logprob"):
+            vf = ValueFunction(model, x, estimator=estimator, mode=mode, batch_size=batch_size, **kwargs)
+            got = vf.scores(masks)
+            expected = vf._score_from_probs(per_mask_probs(vf, masks))
+            assert (got == expected).all()
+
+    def test_empirical_error_names_the_failing_block(self):
+        calls = []
+
+        class FailsThirdCall:
+            num_classes = 2
+
+            def evaluate_batch(self, values):
+                calls.append(len(values))
+                if len(calls) == 3:
+                    raise RuntimeError("boom")
+                return np.full((len(values), 2), np.log(0.5))
+
+        pool = np.arange(8.0).reshape(2, 4)
+        vf = ValueFunction(
+            FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2, batch_size=4
+        )
+        # call 1 probes the full mask, call 2 holds subsets 1 and 2, call 3 subsets 3 and 4
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
+            vf.scores([1, 2, 3, 4])
+        assert calls == [2, 4, 4]
 
 
 class TestConcurrency:

@@ -9,14 +9,13 @@ run actually forced, with caching shared across features and methods.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigurationError
 from .graphs import (
     DEFAULT_ENUMERATION_BUDGET,
     FeatureGraph,
@@ -41,7 +40,6 @@ class AttributionResult:
     model_evaluations: int
     order_k: int | None = None
     seed: int | None = None
-    elapsed: float = 0.0
     per_feature_evaluations: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -51,16 +49,16 @@ class AttributionResult:
     def d(self) -> int:
         return len(self.scores)
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        """JSON-serializable summary; wall-clock is omitted by default so that
-        seeded runs serialize byte-identically."""
+    def to_json(self) -> dict:
+        """JSON-serializable summary.  ``elapsed_ms`` is always null: results
+        carry no wall-clock time, so seeded runs serialize byte-identically."""
         return {
             "method": self.method,
             "k": self.order_k,
             "scores": [float(s) for s in self.scores],
             "evals": self.model_evaluations,
             "seed": self.seed,
-            "elapsed_ms": round(self.elapsed * 1000.0, 3) if include_elapsed else None,
+            "elapsed_ms": None,
         }
 
 
@@ -81,11 +79,10 @@ def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> Attrib
     """
     d = game.d
     if d > limit:
-        raise ValueError(
+        raise ConfigurationError(
             f"exact Shapley on {d} features needs 2^{d} evaluations "
             f"(limit {limit}); use l_shapley / c_shapley / sample_shapley instead"
         )
-    start = time.perf_counter()
     before = game.eval_count
     values = game.scores(range(1 << d))
     phi = _kernels.shapley_scatter(values, d, exact_shapley_weights(d))
@@ -93,7 +90,6 @@ def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> Attrib
         method="exact",
         scores=phi,
         model_evaluations=game.eval_count - before,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -195,7 +191,6 @@ def _weighted_marginals(
 def _all_features(
     game: SetFunction, method: str, k: int, plan: Iterable[tuple[int, list[tuple[int, float]]]]
 ) -> AttributionResult:
-    start = time.perf_counter()
     before = game.eval_count
     scores, per_feature = _marginal_sums(game, plan)
     return AttributionResult(
@@ -203,7 +198,6 @@ def _all_features(
         scores=scores,
         model_evaluations=game.eval_count - before,
         order_k=k,
-        elapsed=time.perf_counter() - start,
         per_feature_evaluations=per_feature,
     )
 
@@ -323,9 +317,8 @@ def sample_shapley(
     any evaluation, so results are reproducible.
     """
     if num_permutations < 1:
-        raise ValueError("need at least one permutation")
+        raise ConfigurationError("need at least one permutation")
     d = game.d
-    start = time.perf_counter()
     before = game.eval_count
     rng = np.random.default_rng(seed)
     perms = [rng.permutation(d) for _ in range(num_permutations)]
@@ -344,7 +337,6 @@ def sample_shapley(
         scores=totals / num_permutations,
         model_evaluations=game.eval_count - before,
         seed=seed,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -361,11 +353,10 @@ def myerson_value(
     """
     d = game.d
     if d > limit:
-        raise ValueError(
+        raise ConfigurationError(
             f"Myerson value on {d} features decomposes all 2^{d} subsets "
             f"(limit {limit}); use c_shapley for an approximation"
         )
-    start = time.perf_counter()
     before = game.eval_count
     comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
     connected = np.unique(comp[1:])
@@ -379,7 +370,6 @@ def myerson_value(
         method="myerson",
         scores=phi,
         model_evaluations=game.eval_count - before,
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -15,17 +15,11 @@ import sys
 
 import numpy as np
 
-from .attribution import (
-    c_shapley_all,
-    exact_shapley,
-    l_shapley_all,
-    myerson_value,
-    sample_shapley,
-)
-from .errors import ShapgraphError
+from .errors import ConfigurationError, ShapgraphError
 from .graphs import FeatureGraph, chain_graph, grid_graph
 from .harness import (
     DEFAULT_FRACTIONS,
+    METHODS,
     MethodSpec,
     compare_methods,
     curves_to_csv,
@@ -38,7 +32,6 @@ from .models import (
     train_naive_bayes,
     two_topic_corpus,
 )
-from .regression import kernelshap, regression_c_shapley
 from .theory import lemma1_check, random_joint, verify_theorem1, verify_theorem2
 from .valuation import Instance, ValueFunction
 
@@ -60,11 +53,14 @@ def parse_graph(text: str, d: int) -> FeatureGraph:
     if token.startswith("grid"):
         dims = token[len("grid") :].strip()
         rows, _, cols = dims.partition("x")
-        g = grid_graph(int(rows), int(cols))
+        try:
+            g = grid_graph(int(rows), int(cols))
+        except ValueError:
+            raise ConfigurationError(f"graph {text!r} needs positive dimensions, e.g. 'grid 5x5'") from None
         if g.d != d:
-            raise ShapgraphError(f"grid {rows}x{cols} has {g.d} nodes but the instance has {d}")
+            raise ConfigurationError(f"grid {rows}x{cols} has {g.d} nodes but the instance has {d}")
         return g
-    raise ShapgraphError(f"unknown graph spec {text!r}; use 'chain' or 'grid RxC'")
+    raise ConfigurationError(f"unknown graph spec {text!r}; use 'chain' or 'grid RxC'")
 
 
 def resolve_model(spec: str, instance_d: int | None, seed: int):
@@ -113,23 +109,9 @@ def cmd_explain(args) -> int:
     model = resolve_model(args.model, instance.d, args.seed)
     graph = parse_graph(args.graph, instance.d)
     vf = ValueFunction(model, instance, estimator=args.estimator, mode=args.mode, pool=pool, seed=args.seed)
-    k = args.k
-    if args.method == "exact":
-        result = exact_shapley(vf)
-    elif args.method == "l-shapley":
-        result = l_shapley_all(vf, graph, k)
-    elif args.method == "c-shapley":
-        result = c_shapley_all(vf, graph, k)
-    elif args.method == "c-shapley-reg":
-        result = regression_c_shapley(vf, graph, max(k, 1))
-    elif args.method == "sample":
-        result = sample_shapley(vf, num_permutations=args.permutations, seed=args.seed)
-    elif args.method == "kernelshap":
-        result = kernelshap(vf, num_samples=args.samples or 4 * instance.d, seed=args.seed)
-    elif args.method == "myerson":
-        result = myerson_value(vf, graph)
-    else:
-        raise ShapgraphError(f"unknown method {args.method!r}")
+    result = MethodSpec(args.method, args.k).run(
+        vf, graph, args.seed, args.permutations, args.samples or 4 * instance.d
+    )
     result.seed = args.seed
     payload = result.to_json()
     if args.out:
@@ -142,10 +124,12 @@ def cmd_explain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    instances, labels = load_dataset(args.dataset)
-    model = resolve_model(args.model, instances[0].d if instances else None, args.seed)
-    graph = parse_graph(args.graph, instances[0].d)
     methods = [MethodSpec.parse(m) for m in args.methods.split(",") if m.strip()]
+    instances, labels = load_dataset(args.dataset)
+    if not instances:
+        raise ConfigurationError(f"dataset {args.dataset!r} holds no rows")
+    model = resolve_model(args.model, instances[0].d, args.seed)
+    graph = parse_graph(args.graph, instances[0].d)
     fractions = (
         [float(f) for f in args.fractions.split(",")] if args.fractions else DEFAULT_FRACTIONS
     )
@@ -233,29 +217,20 @@ def _bench_game(d: int):
 def cmd_bench(args) -> int:
     d = args.d
     k = args.k
-    graph = chain_graph(d) if args.graph == "chain" else parse_graph(args.graph, d)
-    game = _bench_game(d)
-    chainlike = graph.kind == "chain"
-    if args.method == "l-shapley":
-        result = l_shapley_all(game, graph, k)
-        reference = {"per_feature_bound": 1 << (2 * k + 1)}
-        if chainlike:
-            reference["total_model"] = (1 << (2 * k)) * d
-    elif args.method == "c-shapley":
-        result = c_shapley_all(game, graph, k)
-        # the quadratic-in-k cost model is a line-graph statement
-        reference = {"total_model": 2 * k * k * d} if chainlike else {}
-    elif args.method == "c-shapley-reg":
-        result = regression_c_shapley(game, graph, k)
-        reference = {"row_bound": k * d}
-    elif args.method == "sample":
-        result = sample_shapley(game, num_permutations=k, seed=0)
-        reference = {"total_model": k * (d - 1) + d + 1}
-    elif args.method == "kernelshap":
-        result = kernelshap(game, num_samples=4 * d, seed=0)
-        reference = {"total_model": 4 * d + 2}
-    else:
-        raise ShapgraphError(f"bench does not cover method {args.method!r}")
+    graph = parse_graph(args.graph, d)
+    # k also serves as the permutation count of "sample"
+    result = MethodSpec(args.method, k).run(_bench_game(d), graph, 0, k, 4 * d)
+    chain = graph.kind == "chain"
+    # cost-model counts; the L- and C-Shapley ones are line-graph statements
+    reference = {
+        "l-shapley": (
+            {"per_feature_bound": 1 << (2 * k + 1), "total_model": (1 << (2 * k)) * d} if chain else {}
+        ),
+        "c-shapley": {"total_model": 2 * k * k * d} if chain else {},
+        "c-shapley-reg": {"row_bound": k * d},
+        "sample": {"total_model": k * (d - 1) + d + 1},
+        "kernelshap": {"total_model": 4 * d + 2},
+    }.get(args.method, {})
     report = {
         "method": args.method,
         "d": d,
@@ -281,8 +256,7 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True,
                    help="builtin:nb | builtin:markov | external:cmd CMD | external:tcp HOST:PORT")
     p.add_argument("--graph", default="chain", help="chain | grid RxC")
-    p.add_argument("--method", required=True,
-                   help="exact | l-shapley | c-shapley | c-shapley-reg | sample | kernelshap | myerson")
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--input", required=True, help="JSON file with values and reference")
     p.add_argument("--seed", type=int, default=0)
@@ -324,7 +298,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_theorem_check)
 
     p = sub.add_parser("bench", help="evaluation counts vs the cost model")
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--graph", default="chain")

@@ -30,17 +30,21 @@ from .valuation import Instance, ValueFunction, plugin_masked_instance
 
 DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0, 0.05, ..., 0.5
 
-METHOD_DEFAULT_K = {"l-shapley": 1, "c-shapley": 1, "c-shapley-reg": 4}
-KNOWN_METHODS = (
-    "exact",
-    "l-shapley",
-    "c-shapley",
-    "c-shapley-reg",
-    "sample",
-    "kernelshap",
-    "myerson",
-    "random",
-)
+# CLI name -> (default order k, run).  A run is called with the keywords game,
+# graph, k, seed, permutations and samples, and returns the estimator's
+# AttributionResult.  It names its estimator through this module's globals at
+# call time, so wrappers installed on those bindings see every call.
+METHODS = {
+    "exact": (None, lambda game, **_: exact_shapley(game)),
+    "l-shapley": (1, lambda game, graph, k, **_: l_shapley_all(game, graph, k)),
+    "c-shapley": (1, lambda game, graph, k, **_: c_shapley_all(game, graph, k)),
+    "c-shapley-reg": (4, lambda game, graph, k, **_: regression_c_shapley(game, graph, k)),
+    "sample": (None, lambda game, seed, permutations, **_: sample_shapley(game, permutations, seed)),
+    "kernelshap": (None, lambda game, seed, samples, **_: kernelshap(game, samples, seed)),
+    "myerson": (None, lambda game, graph, **_: myerson_value(game, graph)),
+}
+# "random" is the harness's own baseline, not an estimator of a game
+KNOWN_METHODS = (*METHODS, "random")
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,22 @@ class MethodSpec:
     def order(self) -> int | None:
         if self.k is not None:
             return self.k
-        return METHOD_DEFAULT_K.get(self.name)
+        return METHODS.get(self.name, (None,))[0]
+
+    def run(self, game, graph: FeatureGraph, seed: int, permutations: int, samples: int):
+        """The estimator's result on ``game``; ``permutations`` and ``samples``
+        size the two sampling estimators."""
+        run = METHODS[self.name][1]
+        return run(game=game, graph=graph, k=self.order, seed=seed, permutations=permutations, samples=samples)
 
     @staticmethod
     def parse(text: str) -> "MethodSpec":
         name, _, k = text.partition(":")
-        return MethodSpec(name.strip(), int(k) if k else None)
+        try:
+            order = int(k) if k else None
+        except ValueError:
+            raise ConfigurationError(f"method {text!r}: order k must be an integer") from None
+        return MethodSpec(name.strip(), order)
 
 
 def ranked_features(scores: np.ndarray) -> np.ndarray:
@@ -103,33 +117,16 @@ def attribution_scores(
     if spec.name == "random":
         rng = np.random.default_rng(seed)
         return rng.standard_normal(d), 0
-    vf = ValueFunction(model, instance, seed=seed)
-    before = vf.eval_count
-    if spec.name == "exact":
-        scores = exact_shapley(vf).scores
-    elif spec.name == "l-shapley":
-        scores = l_shapley_all(vf, graph, spec.order).scores
-    elif spec.name == "c-shapley":
-        scores = c_shapley_all(vf, graph, spec.order).scores
-    elif spec.name == "c-shapley-reg":
-        scores = regression_c_shapley(vf, graph, spec.order).scores
-    elif spec.name == "kernelshap":
-        num = budget - 2 if budget is not None else 4 * d
-        scores = kernelshap(vf, num_samples=max(d, num), seed=seed).scores
-    elif spec.name == "sample":
-        permutations = max(1, (budget or 4 * d) // (d + 1))
-        scores = sample_shapley(vf, permutations, seed=seed).scores
-    elif spec.name == "myerson":
-        scores = myerson_value(vf, graph).scores
-    else:  # unreachable; MethodSpec validates
-        raise ConfigurationError(f"unknown method {spec.name!r}")
-    used = vf.eval_count - before
+    permutations = max(1, (budget or 4 * d) // (d + 1))
+    samples = max(d, budget - 2 if budget is not None else 4 * d)
+    result = spec.run(ValueFunction(model, instance, seed=seed), graph, seed, permutations, samples)
+    used = result.model_evaluations
     if budget is not None and used > budget:
         raise BudgetExceededError(
             f"method {spec.name!r} used {used} evaluations, over its budget of {budget}",
             count=used,
         )
-    return scores, used
+    return result.scores, used
 
 
 @dataclass
@@ -246,6 +243,9 @@ def compare_methods(
 
         graph = chain_graph(d)
     specs = [MethodSpec.parse(m) if isinstance(m, str) else m for m in methods]
+    names = [spec.name for spec in specs]
+    if len(set(names)) < len(names):  # the count table and the CSV rows are keyed by name
+        raise ConfigurationError(f"each method may be listed once, got {names}")
     curves = []
     eval_table: dict[str, int] = {}
     for spec in specs:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +143,26 @@ def _constrained_fit(
     return beta
 
 
+def _fit_rows(
+    game: SetFunction, rows: list[int], kernel_weights: bool, constrained: bool, ridge: float | None
+) -> np.ndarray:
+    """Value the design rows and fit per-feature coefficients, with v(empty)
+    as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
+    v(empty).  Rows carry Shapley kernel weights, or unit weights."""
+    d = game.d
+    v_empty = game(0)
+    responses = game.scores(rows) - v_empty
+    if kernel_weights:
+        weights = np.array([shapley_kernel_weight(d, bin(m).count("1")) for m in rows])
+    else:
+        weights = np.ones(len(rows))
+    design = DesignMatrix(d, rows, responses, weights, intercept=v_empty)
+    if constrained:
+        total = game((1 << d) - 1) - v_empty
+        return _constrained_fit(design.matrix, design.responses, weights, total, ridge)
+    return weighted_least_squares(design, ridge).coefficients
+
+
 def _stratified_sizes(d: int, num_samples: int) -> list[int]:
     """Allocate samples to subset sizes 1..d-1 proportionally to the total
     kernel mass per size, capped at each stratum's capacity (deterministic)."""
@@ -211,7 +230,6 @@ def kernelshap(
     d = game.d
     if constrained is None:
         constrained = exhaustive
-    start = time.perf_counter()
     before = game.eval_count
     if exhaustive:
         rows = [m for m in range(1, (1 << d) - 1)]
@@ -225,21 +243,12 @@ def kernelshap(
         for size, count in zip(range(1, d), _stratified_sizes(d, num_samples)):
             if count:
                 rows.extend(_sample_masks_of_size(d, size, count, rng))
-    v_empty = game(0)
-    responses = game.scores(rows) - v_empty
-    weights = np.array([shapley_kernel_weight(d, bin(m).count("1")) for m in rows])
-    design = DesignMatrix(d, rows, responses, weights, intercept=v_empty)
-    if constrained:
-        total = game((1 << d) - 1) - v_empty
-        beta = _constrained_fit(design.matrix, design.responses, weights, total, ridge)
-    else:
-        beta = weighted_least_squares(design, ridge).coefficients
+    beta = _fit_rows(game, rows, True, constrained, ridge)
     return AttributionResult(
         method="kernelshap",
         scores=beta,
         model_evaluations=game.eval_count - before,
         seed=None if exhaustive else seed,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -291,27 +300,12 @@ def regression_c_shapley(
     system for per-feature scores.
     """
     if k < 1:
-        raise ValueError(f"order k must be positive, got {k}")
-    d = game.d
-    start = time.perf_counter()
+        raise ConfigurationError(f"order k must be positive, got {k}")
     before = game.eval_count
-    rows = connected_design_rows(g, k)
-    v_empty = game(0)
-    responses = game.scores(rows) - v_empty
-    if use_kernel_weights:
-        weights = np.array([shapley_kernel_weight(d, bin(m).count("1")) for m in rows])
-    else:
-        weights = np.ones(len(rows))
-    design = DesignMatrix(d, rows, responses, weights, intercept=v_empty)
-    if constrained:
-        total = game((1 << d) - 1) - v_empty
-        beta = _constrained_fit(design.matrix, design.responses, weights, total, ridge)
-    else:
-        beta = weighted_least_squares(design, ridge).coefficients
+    beta = _fit_rows(game, connected_design_rows(g, k), use_kernel_weights, constrained, ridge)
     return AttributionResult(
         method="c_shapley_regression",
         scores=beta,
         model_evaluations=game.eval_count - before,
         order_k=k,
-        elapsed=time.perf_counter() - start,
     )

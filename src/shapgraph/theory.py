@@ -428,15 +428,9 @@ def _expected_abs_error(joint: DiscreteJoint, est: np.ndarray, exact: np.ndarray
     return err, float(px[~live].sum())
 
 
-def verify_theorem1(
-    joint: DiscreteJoint,
-    g: FeatureGraph,
-    i: int,
-    k: int,
-    s: int | None = None,
+def _verify_theorem(
+    theorem: int, joint: DiscreteJoint, g: FeatureGraph, i: int, k: int, s: int | None
 ) -> TheoremReport:
-    """Check that the expected gap between the order-k local estimate and the
-    exact Shapley score stays within four times the dependence supremum."""
     d = joint.d
     if d > MAX_VERIFY_FEATURES:
         raise BudgetExceededError(
@@ -446,13 +440,19 @@ def verify_theorem1(
     if s is None:
         s = k_neighborhood(g, i, k)
     cert = epsilon_for_lshapley(joint, g, i, s)
+    if theorem == 1:
+        terms = l_shapley_terms(g, i, k)
+    else:
+        cert2 = epsilon_for_cshapley(joint, g, i, s)
+        cert = cert2 if cert2.epsilon >= cert.epsilon else cert
+        terms = c_shapley_terms(g, i, k, weighting="myerson")
     V = value_matrix(joint)
     exact = _kernels.shapley_scatter(V, d, exact_shapley_weights(d))[i]
-    est = _terms_estimate(V, i, l_shapley_terms(g, i, k))
+    est = _terms_estimate(V, i, terms)
     err, excluded = _expected_abs_error(joint, est, exact)
-    bound = 4.0 * cert.epsilon
+    bound = (4.0 if theorem == 1 else 6.0) * cert.epsilon
     return TheoremReport(
-        theorem=1,
+        theorem=theorem,
         feature=i,
         order_k=k,
         epsilon=cert.epsilon,
@@ -462,6 +462,18 @@ def verify_theorem1(
         holds=err <= bound + BOUND_SLACK,
         excluded_mass=excluded,
     )
+
+
+def verify_theorem1(
+    joint: DiscreteJoint,
+    g: FeatureGraph,
+    i: int,
+    k: int,
+    s: int | None = None,
+) -> TheoremReport:
+    """Check that the expected gap between the order-k local estimate and the
+    exact Shapley score stays within four times the dependence supremum."""
+    return _verify_theorem(1, joint, g, i, k, s)
 
 
 def verify_theorem2(
@@ -474,30 +486,4 @@ def verify_theorem2(
     """Check that the expected gap between the order-k connected estimate and
     the exact Shapley score stays within six times the dependence supremum
     (which here also ranges over connected conditioning subsets)."""
-    d = joint.d
-    if d > MAX_VERIFY_FEATURES:
-        raise BudgetExceededError(
-            f"theorem verification is limited to {MAX_VERIFY_FEATURES} features, got {d}",
-            count=1 << d,
-        )
-    if s is None:
-        s = k_neighborhood(g, i, k)
-    cert1 = epsilon_for_lshapley(joint, g, i, s)
-    cert2 = epsilon_for_cshapley(joint, g, i, s)
-    cert = cert2 if cert2.epsilon >= cert1.epsilon else cert1
-    V = value_matrix(joint)
-    exact = _kernels.shapley_scatter(V, d, exact_shapley_weights(d))[i]
-    est = _terms_estimate(V, i, c_shapley_terms(g, i, k, weighting="myerson"))
-    err, excluded = _expected_abs_error(joint, est, exact)
-    bound = 6.0 * cert.epsilon
-    return TheoremReport(
-        theorem=2,
-        feature=i,
-        order_k=k,
-        epsilon=cert.epsilon,
-        certificate=cert,
-        expected_error=err,
-        bound=bound,
-        holds=err <= bound + BOUND_SLACK,
-        excluded_mass=excluded,
-    )
+    return _verify_theorem(2, joint, g, i, k, s)

@@ -192,3 +192,124 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _direct_estimators(k, permutations, samples, seed):
+    """Each method's estimator called by hand, independently of the method table."""
+    from shapgraph import (
+        c_shapley_all, exact_shapley, l_shapley_all, myerson_value, sample_shapley,
+    )
+    from shapgraph.regression import kernelshap, regression_c_shapley
+
+    return {
+        "exact": lambda vf, g: exact_shapley(vf),
+        "l-shapley": lambda vf, g: l_shapley_all(vf, g, k),
+        "c-shapley": lambda vf, g: c_shapley_all(vf, g, k),
+        "c-shapley-reg": lambda vf, g: regression_c_shapley(vf, g, k),
+        "sample": lambda vf, g: sample_shapley(vf, num_permutations=permutations, seed=seed),
+        "kernelshap": lambda vf, g: kernelshap(vf, num_samples=samples, seed=seed),
+        "myerson": lambda vf, g: myerson_value(vf, g),
+    }
+
+
+class TestMethodTable:
+    FLAGS = {
+        # flags -> (k, permutations, samples) the estimator should receive at d=12
+        "defaults": ([], (1, 10, 48)),
+        "explicit": (["--k", "2", "--permutations", "3", "--samples", "30"], (2, 3, 30)),
+    }
+
+    def test_every_method_has_a_direct_estimator(self):
+        from shapgraph.harness import METHODS
+
+        assert set(_direct_estimators(1, 1, 1, 0)) == set(METHODS)
+
+    @pytest.mark.parametrize("flags", sorted(FLAGS))
+    @pytest.mark.parametrize("method", ["exact", "l-shapley", "c-shapley", "c-shapley-reg",
+                                        "sample", "kernelshap", "myerson"])
+    def test_explain_matches_direct_call(self, tmp_path, instance_file, method, flags):
+        from shapgraph import cli
+        from shapgraph.graphs import chain_graph
+        from shapgraph.valuation import ValueFunction
+
+        argv, (k, permutations, samples) = self.FLAGS[flags]
+        out = tmp_path / "out.json"
+        code = cli.main([
+            "explain", "--model", "builtin:nb", "--method", method, *argv,
+            "--input", str(instance_file), "--seed", "6", "--out", str(out),
+        ])
+        assert code == 0
+        data = json.loads(out.read_text())
+        row = json.loads(instance_file.read_text())
+        vf = ValueFunction(
+            cli.build_demo_nb(), Instance(np.array(row["values"]), np.array(row["reference"])), seed=6
+        )
+        expected = _direct_estimators(k, permutations, samples, 6)[method](vf, chain_graph(12))
+        assert data["scores"] == expected.scores.tolist()
+        assert data["evals"] == expected.model_evaluations
+        assert data["elapsed_ms"] is None
+
+    @pytest.mark.parametrize("method", ["exact", "l-shapley", "c-shapley", "c-shapley-reg",
+                                        "sample", "kernelshap", "myerson"])
+    def test_bench_covers_every_method(self, method, capsys):
+        from shapgraph import cli
+
+        assert cli.main(["bench", "--method", method, "--d", "8", "--k", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == method
+        assert report["total_evaluations"] > 0
+
+    def test_bench_grid_has_no_chain_references(self, capsys):
+        from shapgraph import cli
+
+        assert cli.main(["bench", "--method", "l-shapley", "--d", "25", "--graph", "grid 5x5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["reference"] == {}
+        assert report["per_feature_max"] == 23
+
+    def test_unknown_method_rejected_before_model(self, instance_file, monkeypatch, capsys):
+        from shapgraph import cli
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "resolve_model", no_model)
+        for command in (["explain", "--model", "builtin:nb", "--input", str(instance_file)],
+                        ["bench", "--d", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*command, "--method", "nonsense"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+class TestBadInputExitsTwo:
+    @pytest.fixture()
+    def files(self, tmp_path, instance_file):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"values": [1] * 17, "reference": [0] * 17}))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        one_row = tmp_path / "one.jsonl"
+        save_dataset(str(one_row), [Instance(np.ones(12, dtype=int), np.zeros(12, dtype=int))])
+        return {"inst": str(instance_file), "wide": str(wide), "empty": str(empty), "one": str(one_row)}
+
+    CASES = {
+        "reg-k0-explain": ["explain", "--model", "builtin:nb", "--method", "c-shapley-reg",
+                           "--k", "0", "--input", "{inst}"],
+        "reg-k0-bench": ["bench", "--method", "c-shapley-reg", "--d", "8", "--k", "0"],
+        "sample-k0-bench": ["bench", "--method", "sample", "--d", "8", "--k", "0"],
+        "exact-too-wide-bench": ["bench", "--method", "exact", "--d", "64"],
+        "myerson-d17": ["explain", "--model", "builtin:nb", "--method", "myerson", "--input", "{wide}"],
+        "grid-no-dims": ["explain", "--model", "builtin:nb", "--method", "l-shapley",
+                         "--graph", "grid", "--input", "{inst}"],
+        "empty-dataset": ["evaluate", "--dataset", "{empty}", "--methods", "random", "--budget", "48"],
+        "bad-order": ["evaluate", "--dataset", "{one}", "--methods", "l-shapley:x", "--budget", "48"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_message_not_traceback(self, files, case, capsys):
+        from shapgraph import cli
+
+        argv = [arg.format(**files) for arg in self.CASES[case]]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -189,3 +189,20 @@ class TestDatasetIO:
         assert lines[0] == "method,fraction,mean_log_odds_change,n,seed"
         assert lines[1] == "demo,0.0,0.0,4,7"
         assert lines[2] == "demo,0.5,-1.25,4,7"
+
+
+class TestMethodSpecErrors:
+    def test_non_integer_order_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            MethodSpec.parse("l-shapley:x")
+
+    def test_repeated_method_name_rejected_before_any_model_call(self):
+        class NoCalls(UniformModel):
+            def evaluate_batch(self, values):
+                raise AssertionError("the model was called")
+
+        instances = [Instance(np.arange(12.0), np.zeros(12))]
+        with pytest.raises(ConfigurationError, match="once"):
+            compare_methods(NoCalls(2), instances, ["l-shapley:1", "l-shapley:2"], budget=400)
+        with pytest.raises(ConfigurationError, match="once"):
+            compare_methods(NoCalls(2), instances, ["random", MethodSpec("random")], budget=400)

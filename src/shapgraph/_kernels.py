@@ -8,13 +8,18 @@ import numpy as np
 # because the benchmark's environment record reads it.
 USE_NUMBA = False
 
+# lowbit_component_masks works on blocks of 8192 masks: an int64 temporary of
+# a block is 64 KiB, below glibc's default mmap threshold of 128 KiB, so it
+# comes from the heap rather than from a fresh mapping that faults its pages.
+_BLOCK = 1 << 13
+
 
 def popcounts(num_bits: int) -> np.ndarray:
     """Table of bit counts for every mask below ``2**num_bits``."""
-    masks = np.arange(1 << num_bits, dtype=np.int64)
     counts = np.zeros(1 << num_bits, dtype=np.int64)
     for j in range(num_bits):
-        counts += (masks >> j) & 1
+        # the masks in [2**j, 2**(j+1)) are those below 2**j plus bit j
+        np.add(counts[: 1 << j], 1, out=counts[1 << j : 2 << j])
     return counts
 
 
@@ -35,19 +40,38 @@ def shapley_scatter(values: np.ndarray, d: int, w_member: np.ndarray) -> np.ndar
     sharing the same weights; the result is ``(d,)`` or ``(d, m)``.
     """
     values = np.asarray(values, dtype=np.float64)
-    w_member = np.asarray(w_member, dtype=np.float64)
     squeeze = values.ndim == 1
     if squeeze:
         values = values[:, None]
-    masks = np.arange(1 << d, dtype=np.int64)
-    sizes = popcounts(d)
+    weights = np.asarray(w_member, dtype=np.float64)[popcounts(d)]
     out = np.empty((d,) + values.shape[1:], dtype=np.float64)
+    buffers = (np.empty((len(values) >> 1, values.shape[1])), np.empty(len(values) >> 1))
     for i in range(d):
-        with_i = masks[((masks >> i) & 1).astype(bool)]
-        weights = w_member[sizes[with_i]]
-        marginals = values[with_i] - values[with_i & ~(1 << i)]
-        out[i] = np.tensordot(weights, marginals, axes=(0, 0))
+        out[i] = feature_score(values, weights, i, buffers)
     return out[:, 0] if squeeze else out
+
+
+def feature_score(values: np.ndarray, weights: np.ndarray, i: int, buffers=None) -> np.ndarray:
+    """Score of feature i for each game in ``values`` of shape ``(2**d, m)``.
+
+    ``weights[mask]`` is ``w_member[popcount(mask)]``.  Viewed as
+    ``(-1, 2, 2**i, m)``, the table holds the subsets with i at ``[:, 1]`` and
+    the same subsets without i at ``[:, 0]``, both in ascending mask order, so
+    no index arrays are gathered.  ``buffers``, arrays of shape
+    ``(2**(d-1), m)`` and ``(2**(d-1),)``, receive the marginals and their
+    weights; a caller scoring several features passes the same pair each time.
+    """
+    m = values.shape[1]
+    pairs = values.reshape(-1, 2, 1 << i, m)
+    w_pairs = weights.reshape(-1, 2, 1 << i)
+    if buffers is None:
+        buffers = (np.empty((len(values) >> 1, m)), np.empty(len(values) >> 1))
+    marginals, w_with = buffers
+    np.subtract(pairs[:, 1], pairs[:, 0], out=marginals.reshape(pairs[:, 1].shape))
+    # a contiguous weight vector, so that BLAS takes its unit-stride path and
+    # sums in the same order as for a gathered one
+    np.copyto(w_with.reshape(w_pairs[:, 1].shape), w_pairs[:, 1])
+    return np.tensordot(w_with, marginals, axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +96,24 @@ def _neighbour_tables(adjacency: np.ndarray, d: int) -> list[np.ndarray]:
 def lowbit_component_masks(adjacency: np.ndarray, d: int) -> np.ndarray:
     """For every mask, the connected component containing its lowest set bit.
 
-    All 2**d components start at their mask's lowest bit and grow together,
-    each step adding the neighbours inside the mask, until none changes.
+    The components of each block of masks start at their mask's lowest bit
+    and grow together, each step adding the neighbours inside the mask, until
+    none changes.
     """
     tables = _neighbour_tables(adjacency, d)
-    masks = np.arange(1 << d, dtype=np.int64)
-    comp = masks & -masks
-    live, cur = masks, comp  # masks still growing, and their components
-    while live.size:
-        grow = np.zeros(live.size, dtype=np.int64)
-        for b, table in enumerate(tables):
-            grow |= table[(cur >> (8 * b)) & 255]
-        grown = (cur | grow) & live
-        changed = grown != cur
-        live, cur = live[changed], grown[changed]
-        comp[live] = cur
+    comp = np.empty(1 << d, dtype=np.int64)
+    for lo in range(0, 1 << d, _BLOCK):
+        live = np.arange(lo, min(lo + _BLOCK, 1 << d), dtype=np.int64)  # masks still growing
+        cur = live & -live  # and their components
+        comp[lo : lo + _BLOCK] = cur
+        while live.size:
+            grown = cur.copy()
+            for b, table in enumerate(tables):
+                grown |= table[(cur >> (8 * b)) & 255]
+            grown &= live
+            changed = grown != cur
+            live, cur = live[changed], grown[changed]
+            comp[live] = cur
     return comp
 
 

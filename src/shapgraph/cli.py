@@ -102,6 +102,9 @@ def _load_pool(path: str | None, estimator: str) -> np.ndarray | None:
 
 
 def cmd_explain(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--permutations", args.permutations)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be at least 1, got {value}")
     with open(args.input) as fh:
         row = json.load(fh)
     instance = Instance(np.array(row["values"]), np.array(row["reference"]))
@@ -110,7 +113,7 @@ def cmd_explain(args) -> int:
     graph = parse_graph(args.graph, instance.d)
     vf = ValueFunction(model, instance, estimator=args.estimator, mode=args.mode, pool=pool, seed=args.seed)
     result = MethodSpec(args.method, args.k).run(
-        vf, graph, args.seed, args.permutations, args.samples or 4 * instance.d
+        vf, graph, args.seed, args.permutations, 4 * instance.d if args.samples is None else args.samples
     )
     result.seed = args.seed
     payload = result.to_json()

@@ -106,37 +106,109 @@ def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
     return DiscreteJoint(d, num_classes, masses / masses.sum())
 
 
+# Repeated temporaries stay well below 128 KiB, glibc's default mmap threshold,
+# so that they come from the heap instead of being mapped and page-faulted
+# afresh on every call.
+_CHUNK_BYTES = 64 << 10
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bitwise.  numpy adds a row of fewer than 8 items in
+    order, which a loop over the columns does far faster for short rows."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        out += a[..., c]
+    return out
+
+
+def _ternary_codes(d: int) -> np.ndarray:
+    """``tern[b]``: the sum of 3**j over the bits j of b, for every b < 2**d."""
+    tern = np.zeros(1 << d, dtype=np.int64)
+    for j in range(d):
+        tern[1 << j : 2 << j] = tern[: 1 << j] + 3**j
+    return tern
+
+
 class _Marginals:
-    """Per-atom marginal probabilities of a joint, cached by coordinate mask.
+    """Per-atom marginal probabilities of a joint, for any coordinate mask.
 
     ``atoms(mask, with_label=True)`` returns an array of shape (2**d, C) whose
     (x, y) entry is P(x restricted to mask, y); without the label the shape is
     (2**d, 1) holding P(x restricted to mask), broadcastable against the
     labelled arrays.
+
+    With ``table=True`` every coordinate marginal is built once, in one table
+    per label setting indexed by ternary code: digit j is x_j for a kept
+    coordinate and 2 for a summed-out one.  ``atoms`` is then a gather.  The
+    tables hold 3**d rows, so only callers that need nearly every marginal
+    build them; otherwise each call sums one marginal.  Either way a marginal
+    adds its atoms in ascending atom order starting from 0.0, so both forms
+    agree bitwise.
     """
 
-    def __init__(self, joint: DiscreteJoint):
+    def __init__(self, joint: DiscreteJoint, table: bool = False):
         self.joint = joint
         self._feature = joint.feature_marginal()
-        self._cache: dict[tuple[int, bool], np.ndarray] = {}
+        self._atoms = np.arange(1 << joint.d, dtype=np.int64)
+        self._tern = None
+        self._tables: dict[bool, np.ndarray] = {}
+        self._log_tables: dict[bool, np.ndarray] = {}
+        if table:
+            self._fill_tables()
+
+    def _fill_tables(self) -> None:
+        d, C = self.joint.d, self.joint.num_classes
+        full = (1 << d) - 1
+        tern = _ternary_codes(d)
+        masks = self._atoms
+        summed_out = 2 * tern[full & ~masks]
+        columns = np.concatenate([self.joint.table, self._feature[:, None]], axis=1).T
+        tables = np.zeros((C + 1, 3**d))
+        # atoms in ascending order, one code per mask for each: add.at applies
+        # them in order, so every cell adds its atoms as a bincount would
+        step = _chunk_rows(8 << d)
+        for x0 in range(0, 1 << d, step):
+            xs = masks[x0 : x0 + step]
+            codes = (tern[xs[:, None] & masks] + summed_out).reshape(-1)
+            for column, src in zip(tables, columns):
+                np.add.at(column, codes, np.repeat(src[xs], 1 << d))
+        self._tern = tern
+        self._tables = {True: np.ascontiguousarray(tables[:C].T), False: np.ascontiguousarray(tables[C:].T)}
+
+    def codes(self, masks) -> np.ndarray:
+        """Table rows of every atom, for one mask (2**d,) or many (n, 2**d)."""
+        full = (1 << self.joint.d) - 1
+        masks = np.asarray(masks, dtype=np.int64)
+        tern = self._tern
+        return tern[self._atoms & masks[..., None]] + 2 * tern[full & ~masks][..., None]
+
+    def table(self, with_label: bool) -> np.ndarray:
+        return self._tables[with_label]
+
+    def log_table(self, with_label: bool) -> np.ndarray:
+        if with_label not in self._log_tables:
+            self._log_tables[with_label] = np.log(np.maximum(self._tables[with_label], _TINY))
+        return self._log_tables[with_label]
 
     def atoms(self, mask: int, with_label: bool) -> np.ndarray:
-        key = (mask, with_label)
-        if key not in self._cache:
-            idx = _kernels.restriction_indices(self.joint.d, mask)
-            size = 1 << bin(mask).count("1")
-            # bincount adds each column in row order, as np.add.at would
-            if with_label:
-                table = self.joint.table
-                marg = np.stack(
-                    [np.bincount(idx, weights=table[:, c], minlength=size) for c in range(table.shape[1])],
-                    axis=1,
-                )
-                self._cache[key] = marg[idx]
-            else:
-                marg = np.bincount(idx, weights=self._feature, minlength=size)
-                self._cache[key] = marg[idx][:, None]
-        return self._cache[key]
+        if self._tern is not None:
+            return np.take(self._tables[with_label], self.codes(mask), axis=0)
+        # x & mask indexes the restriction of x without packing its bits
+        idx = self._atoms & mask
+        if with_label:
+            table = self.joint.table
+            marg = np.stack(
+                [np.bincount(idx, weights=table[:, c], minlength=mask + 1) for c in range(table.shape[1])],
+                axis=1,
+            )
+            return np.take(marg, idx, axis=0)
+        return np.bincount(idx, weights=self._feature, minlength=mask + 1)[idx][:, None]
 
 
 def _pointwise_log_ratio(
@@ -247,11 +319,26 @@ class ExactConditionalModel:
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        full = (1 << self.joint.d) - 1
-        out = np.empty((values.shape[0], self.num_classes))
-        for r in range(values.shape[0]):
-            out[r] = np.log(np.maximum(self.conditional(values[r], full), _TINY))
-        return out
+        d = self.joint.d
+        if values.ndim != 2 or values.shape[1] != d:
+            raise ValueError(f"values must have shape (n, {d}), got {values.shape}")
+        with np.errstate(invalid="ignore"):  # NaN casts to a value flagged below
+            bits = values.astype(np.int64)
+        bad = np.argwhere((bits != 0) & (bits != 1))
+        if bad.size:
+            r, j = bad[0]
+            raise ValueError(f"features must be binary, got {values[r, j]!r} at position {j} of row {r}")
+        # the full-mask marginal is the joint table itself
+        joint_rows = self.joint.table[bits @ (1 << np.arange(d, dtype=np.int64))]
+        mass = joint_rows.sum(axis=1, keepdims=True)
+        zero = np.flatnonzero(mass[:, 0] <= 0)
+        if zero.size:
+            r = zero[0]
+            raise ZeroMassError(
+                f"conditioning event has zero probability: row {r}, "
+                f"values {[int(v) for v in bits[r]]}"
+            )
+        return np.log(np.maximum(joint_rows / mass, _TINY))
 
 
 class JointValueFunction(SetFunction):
@@ -282,28 +369,35 @@ class JointValueFunction(SetFunction):
         return out
 
 
-def value_matrix(joint: DiscreteJoint, mode: str = "expected_logprob") -> np.ndarray:
+def value_matrix(
+    joint: DiscreteJoint, mode: str = "expected_logprob", _marginals: _Marginals | None = None
+) -> np.ndarray:
     """V[mask, atom]: subset score at every atom under exact conditionals.
 
     Columns for zero-mass atoms are filled with zeros; every consumer weighs
     columns by atom mass, so those entries never contribute.
     """
     d, C = joint.d, joint.num_classes
-    m = _Marginals(joint)
+    m = _marginals if _marginals is not None else _Marginals(joint, table=True)
     p_full = m.atoms((1 << d) - 1, True)
     px = joint.feature_marginal()
     base = p_full / np.where(px[:, None] > 0, px[:, None], 1.0)
+    # log conditionals of every (mask, restriction) row of the table at once
+    joint_rows = m.table(True)
+    mass = _row_sums(joint_rows)[:, None]
+    log_cond = np.log(np.maximum(joint_rows / np.where(mass > 0, mass, 1.0), _TINY))
     V = np.empty((1 << d, 1 << d))
-    for mask in range(1 << d):
-        joint_rows = m.atoms(mask, True)
-        mass = joint_rows.sum(axis=1, keepdims=True)
-        cond = joint_rows / np.where(mass > 0, mass, 1.0)
-        logp = np.log(np.maximum(cond, _TINY))
-        if mode == "predicted_class_logprob":
-            pred = np.argmax(base, axis=1)
-            V[mask] = np.take_along_axis(logp, pred[:, None], axis=1)[:, 0]
-        else:
-            V[mask] = np.sum(np.where(base > 0, base * logp, 0.0), axis=1)
+    step = _chunk_rows(C << (d + 3))
+    if mode == "predicted_class_logprob":
+        pred = np.argmax(base, axis=1)
+        flat = log_cond.reshape(-1)
+        for lo in range(0, 1 << d, step):
+            V[lo : lo + step] = flat[m.codes(np.arange(lo, min(lo + step, 1 << d))) * C + pred]
+    else:
+        live = base > 0
+        for lo in range(0, 1 << d, step):
+            logp = np.take(log_cond, m.codes(np.arange(lo, min(lo + step, 1 << d))), axis=0)
+            V[lo : lo + step] = _row_sums(np.where(live, base * logp, 0.0))
     return V
 
 
@@ -337,56 +431,76 @@ def _subsets_of(mask: int) -> list[int]:
     return subs
 
 
+def _absolute_mi_of_probes(
+    m: _Marginals, i: int, probes: list[int], cond: int, with_label: bool
+) -> np.ndarray:
+    """``absolute_mutual_information(joint, 1 << i, v, cond, with_label)`` for
+    every probe set v, bitwise as that function computes it, from the log
+    table of ``m``."""
+    w = m.joint.table
+    live = w > 0
+    log_p = m.log_table(with_label)
+    a = 1 << i
+    # adding i to a mask moves digit i of every code from 2 to x_i
+    gain = m.codes(a) - m.codes(0)
+    z = m.codes(cond)
+    log_z = np.take(log_p, z, axis=0)
+    log_az = np.take(log_p, z + gain, axis=0)
+    out = np.empty(len(probes))
+    step = _chunk_rows(w.nbytes)
+    for lo in range(0, len(probes), step):
+        bz = m.codes(np.asarray(probes[lo : lo + step], dtype=np.int64) | cond)
+        log_abz = np.take(log_p, bz + gain, axis=0)
+        log_ratio = ((log_abz + log_z) - log_az) - np.take(log_p, bz, axis=0)
+        terms = np.where(live, w * np.abs(log_ratio), 0.0)
+        out[lo : lo + len(bz)] = terms.reshape(len(bz), -1).sum(axis=1)
+    return out
+
+
+def _epsilon_supremum(m: _Marginals, i: int, scans) -> EpsilonCertificate:
+    """Largest absolute mutual information between feature i and a probe set,
+    over ``scans`` of (conditioning set, mask whose nonempty subsets are the
+    probe sets), each with and without the label.  Ties keep the first
+    maximum in (scan, probe set, label first) order."""
+    best = EpsilonCertificate(0.0, (0, 0), False)
+    for cond, space in scans:
+        probes = _subsets_of(space)[1:]
+        if not probes:
+            continue
+        vals = np.stack([_absolute_mi_of_probes(m, i, probes, cond, wl) for wl in (True, False)], axis=1)
+        top = int(np.argmax(vals))
+        if vals.flat[top] > best.epsilon:
+            best = EpsilonCertificate(float(vals.flat[top]), (cond, probes[top // 2]), top % 2 == 0)
+    return best
+
+
+def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _Marginals | None) -> _Marginals:
+    _check_exhaustion_budget(joint.d)
+    if not (s >> i) & 1:
+        raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
+    return marginals if marginals is not None else _Marginals(joint, table=True)
+
+
 def epsilon_for_lshapley(
-    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int
+    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _Marginals | None = None
 ) -> EpsilonCertificate:
     """Largest absolute (conditional) mutual information between feature i and
     any probe set outside s, conditioning on any subset of s minus i, with
     and without the label in the conditioning."""
-    d = joint.d
-    _check_exhaustion_budget(d)
-    if not (s >> i) & 1:
-        raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
-    marginals = _Marginals(joint)
-    outside = ((1 << d) - 1) & ~s
-    best = EpsilonCertificate(0.0, (0, 0), False)
-    for u in _subsets_of(s & ~(1 << i)):
-        for v in _subsets_of(outside):
-            if v == 0:
-                continue
-            for with_label in (True, False):
-                val = absolute_mutual_information(
-                    joint, 1 << i, v, u, with_label, _marginals=marginals
-                )
-                if val > best.epsilon:
-                    best = EpsilonCertificate(val, (u, v), with_label)
-    return best
+    m = _epsilon_marginals(joint, i, s, _marginals)
+    outside = ((1 << joint.d) - 1) & ~s
+    return _epsilon_supremum(m, i, ((u, outside) for u in _subsets_of(s & ~(1 << i))))
 
 
 def epsilon_for_cshapley(
-    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int
+    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _Marginals | None = None
 ) -> EpsilonCertificate:
     """Supremum over connected subsets U of s containing i, probing sets drawn
     from the nodes neither in U nor adjacent to it."""
-    d = joint.d
-    _check_exhaustion_budget(d)
-    if not (s >> i) & 1:
-        raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
-    marginals = _Marginals(joint)
-    best = EpsilonCertificate(0.0, (0, 0), False)
-    for u in connected_subsets_in(g, i, s):
-        detached = ((1 << d) - 1) & ~u & ~g.boundary(u)
-        cond = u & ~(1 << i)
-        for v in _subsets_of(detached):
-            if v == 0:
-                continue
-            for with_label in (True, False):
-                val = absolute_mutual_information(
-                    joint, 1 << i, v, cond, with_label, _marginals=marginals
-                )
-                if val > best.epsilon:
-                    best = EpsilonCertificate(val, (cond, v), with_label)
-    return best
+    m = _epsilon_marginals(joint, i, s, _marginals)
+    full = (1 << joint.d) - 1
+    scans = ((u & ~(1 << i), full & ~u & ~g.boundary(u)) for u in connected_subsets_in(g, i, s))
+    return _epsilon_supremum(m, i, scans)
 
 
 @dataclass(frozen=True)
@@ -439,15 +553,18 @@ def _verify_theorem(
         )
     if s is None:
         s = k_neighborhood(g, i, k)
-    cert = epsilon_for_lshapley(joint, g, i, s)
+    marginals = _Marginals(joint, table=True)
+    cert = epsilon_for_lshapley(joint, g, i, s, _marginals=marginals)
     if theorem == 1:
         terms = l_shapley_terms(g, i, k)
     else:
-        cert2 = epsilon_for_cshapley(joint, g, i, s)
+        cert2 = epsilon_for_cshapley(joint, g, i, s, _marginals=marginals)
         cert = cert2 if cert2.epsilon >= cert.epsilon else cert
         terms = c_shapley_terms(g, i, k, weighting="myerson")
-    V = value_matrix(joint)
-    exact = _kernels.shapley_scatter(V, d, exact_shapley_weights(d))[i]
+    V = value_matrix(joint, _marginals=marginals)
+    del marginals  # free the tables before the scatter's temporaries
+    weights = np.asarray(exact_shapley_weights(d), dtype=np.float64)[_kernels.popcounts(d)]
+    exact = _kernels.feature_score(V, weights, i)
     est = _terms_estimate(V, i, terms)
     err, excluded = _expected_abs_error(joint, est, exact)
     bound = (4.0 if theorem == 1 else 6.0) * cert.epsilon

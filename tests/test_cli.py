@@ -313,3 +313,17 @@ class TestBadInputExitsTwo:
         argv = [arg.format(**files) for arg in self.CASES[case]]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--samples", "--permutations"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_rejected_before_model(self, instance_file, monkeypatch, capsys, flag, value):
+        from shapgraph import cli
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "resolve_model", no_model)
+        argv = ["explain", "--model", "builtin:nb", "--method", "kernelshap",
+                "--input", str(instance_file), flag, value]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"

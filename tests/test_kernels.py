@@ -69,6 +69,46 @@ def test_component_sum_table_paths_agree():
             assert table[mask] == pytest.approx(expected, abs=1e-12), (g.kind, mask)
 
 
+def gather_shapley_scatter(values, d, w_member):
+    """The scatter that gathered index and value arrays per feature, which
+    the strided-view kernel replaced."""
+    values = np.asarray(values, dtype=np.float64)
+    squeeze = values.ndim == 1
+    if squeeze:
+        values = values[:, None]
+    masks = np.arange(1 << d, dtype=np.int64)
+    sizes = _kernels.popcounts(d)
+    out = np.empty((d,) + values.shape[1:], dtype=np.float64)
+    for i in range(d):
+        with_i = masks[((masks >> i) & 1).astype(bool)]
+        weights = np.asarray(w_member, dtype=np.float64)[sizes[with_i]]
+        marginals = values[with_i] - values[with_i & ~(1 << i)]
+        out[i] = np.tensordot(weights, marginals, axes=(0, 0))
+    return out[:, 0] if squeeze else out
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 15, 16])
+def test_shapley_scatter_equals_gather_scatter(d):
+    rng = np.random.default_rng(d)
+    w = exact_shapley_weights(d)
+    shapes = [(1 << d,), (1 << d, 3)] + ([(1 << d, 1 << d)] if d <= 10 else [])
+    for shape in shapes:
+        values = rng.normal(size=shape)
+        got = _kernels.shapley_scatter(values, d, w)
+        assert got.shape == (d,) + shape[1:]
+        assert (got == gather_shapley_scatter(values, d, w)).all(), shape
+
+
+def test_feature_score_is_one_row_of_the_scatter():
+    d = 8
+    values = np.random.default_rng(1).normal(size=(1 << d, 5))
+    w = exact_shapley_weights(d)
+    weights = w[_kernels.popcounts(d)]
+    full = _kernels.shapley_scatter(values, d, w)
+    for i in range(d):
+        assert (_kernels.feature_score(values, weights, i) == full[i]).all()
+
+
 def loop_lowbit_component_masks(adjacency, d):
     """The per-mask frontier loop the vectorised kernel replaced."""
     adj = [int(a) for a in adjacency]

@@ -13,6 +13,8 @@ from shapgraph import (
     chain_graph,
     epsilon_for_cshapley,
     epsilon_for_lshapley,
+    grid_graph,
+    k_neighborhood,
     lemma1_check,
     random_joint,
     subset_of,
@@ -328,3 +330,247 @@ class TestValueMatrixPredictedMode:
             vf = JointValueFunction(joint, values, mode="predicted_class_logprob")
             for mask in range(16):
                 assert V[mask, atom] == pytest.approx(vf(mask), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise references: the per-mask code the ternary marginal table replaced.
+# Every figure must equal (==) what these loops compute, not just approximate
+# it, so that seeded theorem reports stay byte-identical.
+# ---------------------------------------------------------------------------
+
+
+class PerMaskMarginals:
+    """One marginal per mask, from packed restriction indices and bincount."""
+
+    def __init__(self, joint):
+        self.joint = joint
+        self._feature = joint.feature_marginal()
+        self._cache = {}
+
+    def atoms(self, mask, with_label):
+        key = (mask, with_label)
+        if key not in self._cache:
+            idx = _kernels.restriction_indices(self.joint.d, mask)
+            size = 1 << bin(mask).count("1")
+            if with_label:
+                table = self.joint.table
+                marg = np.stack(
+                    [np.bincount(idx, weights=table[:, c], minlength=size) for c in range(table.shape[1])],
+                    axis=1,
+                )
+                self._cache[key] = marg[idx]
+            else:
+                marg = np.bincount(idx, weights=self._feature, minlength=size)
+                self._cache[key] = marg[idx][:, None]
+        return self._cache[key]
+
+
+def per_mask_absolute_mi(joint, m, a, b, z, with_label):
+    tiny = 1e-300
+    log_ratio = (
+        np.log(np.maximum(m.atoms(a | b | z, with_label), tiny))
+        + np.log(np.maximum(m.atoms(z, with_label), tiny))
+        - np.log(np.maximum(m.atoms(a | z, with_label), tiny))
+        - np.log(np.maximum(m.atoms(b | z, with_label), tiny))
+    )
+    if log_ratio.shape[1] == 1:
+        log_ratio = np.broadcast_to(log_ratio, joint.table.shape)
+    w = joint.table
+    return float(np.sum(np.where(w > 0, w * np.abs(log_ratio), 0.0)))
+
+
+def per_probe_epsilon(joint, i, scans):
+    """The (u, v, label) loop: scans yields (conditioning, probe space)."""
+    from shapgraph.theory import EpsilonCertificate, _subsets_of
+
+    m = PerMaskMarginals(joint)
+    best = EpsilonCertificate(0.0, (0, 0), False)
+    for cond, space in scans:
+        for v in _subsets_of(space):
+            if v == 0:
+                continue
+            for with_label in (True, False):
+                val = per_mask_absolute_mi(joint, m, 1 << i, v, cond, with_label)
+                if val > best.epsilon:
+                    best = EpsilonCertificate(val, (cond, v), with_label)
+    return best
+
+
+def per_probe_epsilon_l(joint, g, i, s):
+    from shapgraph.theory import _subsets_of
+
+    outside = ((1 << joint.d) - 1) & ~s
+    return per_probe_epsilon(joint, i, ((u, outside) for u in _subsets_of(s & ~(1 << i))))
+
+
+def per_probe_epsilon_c(joint, g, i, s):
+    from shapgraph.graphs import connected_subsets_in
+
+    full = (1 << joint.d) - 1
+    scans = ((u & ~(1 << i), full & ~u & ~g.boundary(u)) for u in connected_subsets_in(g, i, s))
+    return per_probe_epsilon(joint, i, scans)
+
+
+def per_mask_value_matrix(joint, mode):
+    d = joint.d
+    m = PerMaskMarginals(joint)
+    p_full = m.atoms((1 << d) - 1, True)
+    px = joint.feature_marginal()
+    base = p_full / np.where(px[:, None] > 0, px[:, None], 1.0)
+    V = np.empty((1 << d, 1 << d))
+    for mask in range(1 << d):
+        joint_rows = m.atoms(mask, True)
+        mass = joint_rows.sum(axis=1, keepdims=True)
+        cond = joint_rows / np.where(mass > 0, mass, 1.0)
+        logp = np.log(np.maximum(cond, 1e-300))
+        if mode == "predicted_class_logprob":
+            pred = np.argmax(base, axis=1)
+            V[mask] = np.take_along_axis(logp, pred[:, None], axis=1)[:, 0]
+        else:
+            V[mask] = np.sum(np.where(base > 0, base * logp, 0.0), axis=1)
+    return V
+
+
+def per_row_evaluate_batch(joint, values):
+    """One conditional per row, each from the full-mask marginal."""
+    m = PerMaskMarginals(joint)
+    full = (1 << joint.d) - 1
+    out = np.empty((values.shape[0], joint.num_classes))
+    for r in range(values.shape[0]):
+        atom = sum(int(v) << j for j, v in enumerate(values[r]))
+        joint_rows = m.atoms(full, True)[atom]
+        out[r] = np.log(np.maximum(joint_rows / joint_rows.sum(), 1e-300))
+    return out
+
+
+def sparse_joint(d, num_classes, seed):
+    """A joint with zero-mass atoms and cells, so every zero branch is taken."""
+    rng = np.random.default_rng(seed)
+    masses = rng.exponential(size=(1 << d, num_classes))
+    masses[rng.random(masses.shape) < 0.3] = 0.0
+    masses[rng.integers(1 << d)] = 0.0
+    return DiscreteJoint(d, num_classes, masses / masses.sum())
+
+
+JOINT_KINDS = {"positive": random_joint, "sparse": sparse_joint}
+
+
+class TestBitwiseReferences:
+    @pytest.mark.parametrize("kind", sorted(JOINT_KINDS))
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 10])
+    def test_marginals_equal_per_mask_bincount(self, d, C, kind):
+        joint = JOINT_KINDS[kind](d, C, 40 + d)
+        ref = PerMaskMarginals(joint)
+        summed = _Marginals(joint)
+        table = _Marginals(joint, table=True)
+        masks = range(1 << d) if d <= 8 else np.random.default_rng(d).integers(0, 1 << d, 64)
+        for mask in masks:
+            for with_label in (True, False):
+                expected = ref.atoms(int(mask), with_label)
+                for m in (summed, table):
+                    got = m.atoms(int(mask), with_label)
+                    assert got.shape == expected.shape
+                    assert (got == expected).all(), (mask, with_label)
+
+    @pytest.mark.parametrize(
+        "g, i, k",
+        [(chain_graph(6), 3, 1), (chain_graph(8), 4, 1), (chain_graph(8), 0, 2), (grid_graph(2, 3), 4, 1)],
+        ids=["chain6", "chain8", "chain8-k2", "grid2x3"],
+    )
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    def test_epsilon_certificates_equal_per_probe_loops(self, g, i, k, C):
+        s = k_neighborhood(g, i, k)
+        for seed in range(3):
+            for joint in (random_joint(g.d, C, 60 + seed), sparse_joint(g.d, C, 60 + seed)):
+                assert epsilon_for_lshapley(joint, g, i, s) == per_probe_epsilon_l(joint, g, i, s)
+                assert epsilon_for_cshapley(joint, g, i, s) == per_probe_epsilon_c(joint, g, i, s)
+                # a smaller s than the neighbourhood, so that U ranges differently
+                assert epsilon_for_lshapley(joint, g, i, 1 << i) == per_probe_epsilon_l(joint, g, i, 1 << i)
+
+    def test_epsilon_ties_keep_first_witness(self):
+        # a product joint: every candidate is (numerically) zero or tied, so
+        # the witness comes from the loop order alone
+        _, joint = markov_label_model(seed=5, d=5, mixing=0.0)
+        g = chain_graph(5)
+        for i in range(5):
+            assert epsilon_for_lshapley(joint, g, i, 1 << i) == per_probe_epsilon_l(joint, g, i, 1 << i)
+
+    @pytest.mark.parametrize("mode", ["expected_logprob", "predicted_class_logprob"])
+    @pytest.mark.parametrize("C", [1, 2, 3, 9])
+    @pytest.mark.parametrize("d", [1, 3, 6, 8])
+    def test_value_matrix_equals_per_mask_loop(self, d, C, mode):
+        for joint in (random_joint(d, C, 80 + d), sparse_joint(d, C, 80 + d)):
+            assert (value_matrix(joint, mode) == per_mask_value_matrix(joint, mode)).all()
+
+    @pytest.mark.parametrize("C", [1, 2, 3, 9, 17])
+    def test_evaluate_batch_equals_per_row_loop(self, C):
+        joint = random_joint(6, C, 90 + C)
+        values = np.random.default_rng(C).integers(0, 2, size=(200, 6))
+        got = ExactConditionalModel(joint).evaluate_batch(values)
+        assert (got == per_row_evaluate_batch(joint, values)).all()
+        floats = ExactConditionalModel(joint).evaluate_batch(values.astype(float))
+        assert (floats == got).all()
+
+    def test_theorem_reports_equal_per_mask_pipeline(self):
+        from shapgraph.attribution import exact_shapley_weights, l_shapley_terms
+        from shapgraph.theory import _expected_abs_error, _terms_estimate
+
+        g = chain_graph(7)
+        i, k = 3, 1
+        for seed in range(3):
+            joint = random_joint(7, 2, 95 + seed)
+            report = verify_theorem1(joint, g, i, k)
+            cert = per_probe_epsilon_l(joint, g, i, k_neighborhood(g, i, k))
+            V = per_mask_value_matrix(joint, "expected_logprob")
+            exact = _kernels.shapley_scatter(V, 7, exact_shapley_weights(7))[i]
+            err, excluded = _expected_abs_error(joint, _terms_estimate(V, i, l_shapley_terms(g, i, k)), exact)
+            assert report.certificate == cert
+            assert (report.expected_error, report.bound, report.excluded_mass) == (err, 4.0 * cert.epsilon, excluded)
+
+
+class TestEvaluateBatchChecks:
+    def test_zero_mass_row_named(self):
+        table = np.zeros((4, 2))
+        table[0b00] = [0.5, 0.0]
+        table[0b11] = [0.0, 0.5]
+        model = ExactConditionalModel(DiscreteJoint(2, 2, table))
+        with pytest.raises(ZeroMassError, match=r"zero probability: row 2, values \[1, 0\]"):
+            model.evaluate_batch(np.array([[0, 0], [1, 1], [1, 0]]))
+
+    def test_non_binary_feature_rejected(self):
+        model = ExactConditionalModel(random_joint(3, 2, 0))
+        with pytest.raises(ValueError, match="binary.*position 2 of row 1"):
+            model.evaluate_batch(np.array([[0, 1, 1], [1, 0, 2]]))
+        with pytest.raises(ValueError, match="binary"):
+            model.evaluate_batch(np.array([[0.0, np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="shape"):
+            model.evaluate_batch(np.array([0, 1, 1]))
+
+
+class TestWideJointsBuildNoTable:
+    def test_d16_model_and_information_stay_linear_in_atoms(self):
+        import tracemalloc
+
+        d, C = 16, 2
+        joint = random_joint(d, C, 16)
+        # the largest array a per-mask marginal needs is (2**d, C); a 3**d
+        # table would need 3**16 * C * 8 bytes, some 690 MB
+        limit = 12 * (1 << d) * C * 8
+        values = np.random.default_rng(0).integers(0, 2, size=(64, d))
+        tracemalloc.start()
+        try:
+            model = ExactConditionalModel(joint)
+            out = model.evaluate_batch(values)
+            probs = model.conditional(values[0], 0b1010_0000_1111_0001)
+            vf = JointValueFunction(joint, values[1])
+            scores = vf.scores([0, 0b11, (1 << d) - 1])
+            mi = mutual_information(joint, 0b1, 0b110, 0b1000, True)
+            ami = absolute_mutual_information(joint, 0b1, 0b110, 0b1000, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
+        assert out.shape == (64, C) and np.isfinite(out).all()
+        assert probs.sum() == pytest.approx(1.0)
+        assert np.isfinite(scores).all() and ami >= abs(mi) - 1e-12

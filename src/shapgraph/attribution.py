@@ -20,6 +20,8 @@ from .graphs import (
     DEFAULT_ENUMERATION_BUDGET,
     FeatureGraph,
     connected_subsets_containing,
+    enumeration_budget_error,
+    iter_bits,
     k_neighborhood,
 )
 from .valuation import DEFAULT_BATCH_SIZE, GraphRestrictedGame, SetFunction
@@ -112,12 +114,7 @@ def l_shapley_terms(
     """
     nbhd = k_neighborhood(g, i, k)
     n = bin(nbhd).count("1")
-    if 1 << (n - 1) > budget:
-        raise BudgetExceededError(
-            f"local estimate at node {i} would enumerate 2^{n - 1} subsets of its "
-            f"{n}-node neighborhood, beyond the budget of {budget}",
-            count=budget,
-        )
+    _check_local_budget(i, n, budget)
     rest = nbhd & ~(1 << i)
     terms = []
     for sub in _submasks(rest):
@@ -127,11 +124,76 @@ def l_shapley_terms(
     return terms
 
 
-def _marginal_sums(
-    game: SetFunction, plan: Iterable[tuple[int, list[tuple[int, float]]]]
-) -> tuple[np.ndarray, list[int]]:
-    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan of
-    (feature, terms) pairs, valuing the subsets in full batches.
+def _check_local_budget(i: int, n: int, budget: int) -> None:
+    if 1 << (n - 1) > budget:
+        raise BudgetExceededError(
+            f"local estimate at node {i} would enumerate 2^{n - 1} subsets of its "
+            f"{n}-node neighborhood, beyond the budget of {budget}",
+            count=budget,
+        )
+
+
+# A template is the terms of one feature with S and S minus i interleaved,
+# shifted right by the lowest bit of the feature's neighbourhood.
+Template = tuple[list[int], list[float]]
+PlanStep = tuple[int, int, Template]  # (feature, shift, template)
+
+
+def _plan(
+    method: str,
+    g: FeatureGraph,
+    features: Iterable[int],
+    k: int,
+    weighting: str | None,
+    budget: int,
+) -> Iterator[PlanStep]:
+    """The terms of each feature as a template shared by every feature whose
+    neighbourhood has the same shape, with the shift that places it.
+
+    A feature's terms depend only on its neighbourhood ``nbhd`` and its
+    position in it, and for C-Shapley on the subgraph induced on ``nbhd``.
+    With ``lo`` the lowest bit of ``nbhd``, the key is ``(i - lo, nbhd >> lo)``
+    plus, for C-Shapley, each member's neighbours in ``nbhd`` shifted by
+    ``lo``; shifting the template's masks left by ``lo`` gives the terms
+    ``l_shapley_terms`` / ``c_shapley_terms`` would give, in the same order.
+    Templates live as long as the graph, keyed also by method, k and
+    weighting; a template from a larger budget still raises for a smaller.
+    """
+    templates = g._templates
+    adjacency = g.adjacency
+    for i in features:
+        nbhd = k_neighborhood(g, i, k)
+        lo = (nbhd & -nbhd).bit_length() - 1
+        key = (method, k, weighting, i - lo, nbhd >> lo)
+        if method == "c_shapley":
+            key += (tuple((adjacency[j] & nbhd) >> lo for j in iter_bits(nbhd)),)
+        template = templates.get(key)
+        if template is None:
+            # called through the module so that tracing sees the enumeration
+            if method == "c_shapley":
+                terms = c_shapley_terms(g, i, k, weighting, budget)
+            else:
+                terms = l_shapley_terms(g, i, k, budget)
+            template = templates[key] = _template(i, terms, lo)
+        elif method == "c_shapley":
+            if len(template[1]) > budget:
+                raise enumeration_budget_error(i, budget)
+        else:
+            _check_local_budget(i, bin(nbhd).count("1"), budget)
+        yield i, lo, template
+
+
+def _template(i: int, terms: list[tuple[int, float]], lo: int) -> Template:
+    bit = 1 << i
+    masks: list[int] = []
+    for mask, _ in terms:
+        masks += (mask >> lo, (mask & ~bit) >> lo)
+    return masks, [weight for _, weight in terms]
+
+
+def _marginal_sums(game: SetFunction, plan: Iterable[PlanStep]) -> tuple[np.ndarray, list[int]]:
+    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan,
+    valuing the subsets in full batches.
 
     Features are taken in plan order; their masks are sent to ``game.scores``
     once at least ``DEFAULT_BATCH_SIZE`` are pending (checked after each
@@ -150,30 +212,29 @@ def _marginal_sums(
         # Charge each feature the subsets that neither the cache nor an
         # earlier pending feature holds, as if it were valued on its own.
         # What ``prepare`` values can only be new for a game that has valued
-        # nothing yet, so it falls to the first feature.
+        # nothing yet, so it falls to the first feature.  The last feature
+        # gets whatever else the batch valued.
         before = game.eval_count
         game.prepare()
         new: set[int] = set()
         counts = []
-        start = 0
-        for end in turns:
+        for start, end in zip([0, *turns], turns[:-1]):
             seen = len(new)
             new.update(m for m in masks[start:end] if m not in game)
             counts.append(len(new) - seen)
-            start = end
-        counts[0] += game.eval_count - before
-        per_feature.extend(counts)
+        if counts:
+            counts[0] += game.eval_count - before
         values = game.scores(masks)
+        counts.append(game.eval_count - before - sum(counts))
+        per_feature.extend(counts)
         np.add.at(scores, features, np.asarray(weights) * (values[0::2] - values[1::2]))
         for pending in (features, masks, weights, turns):
             pending.clear()
 
-    for i, terms in plan:
-        bit = 1 << i
-        for mask, weight in terms:
-            features.append(i)
-            masks += (mask, mask & ~bit)
-            weights.append(weight)
+    for i, lo, (template_masks, template_weights) in plan:
+        masks += [m << lo for m in template_masks]
+        weights += template_weights
+        features += [i] * len(template_weights)
         turns.append(len(masks))
         if len(masks) >= DEFAULT_BATCH_SIZE:
             flush()
@@ -182,15 +243,11 @@ def _marginal_sums(
     return scores, per_feature
 
 
-def _weighted_marginals(
-    game: SetFunction, i: int, terms: list[tuple[int, float]]
-) -> float:
-    return float(_marginal_sums(game, [(i, terms)])[0][i])
+def _weighted_marginals(game: SetFunction, i: int, plan: Iterable[PlanStep]) -> float:
+    return float(_marginal_sums(game, plan)[0][i])
 
 
-def _all_features(
-    game: SetFunction, method: str, k: int, plan: Iterable[tuple[int, list[tuple[int, float]]]]
-) -> AttributionResult:
+def _all_features(game: SetFunction, method: str, k: int, plan: Iterable[PlanStep]) -> AttributionResult:
     before = game.eval_count
     scores, per_feature = _marginal_sums(game, plan)
     return AttributionResult(
@@ -215,7 +272,7 @@ def l_shapley(
     containing i, with neighborhood-restricted Shapley coefficients.  For k at
     least the graph diameter this is the exact Shapley value.
     """
-    return _weighted_marginals(game, i, l_shapley_terms(g, i, k, budget))
+    return _weighted_marginals(game, i, _plan("l_shapley", g, [i], k, None, budget))
 
 
 def l_shapley_all(
@@ -226,8 +283,7 @@ def l_shapley_all(
 ) -> AttributionResult:
     """Local Shapley estimates for every feature, sharing one evaluation cache
     and filling the model batch across features."""
-    plan = ((i, l_shapley_terms(g, i, k, budget)) for i in range(g.d))
-    return _all_features(game, "l_shapley", k, plan)
+    return _all_features(game, "l_shapley", k, _plan("l_shapley", g, range(g.d), k, None, budget))
 
 
 def connected_subset_weight(size: int, boundary: int) -> float:
@@ -290,7 +346,7 @@ def c_shapley(
     Sums weighted marginal contributions over the connected subsets of the
     k-neighborhood that contain i.
     """
-    return _weighted_marginals(game, i, c_shapley_terms(g, i, k, weighting, budget))
+    return _weighted_marginals(game, i, _plan("c_shapley", g, [i], k, weighting, budget))
 
 
 def c_shapley_all(
@@ -302,7 +358,7 @@ def c_shapley_all(
 ) -> AttributionResult:
     """Connected-subset estimates for every feature, sharing one cache and
     filling the model batch across features."""
-    plan = ((i, c_shapley_terms(g, i, k, weighting, budget)) for i in range(g.d))
+    plan = _plan("c_shapley", g, range(g.d), k, weighting, budget)
     return _all_features(game, "c_shapley", k, plan)
 
 

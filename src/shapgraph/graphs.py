@@ -10,6 +10,7 @@ memo keys cheap and enumeration allocation-free; :func:`subset_of` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
     batched unpack.
     """
     width = (d + 7) // 8
-    packed = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
 
@@ -66,6 +67,9 @@ class FeatureGraph:
     ``kind`` is one of ``"chain"``, ``"grid"`` or ``"general"``; chain and
     grid graphs remember nothing beyond their shape, general graphs carry an
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
+    ``_templates`` holds the estimators' term templates, one per
+    neighbourhood shape, for as long as the graph lives (see
+    :mod:`shapgraph.attribution`).
     """
 
     num_nodes: int
@@ -74,6 +78,7 @@ class FeatureGraph:
     rows: int | None = None
     cols: int | None = None
     adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.num_nodes
@@ -218,6 +223,15 @@ def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:
     return reached
 
 
+def enumeration_budget_error(i: int, budget: int) -> BudgetExceededError:
+    """The error for more than ``budget`` connected subsets at node i."""
+    return BudgetExceededError(
+        f"connected-subset enumeration for node {i} exceeded its budget: "
+        f"{budget} subsets emitted with more remaining",
+        count=budget,
+    )
+
+
 def connected_subsets_in(
     g: FeatureGraph,
     i: int,
@@ -243,11 +257,7 @@ def connected_subsets_in(
 
     def extend(sub: int, candidates: list[int], banned: int) -> None:
         if len(out) >= budget:
-            raise BudgetExceededError(
-                f"connected-subset enumeration for node {i} exceeded its budget: "
-                f"{budget} subsets emitted with more remaining",
-                count=budget,
-            )
+            raise enumeration_budget_error(i, budget)
         out.append(sub)
         if bin(sub).count("1") >= cap:
             return

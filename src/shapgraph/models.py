@@ -26,6 +26,9 @@ from .theory import DiscreteJoint
 WIRE_VERSION = 1
 WIRE_BATCH_LIMIT = 256
 PADDING_TOKEN = 0
+# size of the padding mask the naive-Bayes gather builds per chunk of rows,
+# well below the 128 KiB from which glibc maps a block on pages of its own
+GATHER_CHUNK_BYTES = 64 * 1024
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -51,7 +54,7 @@ class NaiveBayesModel:
             self, "log_likelihoods", np.asarray(self.log_likelihoods, dtype=np.float64)
         )
         # the likelihood table with padding scoring exactly 0.0, so a batch is
-        # one gather and one sum, with no (C, n, d) mask temporary
+        # a gather and a sum, with no padding mask
         padded = self.log_likelihoods.copy()
         padded[:, PADDING_TOKEN] = 0.0
         object.__setattr__(self, "_padded_log_likelihoods", padded)
@@ -66,13 +69,36 @@ class NaiveBayesModel:
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         tokens = np.asarray(values, dtype=np.int64)
-        if np.any(tokens < 0) or np.any(tokens >= self.vocab_size):
+        # negative ids read as huge unsigned ones, so one pass checks both ends
+        if tokens.size and tokens.view(np.uint64).max() >= self.vocab_size:
             raise EvaluationError(
                 f"token ids must lie in [0, {self.vocab_size}), got range "
                 f"[{tokens.min()}, {tokens.max()}]"
             )
-        scores = self.log_priors[:, None] + self._padded_log_likelihoods[:, tokens].sum(axis=2)
-        return _log_softmax(scores.T)
+        padded = self._padded_log_likelihoods
+        if tokens.ndim != 2 or tokens.shape[0] < 2:
+            # numpy may sum a single row pairwise; its scores stay as they were
+            scores = self.log_priors[:, None] + padded[:, tokens].sum(axis=2)
+            return _log_softmax(scores.T)
+        # For n >= 2 rows numpy sums the (C, n, d) gather position by
+        # position, 0..d-1.  Padding adds exactly +0.0, which leaves a running
+        # sum unchanged, so adding only the other tokens in the same order
+        # gives the same bits; bincount adds its weights in input order.  Rows
+        # are taken a few at a time, so the padding mask stays within
+        # GATHER_CHUNK_BYTES; the gathered arrays hold 8 bytes per non-padding
+        # token, a few per row for the masked rows of L- and C-Shapley.
+        n, d = tokens.shape
+        step = max(1, GATHER_CHUNK_BYTES // max(d, 1))
+        scores = np.empty((n, self.num_classes))
+        for a in range(0, n, step):
+            chunk = tokens[a : a + step].ravel()
+            at = np.flatnonzero(chunk != PADDING_TOKEN)
+            kept = chunk[at]
+            row = at // d
+            for c in range(self.num_classes):
+                scores[a : a + step, c] = np.bincount(row, padded[c].take(kept), min(step, n - a))
+        scores += self.log_priors
+        return _log_softmax(scores)
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,9 @@ class ModelContract(Protocol):
 
     ``evaluate_batch`` takes a float/int array of shape (n, d) of full feature
     vectors and returns an (n, num_classes) array of class log-probabilities
-    (each row's exponentials summing to one).
+    (each row's exponentials summing to one).  The input rows are valid only
+    during the call: :class:`ValueFunction` refills the same buffer for its
+    next block, so a model that keeps them must copy them.
     """
 
     num_classes: int
@@ -92,9 +94,10 @@ def empirical_conditional(
 class SetFunction:
     """Memoized real-valued function of feature subsets.
 
-    Subclasses implement ``_evaluate_many``; callers use ``__call__`` or the
-    batched ``scores``.  ``eval_count`` is the number of distinct subsets ever
-    evaluated, which repeated queries never increase.
+    Subclasses implement ``_evaluate_many``, which values distinct subsets
+    not valued before, and may implement ``_prepare``; callers use
+    ``__call__`` or the batched ``scores``.  ``eval_count`` is the number of
+    distinct subsets ever evaluated, which repeated queries never increase.
     """
 
     def __init__(self, d: int):
@@ -113,6 +116,11 @@ class SetFunction:
         """Value whatever every other subset's value depends on; the first
         ``scores`` call that values anything does this too.  Plain set
         functions depend on nothing."""
+        with self._lock:
+            self._prepare()
+
+    def _prepare(self) -> None:
+        """``prepare`` under the lock."""
 
     def __contains__(self, mask: int) -> bool:
         """Whether the subset has been valued already."""
@@ -123,16 +131,13 @@ class SetFunction:
 
     def scores(self, masks: Sequence[int]) -> np.ndarray:
         with self._lock:
-            missing = []
-            seen = set()
-            for m in masks:
-                if m not in self._cache and m not in seen:
-                    seen.add(m)
-                    missing.append(m)
+            cache = self._cache
+            if not cache and len(masks):
+                self._prepare()
+            missing = [m for m in dict.fromkeys(masks) if m not in cache]
             if missing:
-                for m, val in zip(missing, self._evaluate_many(missing)):
-                    self._cache[m] = float(val)
-            return np.array([self._cache[m] for m in masks], dtype=np.float64)
+                cache.update(zip(missing, map(float, self._evaluate_many(missing))))
+            return np.fromiter(map(cache.__getitem__, masks), np.float64, len(masks))
 
 
 class ValueFunction(SetFunction):
@@ -171,6 +176,7 @@ class ValueFunction(SetFunction):
         self.mode = mode
         self.batch_size = batch_size
         self._base_probs: np.ndarray | None = None
+        self._rows: np.ndarray | None = None  # model input buffer, see _block_rows
         if estimator == "empirical":
             pool = np.asarray(pool) if pool is not None else None
             if pool is None or pool.size == 0:
@@ -207,15 +213,10 @@ class ValueFunction(SetFunction):
         """
         x = self.instance
         if self.estimator == "plugin":
-            # Per block, not per batch: one np.where over a whole batch left
-            # heap holes that pinned the d-float results callers keep (the
-            # benchmark's wire peak RSS rose about 10%).  Per block it read
-            # 40.93 MB against 41.07 MB for one row array per mask (medians
-            # of 5 run pairs, 2-vCPU Xeon).
             blocks = []
             for start in range(0, len(masks), self.batch_size):
                 block = masks[start : start + self.batch_size]
-                rows = np.where(member_matrix(block, x.d), x.values, x.reference)
+                rows = self._block_rows(member_matrix(block, x.d), x.reference)
                 blocks.append(np.exp(self._run_block(rows, block)))
             return np.concatenate(blocks, axis=0)
         # empirical: row r is subset r // m hybridised with pool sample r % m
@@ -227,10 +228,27 @@ class ValueFunction(SetFunction):
             first, last = start // m, (stop - 1) // m + 1
             r = np.arange(start, stop)
             keep = member_matrix(masks[first:last], x.d)[r // m - first]
-            rows = np.where(keep, x.values, pool[r % m])
+            rows = self._block_rows(keep, pool[r % m])
             blocks.append(np.exp(self._run_block(rows, masks[first:last])))
         probs = np.concatenate(blocks, axis=0)
         return probs.reshape(len(masks), m, -1).mean(axis=1)
+
+    def _block_rows(self, keep: np.ndarray, fill: np.ndarray) -> np.ndarray:
+        """The instance's values where ``keep`` is True and ``fill`` elsewhere,
+        as ``np.where(keep, values, fill)`` would give them, written into one
+        (batch_size, d) buffer that every block reuses.
+
+        A fresh array per block would be at least 128 KiB from d=64 on, where
+        glibc maps each block on its own pages and faults them in anew.
+        """
+        values = self.instance.values
+        if self._rows is None:
+            dtype = np.result_type(values, fill)
+            self._rows = np.empty((self.batch_size, self.d), dtype=dtype)
+        rows = self._rows[: keep.shape[0]]
+        rows[:] = fill
+        np.copyto(rows, values, where=keep)
+        return rows
 
     def _run_block(self, rows: np.ndarray, masks: list[int]) -> np.ndarray:
         """Model log-probs for one block of rows, checked before use.
@@ -250,11 +268,7 @@ class ValueFunction(SetFunction):
             raise _evaluation_error(masks, "model returned NaN or +inf log-probs")
         return out
 
-    def prepare(self) -> None:
-        with self._lock:
-            self._ensure_base()
-
-    def _ensure_base(self) -> None:
+    def _prepare(self) -> None:
         # The score of any subset needs the model's distribution at the full
         # instance (argmax class or expectation weights), so it is evaluated
         # first and cached like any other subset.
@@ -265,12 +279,7 @@ class ValueFunction(SetFunction):
             self._cache[full] = float(self._score_from_probs(probs)[0])
 
     def _evaluate_many(self, masks: list[int]) -> list[float]:
-        self._ensure_base()
-        todo = [m for m in masks if m not in self._cache]
-        fresh: dict[int, float] = {}
-        if todo:
-            fresh = dict(zip(todo, self._score_from_probs(self._conditional_probs(todo)).tolist()))
-        return [fresh[m] if m in fresh else self._cache[m] for m in masks]
+        return self._score_from_probs(self._conditional_probs(masks)).tolist()
 
     def _score_from_probs(self, probs: np.ndarray) -> np.ndarray:
         """Scores of an (n, num_classes) array of class probabilities, one per row."""

@@ -1,0 +1,163 @@
+"""The L-/C-Shapley explanation path as it was written before term templates,
+the reused row buffer and the sparse naive-Bayes gather.
+
+Every step here is the earlier code, kept so that tests can require the
+current path to give the same bits: per-feature term lists, one
+``np.where`` array of rows per block, the naive-Bayes ``(C, n, d)`` gather,
+and the per-mask loops of the memoized value and of the batched plan.
+"""
+
+import numpy as np
+
+from shapgraph.attribution import DEFAULT_SUBSET_BUDGET, c_shapley_terms, l_shapley_terms
+from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET
+from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR
+
+
+def gather_log_probs(nb, tokens):
+    """Naive-Bayes log-probabilities through the full (C, n, d) gather."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    scores = (nb.log_priors[:, None] + nb._padded_log_likelihoods[:, tokens].sum(axis=2)).T
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+class GatherModel:
+    """The naive-Bayes model evaluated by :func:`gather_log_probs`."""
+
+    def __init__(self, nb):
+        self.nb = nb
+        self.num_classes = nb.num_classes
+
+    def evaluate_batch(self, values):
+        return gather_log_probs(self.nb, values)
+
+
+class RecordingModel:
+    """Passes rows on to a model and keeps a copy of every block it was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_classes = inner.num_classes
+        self.blocks = []
+
+    def evaluate_batch(self, values):
+        self.blocks.append(np.array(values, copy=True))
+        return self.inner.evaluate_batch(values)
+
+
+def _member_matrix(masks, d):
+    width = (d + 7) // 8
+    packed = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
+
+
+class PluginValue:
+    """Predicted-class log-probability under plug-in masking, memoized per
+    subset; the full instance is valued first, on its own."""
+
+    def __init__(self, model, instance, batch_size=DEFAULT_BATCH_SIZE):
+        self.model = model
+        self.instance = instance
+        self.d = instance.d
+        self.batch_size = batch_size
+        self.cache = {}
+        self.predicted = None
+
+    @property
+    def eval_count(self):
+        return len(self.cache)
+
+    def __contains__(self, mask):
+        return mask in self.cache
+
+    def _probs(self, masks):
+        x = self.instance
+        blocks = []
+        for start in range(0, len(masks), self.batch_size):
+            block = masks[start : start + self.batch_size]
+            rows = np.where(_member_matrix(block, x.d), x.values, x.reference)
+            blocks.append(np.exp(np.asarray(self.model.evaluate_batch(rows))))
+        return np.concatenate(blocks, axis=0)
+
+    def _logp(self, probs):
+        return np.log(np.maximum(probs, LOG_PROB_FLOOR))[:, self.predicted]
+
+    def prepare(self):
+        if self.predicted is None:
+            full = (1 << self.d) - 1
+            probs = self._probs([full])
+            self.predicted = int(np.argmax(probs[0] / probs[0].sum()))
+            self.cache[full] = float(self._logp(probs)[0])
+
+    def scores(self, masks):
+        missing = []
+        seen = set()
+        for m in masks:
+            if m not in self.cache and m not in seen:
+                seen.add(m)
+                missing.append(m)
+        if missing:
+            self.prepare()
+            todo = [m for m in missing if m not in self.cache]
+            if todo:
+                for m, val in zip(todo, self._logp(self._probs(todo)).tolist()):
+                    self.cache[m] = float(val)
+        return np.array([self.cache[m] for m in masks], dtype=np.float64)
+
+
+def marginal_sums(game, plan):
+    """Scores and per-feature new-subset counts over (feature, terms) pairs,
+    flushed once at least a batch of masks is pending."""
+    scores = np.zeros(game.d)
+    per_feature = []
+    features, masks, weights, turns = [], [], [], []
+
+    def flush():
+        before = game.eval_count
+        game.prepare()
+        new = set()
+        counts = []
+        start = 0
+        for end in turns:
+            seen = len(new)
+            new.update(m for m in masks[start:end] if m not in game)
+            counts.append(len(new) - seen)
+            start = end
+        counts[0] += game.eval_count - before
+        per_feature.extend(counts)
+        values = game.scores(masks)
+        np.add.at(scores, features, np.asarray(weights) * (values[0::2] - values[1::2]))
+        for pending in (features, masks, weights, turns):
+            pending.clear()
+
+    for i, terms in plan:
+        bit = 1 << i
+        for mask, weight in terms:
+            features.append(i)
+            masks += (mask, mask & ~bit)
+            weights.append(weight)
+        turns.append(len(masks))
+        if len(masks) >= DEFAULT_BATCH_SIZE:
+            flush()
+    if turns:
+        flush()
+    return scores, per_feature
+
+
+def l_shapley_all(game, g, k, budget=DEFAULT_SUBSET_BUDGET):
+    return marginal_sums(game, ((i, l_shapley_terms(g, i, k, budget)) for i in range(g.d)))
+
+
+def c_shapley_all(game, g, k, weighting="myerson", budget=DEFAULT_ENUMERATION_BUDGET):
+    return marginal_sums(game, ((i, c_shapley_terms(g, i, k, weighting, budget)) for i in range(g.d)))
+
+
+def weighted_marginal(values, i, terms):
+    """One feature's estimate from a value map, adding terms in order from 0.0."""
+    total = 0.0
+    for mask, weight in terms:
+        total += weight * (values(mask) - values(mask & ~(1 << i)))
+    return total
+

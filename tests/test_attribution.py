@@ -9,6 +9,7 @@ from shapgraph import (
     exact_shapley,
     general_graph,
     grid_graph,
+    k_neighborhood,
     l_shapley,
     l_shapley_all,
     myerson_value,
@@ -16,7 +17,9 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
+from shapgraph import attribution
 from shapgraph.attribution import (
+    DEFAULT_SUBSET_BUDGET,
     c_shapley_terms,
     connected_subset_weight,
     interior_subset_weight,
@@ -36,6 +39,7 @@ from shapgraph.valuation import (
 )
 
 from oracles import myerson_oracle, shapley_permutation_oracle
+from reference_path import weighted_marginal
 
 
 class TestExactShapley:
@@ -448,3 +452,99 @@ class TestShiftInvarianceAcrossMethods:
 
         for a, b in zip(run_all(table), run_all(table + 2.0)):
             np.testing.assert_array_equal(a, b)
+
+
+def _placed_terms(step):
+    """A plan step's terms and S-minus-i masks, shifted into place."""
+    i, lo, (masks, weights) = step
+    return i, [(m << lo, w) for m, w in zip(masks[0::2], weights)], [m << lo for m in masks[1::2]]
+
+
+def _terms(method, g, i, k, weighting, budget=None):
+    kwargs = {} if budget is None else {"budget": budget}
+    if method == "c_shapley":
+        return c_shapley_terms(g, i, k, weighting, **kwargs)
+    return l_shapley_terms(g, i, k, **kwargs)
+
+
+# features 2 and 5 share (i - lo, nbhd >> lo) at k=2, but 2 hangs off the
+# middle of its neighbourhood's path and 5 off its end
+SHARED_LOCAL_KEY = general_graph(6, [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5)])
+TEMPLATE_GRAPHS = {
+    "chain1": (chain_graph(1), range(4)),
+    "chain2": (chain_graph(2), range(4)),
+    "chain7": (chain_graph(7), range(4)),
+    "chain400": (chain_graph(400), range(4)),
+    "grid3x4": (grid_graph(3, 4), range(4)),
+    "grid10x10": (grid_graph(10, 10), range(3)),
+    "general6": (SHARED_LOCAL_KEY, range(4)),
+    "general9": (general_graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 7), (7, 8), (8, 6), (1, 7)]), range(4)),
+}
+
+
+class TestTermTemplates:
+    """The plan's shared templates, shifted into place, are exactly the
+    per-feature term lists, in the same order."""
+
+    @pytest.mark.parametrize("method,weighting", [("l_shapley", None), ("c_shapley", "myerson"), ("c_shapley", "interior")])
+    @pytest.mark.parametrize("name", list(TEMPLATE_GRAPHS))
+    def test_plan_equals_per_feature_terms(self, name, method, weighting):
+        g, ks = TEMPLATE_GRAPHS[name]
+        for k in ks:
+            if name == "grid10x10" and method == "l_shapley" and k == 2:
+                continue  # 2^12 subsets per feature: slow to list, and no new shape
+            steps = list(attribution._plan(method, g, range(g.d), k, weighting, DEFAULT_SUBSET_BUDGET))
+            assert [step[0] for step in steps] == list(range(g.d))
+            for step in steps:
+                i, terms, without_i = _placed_terms(step)
+                expected = _terms(method, g, i, k, weighting)
+                assert terms == expected
+                assert without_i == [m & ~(1 << i) for m, _ in expected]
+
+    def test_shared_local_key_with_different_subgraphs(self):
+        g, k = SHARED_LOCAL_KEY, 2
+        for i in (2, 5):
+            nbhd = k_neighborhood(g, i, k)
+            lo = (nbhd & -nbhd).bit_length() - 1
+            assert (i - lo, nbhd >> lo) == (2, 0b111)
+        for weighting in ("myerson", "interior"):
+            shifted = [[(m >> lo, w) for m, w in c_shapley_terms(g, i, k, weighting)] for i, lo in ((2, 0), (5, 3))]
+            assert shifted[0] != shifted[1]  # a key without the subgraph would mix them up
+            for i in (2, 5):
+                step = next(attribution._plan("c_shapley", g, [i], k, weighting, DEFAULT_SUBSET_BUDGET))
+                assert _placed_terms(step)[1] == c_shapley_terms(g, i, k, weighting)
+
+    def test_one_graph_across_weightings_and_orders(self):
+        g = grid_graph(3, 4)
+        for k, weighting in ((2, "myerson"), (2, "interior"), (3, "interior"), (3, "myerson"), (2, "myerson")):
+            game = synthetic_game(g.d, seed=10)
+            res = c_shapley_all(game, g, k, weighting=weighting)
+            for i in range(g.d):
+                expected = weighted_marginal(game, i, c_shapley_terms(g, i, k, weighting))
+                assert res.scores[i] == expected
+        for k in (1, 2, 1):
+            game = synthetic_game(g.d, seed=11)
+            res = l_shapley_all(game, g, k)
+            for i in range(g.d):
+                assert res.scores[i] == weighted_marginal(game, i, l_shapley_terms(g, i, k))
+
+    @pytest.mark.parametrize("method,k,budget", [("c_shapley", 3, 5), ("l_shapley", 3, 8)])
+    def test_cached_template_raises_for_a_smaller_budget(self, method, k, budget):
+        # at k=3 on a chain, feature 0 fits the budget and feature 1 does not
+        g = chain_graph(12)
+        run_all = c_shapley_all if method == "c_shapley" else l_shapley_all
+        run_one = c_shapley if method == "c_shapley" else l_shapley
+        run_all(synthetic_game(12, seed=1), g, k)  # every template is cached now
+        with pytest.raises(BudgetExceededError) as direct:
+            _terms(method, g, 1, k, "myerson", budget)
+        for call in (
+            lambda: run_all(synthetic_game(12, seed=1), g, k, budget=budget),
+            lambda: run_one(synthetic_game(12, seed=1), g, 1, k, budget=budget),
+        ):
+            with pytest.raises(BudgetExceededError) as cached:
+                call()
+            assert str(cached.value) == str(direct.value)
+            assert cached.value.count == direct.value.count
+        assert run_one(synthetic_game(12, seed=1), g, 0, k, budget=budget) == run_one(
+            synthetic_game(12, seed=1), g, 0, k
+        )

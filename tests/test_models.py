@@ -19,6 +19,8 @@ from shapgraph import (
     k_neighborhood,
 )
 from shapgraph.models import (
+    GATHER_CHUNK_BYTES,
+    PADDING_TOKEN,
     ExternalModel,
     ExternalModelEndpoint,
     NaiveBayesModel,
@@ -31,6 +33,8 @@ from shapgraph.models import (
     two_topic_corpus,
 )
 from shapgraph.model_server import serve_stream, serve_tcp
+
+from reference_path import gather_log_probs
 
 
 class TestNaiveBayes:
@@ -95,6 +99,62 @@ class TestNaiveBayes:
             shifted = scores.T - scores.T.max(axis=1, keepdims=True)
             expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
             np.testing.assert_array_equal(nb.evaluate_batch(tokens), expected)
+
+
+class TestNaiveBayesGather:
+    """``evaluate_batch`` against the full (C, n, d) gather, bit for bit."""
+
+    @staticmethod
+    def _model(num_classes, seed=0):
+        rng = np.random.default_rng(seed)
+        priors = rng.dirichlet(np.ones(num_classes))
+        return NaiveBayesModel(np.log(priors), np.log(rng.dirichlet(np.ones(200), size=num_classes)))
+
+    @staticmethod
+    def _assert_same_bits(nb, tokens):
+        got = nb.evaluate_batch(tokens)
+        expected = gather_log_probs(nb, tokens)
+        np.testing.assert_array_equal(got, expected)
+        # downstream sums (the empirical estimator's mean) follow the layout
+        assert got.strides == expected.strides
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 16, 40, 100, 400, 1000])
+    def test_equals_the_full_gather(self, d):
+        rng = np.random.default_rng(d)
+        step = GATHER_CHUNK_BYTES // d
+        sizes = {1, 2, 3, 255, 256, 257}
+        sizes |= {m * step + e for m in (1, 2) for e in (-1, 0, 1)}
+        for num_classes in (2, 3):
+            nb = self._model(num_classes, seed=d)
+            for n in sorted(sizes):
+                for padding in (0.0, 0.5, 0.95):
+                    tokens = rng.integers(1, nb.vocab_size, size=(n, d))
+                    tokens[rng.random((n, d)) < padding] = PADDING_TOKEN
+                    self._assert_same_bits(nb, tokens)
+
+    def test_one_row_keeps_the_full_gather(self):
+        nb = self._model(3)
+        tokens = np.random.default_rng(1).integers(0, nb.vocab_size, size=(1, 300))
+        self._assert_same_bits(nb, tokens)
+
+    @pytest.mark.parametrize("bad", [-1, 200])
+    def test_out_of_range_token_is_rejected(self, bad):
+        nb = self._model(2)
+        tokens = np.ones((3, 5), dtype=np.int64)
+        tokens[1, 2] = bad
+        lo, hi = min(bad, 1), max(bad, 1)
+        with pytest.raises(EvaluationError, match=rf"\[0, 200\), got range \[{lo}, {hi}\]"):
+            nb.evaluate_batch(tokens)
+        with pytest.raises(EvaluationError):
+            nb.evaluate_batch(tokens[1:2])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 0), (4, 0)])
+    def test_empty_input(self, shape):
+        nb = self._model(2)
+        tokens = np.zeros(shape, dtype=np.int64)
+        out = nb.evaluate_batch(tokens)
+        assert out.shape == (shape[0], 2)
+        np.testing.assert_array_equal(out, gather_log_probs(nb, tokens))
 
 
 class TestMarkovLabelModel:

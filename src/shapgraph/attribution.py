@@ -24,7 +24,7 @@ from .graphs import (
     iter_bits,
     k_neighborhood,
 )
-from .valuation import DEFAULT_BATCH_SIZE, GraphRestrictedGame, SetFunction
+from .valuation import GraphRestrictedGame, SetFunction
 
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_MYERSON_LIMIT = 15
@@ -196,7 +196,7 @@ def _marginal_sums(game: SetFunction, plan: Iterable[PlanStep]) -> tuple[np.ndar
     valuing the subsets in full batches.
 
     Features are taken in plan order; their masks are sent to ``game.scores``
-    once at least ``DEFAULT_BATCH_SIZE`` are pending (checked after each
+    once at least ``game.batch_size`` are pending (checked after each
     feature) and once at the end.  Each feature's sum starts from 0.0 and adds
     its terms in order.  Returns the scores and, per planned feature, the
     distinct subsets first valued during its turn.
@@ -236,7 +236,7 @@ def _marginal_sums(game: SetFunction, plan: Iterable[PlanStep]) -> tuple[np.ndar
         weights += template_weights
         features += [i] * len(template_weights)
         turns.append(len(masks))
-        if len(masks) >= DEFAULT_BATCH_SIZE:
+        if len(masks) >= game.batch_size:
             flush()
     if turns:
         flush()

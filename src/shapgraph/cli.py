@@ -24,6 +24,7 @@ from .harness import (
     compare_methods,
     curves_to_csv,
     load_dataset,
+    load_pool,
 )
 from .models import (
     ExternalModelEndpoint,
@@ -95,10 +96,12 @@ def _load_pool(path: str | None, estimator: str) -> np.ndarray | None:
         return None
     if not path:
         raise ShapgraphError("--estimator empirical needs --pool FILE (JSON lines, as for evaluate --dataset)")
-    instances, _ = load_dataset(path)
-    if not instances:
+    rows = load_pool(path)
+    if not rows:
         raise ShapgraphError(f"pool file {path!r} holds no rows")
-    return np.stack([inst.values for inst in instances])
+    if len({row.shape for row in rows}) > 1:
+        raise ShapgraphError(f"pool file {path!r} holds rows of different lengths")
+    return np.stack(rows)
 
 
 def cmd_explain(args) -> int:

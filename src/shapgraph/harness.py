@@ -270,19 +270,41 @@ def curves_to_csv(curves: Sequence[EvaluationCurve]) -> str:
     return buf.getvalue()
 
 
+def _dataset_rows(path: str, fields: tuple[str, ...]):
+    """The non-blank lines of a JSON-lines file as dicts holding ``fields``;
+    a line that is not such an object raises ``ConfigurationError`` naming
+    its number."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"line {number}: not JSON ({exc.msg}) in {path!r}") from None
+            missing = [name for name in fields if not isinstance(row, dict) or name not in row]
+            if missing:
+                raise ConfigurationError(f"line {number}: no {missing[0]!r} field in {path!r}")
+            yield number, row
+
+
 def load_dataset(path: str) -> tuple[list[Instance], list[int | None]]:
     """Read a JSON-lines dataset of instances with optional labels."""
     instances = []
     labels: list[int | None] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
+    for number, row in _dataset_rows(path, ("values", "reference")):
+        try:
             instances.append(Instance(np.array(row["values"]), np.array(row["reference"])))
-            labels.append(row.get("label"))
+        except ValueError as exc:
+            raise ConfigurationError(f"line {number}: {exc} in {path!r}") from None
+        labels.append(row.get("label"))
     return instances, labels
+
+
+def load_pool(path: str) -> list[np.ndarray]:
+    """The ``values`` of every row of a JSON-lines dataset; ``reference`` and
+    ``label`` are neither read nor required."""
+    return [np.array(row["values"]) for _, row in _dataset_rows(path, ("values",))]
 
 
 def save_dataset(path: str, instances: Sequence[Instance], labels: Sequence[int] | None = None) -> None:

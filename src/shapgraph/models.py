@@ -15,6 +15,7 @@ import shlex
 import socket
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +27,12 @@ from .theory import DiscreteJoint
 WIRE_VERSION = 1
 WIRE_BATCH_LIMIT = 256
 PADDING_TOKEN = 0
-# size of the padding mask the naive-Bayes gather builds per chunk of rows,
-# well below the 128 KiB from which glibc maps a block on pages of its own
+# size of the temporaries built per chunk of rows by the naive-Bayes gather
+# (its padding mask) and the wire's integer encoder (its table of texts), well
+# below the 128 KiB from which glibc maps a block on pages of its own
 GATHER_CHUNK_BYTES = 64 * 1024
+# integer features below this are encoded by table lookup, see _rows_text
+INT_TEXT_LIMIT = 1 << 16
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -384,45 +388,98 @@ class ExternalModelEndpoint:
             raise ConfigurationError(f"unknown transport {self.transport!r}")
 
 
-class _SubprocessChannel:
-    """Stdio of a spawned model host; ``send`` takes one JSON line."""
+class _LineChannel:
+    """One JSON line per message to and from a model host.
+
+    Both ends are non-blocking and every wait is a ``select`` under the
+    endpoint timeout.  ``send`` moves whatever the host writes into the
+    receive buffer while it waits to write, so a host blocked on writing a
+    long reply never stalls the next request, and two requests can be in
+    flight.  Subclasses provide the descriptors and the raw read and write.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self._buf = bytearray()
+        self._scanned = 0  # bytes of _buf known to hold no newline
+
+    def send(self, line: str) -> None:
+        data = memoryview((line + "\n").encode())
+        deadline = time.monotonic() + self.timeout
+        while data:
+            readable, writable = self._wait(deadline, write=True)
+            if readable:
+                self._receive()
+            if writable:
+                try:
+                    data = data[self._write(data) :]
+                except BlockingIOError:
+                    pass
+
+    def recv_line(self) -> str:
+        deadline = time.monotonic() + self.timeout
+        while (end := self._buf.find(b"\n", self._scanned)) < 0:
+            self._scanned = len(self._buf)
+            self._wait(deadline, write=False)
+            self._receive()
+        line = self._buf[:end].decode()
+        del self._buf[: end + 1]
+        self._scanned = 0
+        return line
+
+    def _wait(self, deadline: float, write: bool) -> tuple[bool, bool]:
+        remaining = deadline - time.monotonic()
+        if remaining > 0:
+            readable, writable, _ = select.select(
+                [self._read_fd], [self._write_fd] if write else [], [], remaining
+            )
+            if readable or writable:
+                return bool(readable), bool(writable)
+        raise TimeoutError("timed out waiting for the model host")
+
+    def _say_bye(self) -> None:
+        # best effort, and brief: a host that stopped reading must not hold
+        # up closing
+        self.timeout = min(self.timeout, 1.0)
+        try:
+            self.send('{"op": "bye"}')
+        except Exception:
+            pass
+
+    def _receive(self) -> None:
+        try:
+            chunk = self._read()
+        except BlockingIOError:
+            return
+        if not chunk:
+            raise OSError("model host closed the connection")
+        self._buf += chunk
+
+
+class _SubprocessChannel(_LineChannel):
+    """Stdio of a spawned model host."""
 
     def __init__(self, command: str, timeout: float):
-        self.timeout = timeout
+        super().__init__(timeout)
         self.proc = subprocess.Popen(
             shlex.split(command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
         )
-        self._buf = b""
+        self._write_fd = self.proc.stdin.fileno()
+        self._read_fd = self.proc.stdout.fileno()
+        os.set_blocking(self._write_fd, False)
+        os.set_blocking(self._read_fd, False)
 
-    def send(self, line: str) -> None:
-        self.proc.stdin.write((line + "\n").encode())
-        self.proc.stdin.flush()
+    def _read(self) -> bytes:
+        return os.read(self._read_fd, 65536)
 
-    def recv_line(self) -> str:
-        deadline = time.monotonic() + self.timeout
-        fd = self.proc.stdout.fileno()
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("timed out waiting for model response")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise TimeoutError("timed out waiting for model response")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise OSError("model process closed its output")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line.decode()
+    def _write(self, data: memoryview) -> int:
+        return os.write(self._write_fd, data)
 
     def close(self) -> None:
-        try:
-            self.send('{"op": "bye"}')
-        except Exception:
-            pass
+        self._say_bye()
         self.proc.terminate()
         try:
             self.proc.wait(timeout=1.0)
@@ -431,48 +488,46 @@ class _SubprocessChannel:
             self.proc.wait()
 
 
-class _TcpChannel:
-    """A socket to a model host; ``send`` takes one JSON line."""
+class _TcpChannel(_LineChannel):
+    """A socket to a model host."""
 
     def __init__(self, address: str, timeout: float):
+        super().__init__(timeout)
         host, _, port = address.rpartition(":")
         self.sock = socket.create_connection((host, int(port)), timeout=timeout)
-        self.sock.settimeout(timeout)
-        self._buf = b""
+        self.sock.setblocking(False)
+        self._read_fd = self._write_fd = self.sock
 
-    def send(self, line: str) -> None:
-        self.sock.sendall((line + "\n").encode())
+    def _read(self) -> bytes:
+        return self.sock.recv(65536)
 
-    def recv_line(self) -> str:
-        while b"\n" not in self._buf:
-            try:
-                chunk = self.sock.recv(65536)
-            except socket.timeout as exc:
-                raise TimeoutError("timed out waiting for model response") from exc
-            if not chunk:
-                raise OSError("model host closed the connection")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line.decode()
+    def _write(self, data: memoryview) -> int:
+        return self.sock.send(data)
 
     def close(self) -> None:
-        try:
-            self.send('{"op": "bye"}')
-        except Exception:
-            pass
+        self._say_bye()
         self.sock.close()
 
 
 class ExternalModel:
     """ModelContract over the line-delimited JSON wire protocol.
 
+    ``evaluate_batch`` splits its rows into requests of at most
+    ``WIRE_BATCH_LIMIT`` and keeps up to ``IN_FLIGHT`` of them in flight, so
+    the client encodes request k+1 while the host evaluates request k;
+    replies are read in request order.  ``batch_size`` asks value functions
+    for blocks of several requests, which is what lets the two overlap.
+
     Transient transport failures (timeouts, closed pipes, refused
-    connections) are retried up to three times with exponential backoff and a
-    fresh connection; protocol violations are not retried.
+    connections) are retried up to three times with exponential backoff on a
+    fresh connection, resending every unanswered request under a fresh id;
+    protocol violations are not retried.
     """
 
     MAX_ATTEMPTS = 3
     BACKOFF = 0.1
+    IN_FLIGHT = 2
+    batch_size = 4 * WIRE_BATCH_LIMIT
 
     def __init__(self, endpoint: ExternalModelEndpoint):
         self.endpoint = endpoint
@@ -521,7 +576,7 @@ class ExternalModel:
                     raise
                 self._channel = channel
                 return
-            except (OSError, TimeoutError, ConnectionError) as exc:
+            except OSError as exc:  # timeouts and refused or closed connections alike
                 last = exc
                 time.sleep(self.BACKOFF * (2**attempt))
         raise EvaluationError(
@@ -530,60 +585,138 @@ class ExternalModel:
         )
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        chunks = []
-        for start in range(0, values.shape[0], WIRE_BATCH_LIMIT):
-            block = values[start : start + WIRE_BATCH_LIMIT]
-            indices = list(range(start, start + block.shape[0]))
-            chunks.append(self._evaluate_chunk(block, indices))
-        return np.concatenate(chunks, axis=0)
-
-    def _evaluate_chunk(self, block: np.ndarray, indices: list[int]) -> np.ndarray:
-        # Serialised one row at a time: the bytes equal json.dumps of the whole
-        # request, without holding every row's float objects and JSON pieces
-        # at once.
-        instances = ", ".join(json.dumps(row.tolist()) for row in block)
-        last = None
-        for attempt in range(self.MAX_ATTEMPTS):
-            if self._channel is None:
-                self._connect_with_retry(indices)
-            request_id = self._next_id
-            self._next_id += 1
+        values = _wire_values(values)
+        starts = range(0, values.shape[0], WIRE_BATCH_LIMIT)
+        replies: list[np.ndarray] = []
+        in_flight: deque[_Request] = deque()  # sent and unanswered, oldest first
+        failures = 0
+        while len(replies) < len(starts):
             try:
-                self._channel.send(f'{{"op": "eval", "id": {request_id}, "instances": [{instances}]}}')
-                reply = self._parse(self._channel.recv_line())
-                if reply.get("op") == "error":
-                    raise EvaluationError(
-                        f"model host failed on request {request_id}: {reply.get('message')}",
-                        batch_indices=indices,
-                    )
-                if reply.get("op") != "eval" or reply.get("id") != request_id:
-                    raise ProtocolError(f"response does not match request {request_id}: {reply!r}")
-                log_probs = np.asarray(reply["log_probs"], dtype=np.float64)
-                if log_probs.shape != (block.shape[0], self.num_classes):
-                    raise ProtocolError(
-                        f"expected {(block.shape[0], self.num_classes)} log-probs, "
-                        f"got {log_probs.shape}"
-                    )
-                return log_probs
+                if self._channel is None:
+                    self._connect_with_retry([i for r in in_flight for i in r.indices])
+                    for request in in_flight:
+                        self._send(request)
+                while len(in_flight) < self.IN_FLIGHT and len(replies) + len(in_flight) < len(starts):
+                    start = starts[len(replies) + len(in_flight)]
+                    in_flight.append(_Request(start, values[start : start + WIRE_BATCH_LIMIT]))
+                    self._send(in_flight[-1])
+                replies.append(self._receive(in_flight))
+                failures = 0
             except ProtocolError:
                 # the channel may be out of step with the host; the next call
                 # starts over on a fresh connection
                 self.close()
                 raise
-            except (OSError, TimeoutError, ConnectionError) as exc:
-                last = exc
+            except OSError as exc:
                 self.close()
-                time.sleep(self.BACKOFF * (2**attempt))
-        raise EvaluationError(
-            f"external model evaluation failed after {self.MAX_ATTEMPTS} attempts: {last}",
-            batch_indices=indices,
-        )
+                failures += 1
+                if failures == self.MAX_ATTEMPTS:
+                    raise EvaluationError(
+                        f"external model evaluation failed after {self.MAX_ATTEMPTS} attempts: {exc}",
+                        batch_indices=[i for r in in_flight for i in r.indices],
+                    ) from exc
+                time.sleep(self.BACKOFF * (2 ** (failures - 1)))
+        return np.concatenate(replies) if replies else np.empty((0, self.num_classes))
+
+    def _send(self, request: _Request) -> None:
+        request.id = self._next_id
+        self._next_id += 1
+        self._channel.send(f'{{"op": "eval", "id": {request.id}, "instances": [{request.instances}]}}')
+
+    def _receive(self, in_flight: deque[_Request]) -> np.ndarray:
+        """The reply to the oldest request in flight, checked.
+
+        An error reply raises ``EvaluationError`` once the replies to the
+        later requests are read too, so the channel stays in step.
+        """
+        reply = self._parse(self._channel.recv_line())
+        request = in_flight.popleft()
+        if reply.get("op") == "error":
+            self._drain(in_flight)
+            raise EvaluationError(
+                f"model host failed on request {request.id}: {reply.get('message')}",
+                batch_indices=list(request.indices),
+            )
+        if reply.get("op") != "eval" or reply.get("id") != request.id:
+            raise ProtocolError(f"response does not match request {request.id}: {reply!r}")
+        try:
+            log_probs = np.asarray(reply.get("log_probs"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"unreadable log-probs in reply {request.id}: {exc}") from exc
+        expected = (len(request.indices), self.num_classes)
+        if log_probs.shape != expected:
+            raise ProtocolError(f"expected {expected} log-probs, got {log_probs.shape}")
+        return log_probs
+
+    def _drain(self, in_flight: deque[_Request]) -> None:
+        """Read and drop the replies still owed; close the channel if that fails."""
+        try:
+            while in_flight:
+                request = in_flight.popleft()
+                reply = self._parse(self._channel.recv_line())
+                if reply.get("op") != "error" and reply.get("id") != request.id:
+                    raise ProtocolError(f"response does not match request {request.id}")
+        except (OSError, ProtocolError):
+            self.close()
 
     def close(self) -> None:
         if self._channel is not None:
             self._channel.close()
             self._channel = None
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+_int_texts = np.array([], dtype=object)  # str(j) at j, grown on demand
+
+
+def _rows_text(block: np.ndarray) -> str:
+    """The JSON text of a block's rows, without the outer brackets: the
+    bytes of ``json.dumps(block.tolist())[1:-1]``.
+
+    Integers in [0, INT_TEXT_LIMIT) are looked up in a table of their texts,
+    about four times faster than ``json`` formats them; other blocks are
+    formatted one row at a time, so a block's Python numbers are never all
+    held at once.
+    """
+    global _int_texts
+    if block.dtype.kind not in "iu" or not block.size or block.min() < 0 or block.max() >= INT_TEXT_LIMIT:
+        return ", ".join([_encode(row.tolist()) for row in block])
+    top = int(block.max())
+    if top >= len(_int_texts):
+        _int_texts = np.array([str(j) for j in range(max(2 * top, 256))], dtype=object)
+    step = max(1, GATHER_CHUNK_BYTES // (8 * block.shape[1]))
+    rows = []
+    for a in range(0, block.shape[0], step):
+        rows += ["[" + ", ".join(row) + "]" for row in _int_texts[block[a : a + step]].tolist()]
+    return ", ".join(rows)
+
+
+def _wire_values(values: np.ndarray) -> np.ndarray:
+    """Instance rows as they go on the wire: integer rows as they are, bool
+    rows as 0/1 and anything else as float64, which must be finite."""
+    values = np.asarray(values)
+    if values.dtype.kind == "b":
+        return values.view(np.uint8)
+    if values.dtype.kind in "iu":
+        return values
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise EvaluationError(
+            f"instance rows {bad[:8].tolist()} hold NaN or infinite values, which JSON cannot carry",
+            batch_indices=bad.tolist(),
+        )
+    return values
+
+
+class _Request:
+    """One eval request: its rows' JSON text, kept for a resend, and the id
+    it was last sent under."""
+
+    def __init__(self, start: int, block: np.ndarray):
+        self.indices = range(start, start + block.shape[0])
+        self.instances = _rows_text(block)
+        self.id = -1
 
 
 def external_model(endpoint: ExternalModelEndpoint) -> ExternalModel:

@@ -33,6 +33,13 @@ class ModelContract(Protocol):
     (each row's exponentials summing to one).  The input rows are valid only
     during the call: :class:`ValueFunction` refills the same buffer for its
     next block, so a model that keeps them must copy them.
+
+    A model may also declare ``batch_size``, the number of rows it would
+    rather get per call.  A :class:`ValueFunction` built without a batch size
+    then sends blocks of that many rows, and the all-features estimators
+    collect that many subset masks before they value them.  Models without it get
+    ``DEFAULT_BATCH_SIZE`` (256); :class:`~shapgraph.models.ExternalModel`
+    declares four wire requests' worth, so that it can keep two in flight.
     """
 
     num_classes: int
@@ -100,6 +107,9 @@ class SetFunction:
     distinct subsets ever evaluated, which repeated queries never increase.
     """
 
+    # subset masks the all-features estimators collect before they value them
+    batch_size = DEFAULT_BATCH_SIZE
+
     def __init__(self, d: int):
         self.d = d
         self._cache: dict[int, float] = {}
@@ -163,7 +173,7 @@ class ValueFunction(SetFunction):
         pool: np.ndarray | None = None,
         m_samples: int = DEFAULT_EMPIRICAL_SAMPLES,
         seed: int = 0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int | None = None,
     ):
         super().__init__(instance.d)
         if estimator not in ("plugin", "empirical"):
@@ -174,6 +184,8 @@ class ValueFunction(SetFunction):
         self.instance = instance
         self.estimator = estimator
         self.mode = mode
+        if batch_size is None:
+            batch_size = getattr(model, "batch_size", DEFAULT_BATCH_SIZE)
         self.batch_size = batch_size
         self._base_probs: np.ndarray | None = None
         self._rows: np.ndarray | None = None  # model input buffer, see _block_rows

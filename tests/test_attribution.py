@@ -228,6 +228,37 @@ class TestBatchedPlan:
         for i in range(d):
             assert res.scores[i] == one_fn(make_game(), g, i, k)
 
+    @pytest.mark.parametrize("all_fn,terms_fn", [(l_shapley_all, l_shapley_terms), (c_shapley_all, c_shapley_terms)])
+    def test_flush_at_the_model_batch_size(self, all_fn, terms_fn):
+        # a model that declares a batch size gets blocks of that many rows;
+        # the flushes grow with it and leave every output as it was
+        class WideModel:
+            batch_size = 1024
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.num_classes = inner.num_classes
+                self.calls = 0
+
+            def evaluate_batch(self, values):
+                self.calls += 1
+                return self.inner.evaluate_batch(values)
+
+        d, k = 100, 2
+        nb = build_demo_nb()
+        x = Instance(two_topic_corpus(8, 1, doc_len=d)[0][0], np.zeros(d, dtype=int))
+        g = chain_graph(d)
+        wide = WideModel(nb)
+        narrow = WideModel(nb)
+        narrow.batch_size = DEFAULT_BATCH_SIZE
+        results = [all_fn(ValueFunction(model, x), g, k) for model in (narrow, wide)]
+        assert results[0].scores.tolist() == results[1].scores.tolist()
+        assert results[0].per_feature_evaluations == results[1].per_feature_evaluations
+        assert results[0].model_evaluations == results[1].model_evaluations
+        terms = sum(len(terms_fn(g, i, k)) for i in range(d))
+        # the unmasked instance is one call of its own
+        assert wide.calls <= -(-2 * terms // 1024) + 1 < narrow.calls
+
     def test_warm_cache_charges_only_new_subsets(self):
         g = chain_graph(30)
         game = CountingGame(30)

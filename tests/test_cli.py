@@ -109,6 +109,24 @@ class TestEmpiricalPool:
         assert data["scores"] == expected.scores.tolist()
         assert data["evals"] == expected.model_evaluations
 
+    def test_pool_lines_need_only_values(self, tmp_path, instance_file, dataset_file):
+        from shapgraph import cli
+
+        bare = tmp_path / "bare.jsonl"
+        rows = [json.loads(line) for line in dataset_file.read_text().splitlines()]
+        bare.write_text("".join(json.dumps({"values": row["values"]}) + "\n" for row in rows))
+        outputs = []
+        for pool in (dataset_file, bare):
+            out = tmp_path / f"out-{pool.stem}.json"
+            code = cli.main([
+                "explain", "--model", "builtin:nb", "--method", "c-shapley", "--k", "1",
+                "--estimator", "empirical", "--pool", str(pool),
+                "--input", str(instance_file), "--seed", "4", "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_empirical_without_pool_rejected_before_model(self, instance_file, monkeypatch, capsys):
         from shapgraph import cli
 
@@ -313,6 +331,42 @@ class TestBadInputExitsTwo:
         argv = [arg.format(**files) for arg in self.CASES[case]]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("line,problem", [
+        ({"values": [1] * 12}, "no 'reference' field"),
+        ({"reference": [0] * 12}, "no 'values' field"),
+        ([1, 2], "no 'values' field"),
+        ({"values": [1] * 12, "reference": [0] * 11}, "equal-length"),
+    ])
+    def test_dataset_line_without_a_field_is_named(self, tmp_path, dataset_file, capsys, line, problem):
+        from shapgraph import cli
+
+        dataset = tmp_path / "holed.jsonl"
+        first, *_ = dataset_file.read_text().splitlines()
+        dataset.write_text(f"{first}\n\n{json.dumps(line)}\n")
+        assert cli.main(["evaluate", "--dataset", str(dataset), "--methods", "random", "--budget", "48"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and problem in err
+
+    def test_pool_line_that_is_not_json_is_named(self, tmp_path, instance_file, capsys):
+        from shapgraph import cli
+
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"values": [1] * 12}) + "\n{values: [1]}\n")
+        argv = ["explain", "--model", "builtin:nb", "--method", "exact", "--estimator", "empirical",
+                "--pool", str(pool), "--input", str(instance_file)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: not JSON")
+
+    def test_pool_rows_of_different_lengths(self, tmp_path, instance_file, capsys):
+        from shapgraph import cli
+
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"values": [1] * 12}) + "\n" + json.dumps({"values": [1] * 11}) + "\n")
+        argv = ["explain", "--model", "builtin:nb", "--method", "exact", "--estimator", "empirical",
+                "--pool", str(pool), "--input", str(instance_file)]
+        assert cli.main(argv) == 2
+        assert "different lengths" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--samples", "--permutations"])
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -1,5 +1,6 @@
 import io
 import json
+import socket
 import sys
 import threading
 import time
@@ -248,6 +249,42 @@ def _record_channels(monkeypatch):
     return channels
 
 
+class _InOrderChannel:
+    """A fake host channel: records every line sent and answers the requests
+    in the order they were sent, as a host does."""
+
+    def __init__(self, sent):
+        self.sent = sent
+        self.answered = 0
+
+    def send(self, line):
+        self.sent.append(line)
+
+    def recv_line(self):
+        request = json.loads(self.sent[self.answered])
+        self.answered += 1
+        if request["op"] == "hello":
+            return json.dumps({"op": "hello", "num_classes": 2})
+        n = len(request["instances"])
+        return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[0.0, -1.0]] * n})
+
+    def close(self):
+        pass
+
+
+def _in_order_host(monkeypatch):
+    """Route ExternalModel to an _InOrderChannel; returns the lines it is sent."""
+    sent = []
+    monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: _InOrderChannel(sent))
+    return sent
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 _STRAY_REPLY_HOST = """
 import json, math, os, sys
 
@@ -267,6 +304,35 @@ for line in sys.stdin:
         break
     for reply in replies:
         print(json.dumps(reply), flush=True)
+"""
+
+
+_DROPPING_HOST = """
+import json, os, sys
+from shapgraph.model_server import serve_stream
+from shapgraph.models import load_model_json
+
+model_file, marker, log = sys.argv[1:]
+with open(model_file) as fh:
+    model = load_model_json(json.load(fh))
+first = not os.path.exists(marker)
+open(marker, "a").close()
+
+
+def requests():
+    evals = 0
+    for line in sys.stdin:
+        request = json.loads(line)
+        if request["op"] == "eval":
+            with open(log, "a") as fh:
+                fh.write(f"{int(first)} {request['id']}\\n")
+            if first and evals == 1:
+                return  # the first host exits after its first eval reply
+            evals += 1
+        yield line
+
+
+serve_stream(model, requests(), sys.stdout)
 """
 
 
@@ -372,23 +438,7 @@ class TestExternalModel:
             ext.close()
 
     def test_eval_request_bytes_equal_json_dumps_of_the_request(self, monkeypatch):
-        sent = []
-
-        class CapturingChannel:
-            def send(self, line):
-                sent.append(line)
-
-            def recv_line(self):
-                request = json.loads(sent[-1])
-                if request["op"] == "hello":
-                    return json.dumps({"op": "hello", "num_classes": 2})
-                n = len(request["instances"])
-                return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[0.0, -1.0]] * n})
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: CapturingChannel())
+        sent = _in_order_host(monkeypatch)
         ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
         rng = np.random.default_rng(4)
         values = np.concatenate(
@@ -402,6 +452,115 @@ class TestExternalModel:
         blocks = [values[:256], values[256:]]
         for request_id, (line, block) in enumerate(zip(sent[1:], blocks)):
             assert line == json.dumps({"op": "eval", "id": request_id, "instances": block.tolist()})
+
+    def test_integer_and_bool_payloads_are_json_integers(self, monkeypatch):
+        sent = _in_order_host(monkeypatch)
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        rng = np.random.default_rng(5)
+        tokens = rng.integers(0, 300, size=(300, 7))
+        blocks = [
+            tokens,  # two requests, table lookup
+            tokens.astype(np.uint8),
+            tokens.astype(np.int32)[:5],
+            rng.integers(-(2**62), 2**62, size=(4, 3)),  # negative and wide: json formats them
+            np.array([[0, 65535], [65536, 1]]),  # either side of the table limit
+            rng.random((3, 4)) < 0.5,  # bool goes out as 0/1
+            rng.integers(0, 9, size=(20, 3000)),  # two rows per table chunk
+            np.zeros((0, 4), dtype=np.int64),
+        ]
+        for block in blocks:
+            before = len(sent)
+            assert ext.evaluate_batch(block).shape == (block.shape[0], 2)
+            rows = block.astype(np.int64).tolist()
+            chunks = [rows[a : a + 256] for a in range(0, len(rows), 256)]
+            assert sent[before:] == [
+                json.dumps({"op": "eval", "id": json.loads(line)["id"], "instances": chunk})
+                for line, chunk in zip(sent[before:], chunks)
+            ]
+            assert len(sent) - before == len(chunks)
+
+    def test_non_finite_values_fail_before_anything_is_sent(self, monkeypatch):
+        sent = _in_order_host(monkeypatch)
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        values = np.ones((300, 4))
+        values[3, 1] = np.nan
+        values[299, 0] = -np.inf
+        values[280, 2] = np.inf
+        with pytest.raises(EvaluationError, match=r"rows \[3, 280, 299\] hold NaN or infinite") as exc:
+            ext.evaluate_batch(values)
+        assert exc.value.batch_indices == [3, 280, 299]
+        assert [json.loads(line)["op"] for line in sent] == ["hello"]
+
+    def test_long_replies_do_not_block_the_next_request(self, tmp_path):
+        # each reply (256 x 4000 log-probs, about 20 MB) is far larger than a
+        # pipe's buffer, and so is the next request; a client that only
+        # writes while it sends would wait on a host that waits on it
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps(UniformModel(4000).to_json()))
+        cmd = f"{sys.executable} -m shapgraph.model_server --model-file {path}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=30.0))
+        try:
+            start = time.perf_counter()
+            out = ext.evaluate_batch(np.zeros((320, 400), dtype=np.int64))
+            assert time.perf_counter() - start < 15.0
+            np.testing.assert_array_equal(out, np.full((320, 4000), -np.log(4000)))
+        finally:
+            ext.close()
+
+    def test_error_reply_mid_stream_keeps_the_connection(self, tmp_path):
+        nb, _ = _nb_fixture(tmp_path)
+        port = _free_port()
+        # one connection only: a client that reconnected could not go on
+        thread = threading.Thread(target=serve_tcp, args=(nb, "127.0.0.1", port, 1), daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        ext = external_model(ExternalModelEndpoint("tcp", f"127.0.0.1:{port}", timeout=5))
+        try:
+            channel = ext._channel
+            values = np.random.default_rng(3).integers(0, 30, size=(700, 10))
+            bad = values.copy()
+            bad[300, 4] = 99  # request 1 of 3 fails while request 2 is in flight
+            with pytest.raises(EvaluationError, match="token ids must lie in") as exc:
+                ext.evaluate_batch(bad)
+            assert exc.value.batch_indices == list(range(256, 512))
+            assert ext._channel is channel
+            np.testing.assert_array_equal(ext.evaluate_batch(values), nb.evaluate_batch(values))
+        finally:
+            ext.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_dropped_connection_resends_unanswered_requests(self, tmp_path):
+        nb, path = _nb_fixture(tmp_path)
+        host = tmp_path / "host.py"
+        host.write_text(_DROPPING_HOST)
+        log = tmp_path / "ids.log"
+        cmd = f"{sys.executable} {host} {path} {tmp_path / 'marker'} {log}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        try:
+            values = np.random.default_rng(6).integers(0, 30, size=(700, 10))
+            np.testing.assert_array_equal(ext.evaluate_batch(values), nb.evaluate_batch(values))
+        finally:
+            ext.close()
+        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        # the first host answered request 0 and dropped request 1; the second
+        # got the two unanswered requests again under fresh ids
+        assert seen == [(1, 0), (1, 1), (0, 3), (0, 4)]
+
+    def test_mismatched_reply_id_with_requests_in_flight_reconnects(self, tmp_path):
+        host = tmp_path / "host.py"
+        host.write_text(_STRAY_REPLY_HOST)
+        cmd = f"{sys.executable} {host} {tmp_path / 'marker'}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        first = ext._channel
+        try:
+            with pytest.raises(ProtocolError, match="does not match request 0"):
+                ext.evaluate_batch(np.zeros((600, 3)))
+            assert ext._channel is None and first.proc.wait(timeout=5) is not None
+            out = ext.evaluate_batch(np.zeros((600, 3), dtype=np.int64))
+            np.testing.assert_array_equal(out, np.log([[0.25, 0.75]] * 600))
+        finally:
+            ext.close()
 
     def test_malformed_reply_is_protocol_error(self):
         cmd = f"{sys.executable} -c \"print('not json', flush=True); import time; time.sleep(5)\""

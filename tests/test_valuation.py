@@ -180,6 +180,15 @@ class TestImportanceScore:
         masks = list(range(16))
         np.testing.assert_allclose(small.scores(masks), big.scores(masks), atol=0)
 
+    def test_batch_size_comes_from_the_model(self):
+        class Declares(TokenSumModel):
+            batch_size = 1000
+
+        x = make_instance()
+        assert ValueFunction(TokenSumModel(), x).batch_size == 256
+        assert ValueFunction(Declares(), x).batch_size == 1000
+        assert ValueFunction(Declares(), x, batch_size=7).batch_size == 7
+
     def test_scores_bounded_by_log_floor_even_for_saturated_models(self):
         class Saturated:
             num_classes = 2

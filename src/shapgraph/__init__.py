@@ -54,7 +54,6 @@ from .models import (
     MarkovLabelModel,
     NaiveBayesModel,
     UniformModel,
-    ValidatedModel,
     build_markov_model,
     external_model,
     load_model_json,
@@ -63,11 +62,9 @@ from .models import (
     two_topic_corpus,
 )
 from .regression import (
-    DesignMatrix,
     kernelshap,
     regression_c_shapley,
     shapley_kernel_weight,
-    weighted_least_squares,
 )
 from .theory import (
     DiscreteJoint,
@@ -82,15 +79,12 @@ from .theory import (
     verify_theorem2,
 )
 from .valuation import (
-    GraphRestrictedGame,
     Instance,
     ModelContract,
     SetFunction,
     TableGame,
     ValueFunction,
     additive_game,
-    empirical_conditional,
-    importance_score,
     marginal_contribution,
     plugin_masked_instance,
     synthetic_game,

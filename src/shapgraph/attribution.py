@@ -24,7 +24,7 @@ from .graphs import (
     iter_bits,
     k_neighborhood,
 )
-from .valuation import GraphRestrictedGame, SetFunction
+from .valuation import SetFunction
 
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_MYERSON_LIMIT = 15
@@ -427,19 +427,3 @@ def myerson_value(
         scores=phi,
         model_evaluations=game.eval_count - before,
     )
-
-
-def myerson_value_generic(
-    game: SetFunction, g: FeatureGraph, limit: int = DEFAULT_MYERSON_LIMIT
-) -> AttributionResult:
-    """Myerson value via the explicit graph-restricted wrapper.
-
-    Slower than :func:`myerson_value` but independent of the dense kernels;
-    kept as the cross-checking route.
-    """
-    restricted = GraphRestrictedGame(game, g, normalize_empty=True)
-    before = game.eval_count
-    result = exact_shapley(restricted, limit=limit)
-    result.method = "myerson"
-    result.model_evaluations = game.eval_count - before
-    return result

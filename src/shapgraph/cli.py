@@ -34,7 +34,7 @@ from .models import (
     two_topic_corpus,
 )
 from .theory import lemma1_check, random_joint, verify_theorem1, verify_theorem2
-from .valuation import Instance, ValueFunction
+from .valuation import ValueFunction
 
 DEMO_CORPUS_SEED = 0
 DEMO_VOCAB = 200
@@ -108,9 +108,10 @@ def cmd_explain(args) -> int:
     for flag, value in (("--samples", args.samples), ("--permutations", args.permutations)):
         if value is not None and value < 1:
             raise ConfigurationError(f"{flag} must be at least 1, got {value}")
-    with open(args.input) as fh:
-        row = json.load(fh)
-    instance = Instance(np.array(row["values"]), np.array(row["reference"]))
+    instances, _ = load_dataset(args.input)
+    if len(instances) != 1:
+        raise ConfigurationError(f"input {args.input!r} must hold one instance, got {len(instances)}")
+    instance = instances[0]
     pool = _load_pool(args.pool, args.estimator)
     model = resolve_model(args.model, instance.d, args.seed)
     graph = parse_graph(args.graph, instance.d)
@@ -136,9 +137,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigurationError(f"dataset {args.dataset!r} holds no rows")
     model = resolve_model(args.model, instances[0].d, args.seed)
     graph = parse_graph(args.graph, instances[0].d)
-    fractions = (
-        [float(f) for f in args.fractions.split(",")] if args.fractions else DEFAULT_FRACTIONS
-    )
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")] if args.fractions else DEFAULT_FRACTIONS
+    except ValueError:
+        raise ConfigurationError(f"--fractions must be a comma list of numbers, got {args.fractions!r}") from None
     curves, eval_table = compare_methods(
         model,
         instances,
@@ -162,6 +164,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
+    if min(args.max_n, args.max_s) < 0:
+        raise ConfigurationError(f"--max-n and --max-s must be nonnegative, got {args.max_n} and {args.max_s}")
     failures = 0
     checked = 0
     for n in range(args.max_n + 1):
@@ -230,7 +234,7 @@ def cmd_bench(args) -> int:
     # cost-model counts; the L- and C-Shapley ones are line-graph statements
     reference = {
         "l-shapley": (
-            {"per_feature_bound": 1 << (2 * k + 1), "total_model": (1 << (2 * k)) * d} if chain else {}
+            {"per_feature_bound": 2 ** (2 * k + 1), "total_model": 4**k * d} if chain else {}
         ),
         "c-shapley": {"total_model": 2 * k * k * d} if chain else {},
         "c-shapley-reg": {"row_bound": k * d},

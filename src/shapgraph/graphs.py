@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigurationError
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -156,7 +156,7 @@ class FeatureGraph:
 def chain_graph(d: int) -> FeatureGraph:
     """Line graph on d nodes with edges (i, i+1)."""
     if d < 1:
-        raise ValueError(f"chain needs at least one node, got {d}")
+        raise ConfigurationError(f"chain needs at least one node, got {d}")
     edges = tuple((i, i + 1) for i in range(d - 1))
     return FeatureGraph(d, edges, "chain")
 
@@ -164,7 +164,7 @@ def chain_graph(d: int) -> FeatureGraph:
 def grid_graph(rows: int, cols: int) -> FeatureGraph:
     """4-neighbour lattice on rows x cols nodes in row-major order."""
     if rows < 1 or cols < 1:
-        raise ValueError(f"grid needs positive dimensions, got {rows}x{cols}")
+        raise ConfigurationError(f"grid needs positive dimensions, got {rows}x{cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -209,7 +209,7 @@ def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:
     """Bitmask of all nodes at graph distance at most k from node i."""
     g._check_index(i)
     if k < 0:
-        raise ValueError(f"neighborhood radius must be nonnegative, got {k}")
+        raise ConfigurationError(f"neighborhood radius must be nonnegative, got {k}")
     reached = 1 << i
     frontier = reached
     for _ in range(k):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from .attribution import (
 from .errors import BudgetExceededError, ConfigurationError, EvaluationError
 from .graphs import FeatureGraph, subset_of
 from .regression import kernelshap, regression_c_shapley
-from .valuation import Instance, ValueFunction, plugin_masked_instance
+from .valuation import Instance, ValueFunction, model_probs, plugin_masked_instance
 
 DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0, 0.05, ..., 0.5
 
@@ -186,7 +187,7 @@ def log_odds_curve(
     total_evals = 0
     for idx, x in enumerate(dataset):
         try:
-            base = model.evaluate_batch(x.values[None, :])[0]
+            base = model_probs(model, x.values[None, :])[0][0]
             predicted = int(np.argmax(base))
             if correct_only and predicted != labels[idx]:
                 continue
@@ -196,7 +197,7 @@ def log_odds_curve(
             masked_rows = np.stack(
                 [mask_top_features(x, scores, f).values for f in fr]
             )
-            after = model.evaluate_batch(masked_rows)[:, predicted]
+            after = model_probs(model, masked_rows)[0][:, predicted]
             totals += after - base[predicted]
             used_instances += 1
         except (BudgetExceededError, ConfigurationError):
@@ -270,22 +271,35 @@ def curves_to_csv(curves: Sequence[EvaluationCurve]) -> str:
     return buf.getvalue()
 
 
+_BLANK = re.compile(r"\s*")
+
+
 def _dataset_rows(path: str, fields: tuple[str, ...]):
-    """The non-blank lines of a JSON-lines file as dicts holding ``fields``;
-    a line that is not such an object raises ``ConfigurationError`` naming
-    its number."""
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"line {number}: not JSON ({exc.msg}) in {path!r}") from None
-            missing = [name for name in fields if not isinstance(row, dict) or name not in row]
-            if missing:
-                raise ConfigurationError(f"line {number}: no {missing[0]!r} field in {path!r}")
-            yield number, row
+    """The JSON objects of a file, each with the line it starts on; a file
+    that cannot be read, text that is not JSON and an object without all of
+    ``fields`` raise ``ConfigurationError``.
+
+    Objects may be separated by any whitespace, so a file of JSON lines and
+    a file holding one pretty-printed object read alike.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path!r}: {exc}") from None
+    decode = json.JSONDecoder().raw_decode
+    pos, number = 0, 1  # number is the line that text[pos] is on
+    while (start := _BLANK.match(text, pos).end()) < len(text):
+        number += text.count("\n", pos, start)
+        try:
+            row, pos = decode(text, start)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"line {exc.lineno}: not JSON ({exc.msg}) in {path!r}") from None
+        missing = [name for name in fields if not isinstance(row, dict) or name not in row]
+        if missing:
+            raise ConfigurationError(f"line {number}: no {missing[0]!r} field in {path!r}")
+        yield number, row
+        number += text.count("\n", start, pos)
 
 
 def load_dataset(path: str) -> tuple[list[Instance], list[int | None]]:

@@ -340,30 +340,6 @@ def markov_label_model(
     return model, model.dense_joint()
 
 
-class ValidatedModel:
-    """Wrapper asserting that every output row is a log-probability vector."""
-
-    def __init__(self, inner, atol: float = 1e-6):
-        self.inner = inner
-        self.num_classes = inner.num_classes
-        self.atol = atol
-
-    def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.inner.evaluate_batch(values))
-        if out.shape[1] != self.num_classes:
-            raise EvaluationError(
-                f"model returned {out.shape[1]} classes, declared {self.num_classes}"
-            )
-        sums = np.exp(out).sum(axis=1)
-        bad = np.abs(sums - 1.0) > self.atol
-        if bad.any():
-            raise EvaluationError(
-                f"log-probability rows {np.nonzero(bad)[0].tolist()} do not normalize "
-                f"(sums {sums[bad][:4].tolist()})"
-            )
-        return out
-
-
 # ---------------------------------------------------------------------------
 # External models over the wire protocol
 # ---------------------------------------------------------------------------
@@ -386,6 +362,10 @@ class ExternalModelEndpoint:
     def __post_init__(self):
         if self.transport not in ("subprocess", "tcp"):
             raise ConfigurationError(f"unknown transport {self.transport!r}")
+        if self.transport == "tcp":
+            host, _, port = self.address.rpartition(":")
+            if not host or not port.isdecimal():
+                raise ConfigurationError(f"tcp address must be host:port, got {self.address!r}")
 
 
 class _LineChannel:

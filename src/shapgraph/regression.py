@@ -3,7 +3,6 @@ its connected-subset variant for chain and grid graphs."""
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ import numpy as np
 
 from .attribution import AttributionResult
 from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
-from .graphs import FeatureGraph, member_matrix, members_of, subset_of
+from .graphs import FeatureGraph, member_matrix, subset_of
 from .valuation import SetFunction
 
 LOG_GAMMA_THRESHOLD = 30
@@ -36,49 +35,11 @@ def shapley_kernel_weight(d: int, subset_size: int) -> float:
 
 
 @dataclass
-class DesignMatrix:
-    """Rows of a subset regression: masks, 0/1 indicators, responses, weights.
-
-    ``responses`` are already shifted by the fixed intercept (the empty-set
-    value), so the fit has no intercept column.
-    """
-
-    d: int
-    rows: list[int]
-    responses: np.ndarray
-    weights: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        self.responses = np.asarray(self.responses, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not (len(self.rows) == len(self.responses) == len(self.weights)):
-            raise ConfigurationError("rows, responses and weights must have equal length")
-        if np.any(self.weights <= 0):
-            raise ConfigurationError("design weights must be strictly positive")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return member_matrix(self.rows, self.d).astype(np.float64)
-
-    def to_csv(self) -> str:
-        """Dump rows for external verification: subset indices, response, weight."""
-        buf = io.StringIO()
-        buf.write("subset,response,weight\n")
-        for mask, resp, w in zip(self.rows, self.responses, self.weights):
-            ids = " ".join(str(j) for j in members_of(mask))
-            buf.write(f"{ids},{float(resp)!r},{float(w)!r}\n")
-        return buf.getvalue()
-
-
-@dataclass
 class WLSReport:
     """Solution of a weighted least-squares fit plus conditioning details."""
 
     coefficients: np.ndarray
-    intercept: float
     ridge_used: float
-    rank: int
     null_space_dim: int
 
 
@@ -87,7 +48,6 @@ def solve_weighted(
     responses: np.ndarray,
     weights: np.ndarray,
     ridge: float | None = None,
-    intercept: float = 0.0,
 ) -> WLSReport:
     """Solve min sum_r w_r (F_r - x_r beta)^2 via the weighted normal equations.
 
@@ -101,8 +61,7 @@ def solve_weighted(
         raise ConfigurationError("design must be nonempty")
     normal = matrix.T @ (weights[:, None] * matrix)
     target = matrix.T @ (weights * responses)
-    rank = int(np.linalg.matrix_rank(normal))
-    null_dim = matrix.shape[1] - rank
+    null_dim = matrix.shape[1] - int(np.linalg.matrix_rank(normal))
     ridge_used = 0.0
     if null_dim > 0:
         if ridge is not None and ridge == 0.0:
@@ -114,14 +73,7 @@ def solve_weighted(
         ridge_used = ridge if ridge is not None else 1e-10 * np.trace(normal) / matrix.shape[1]
         normal = normal + ridge_used * np.eye(matrix.shape[1])
     coef = np.linalg.solve(normal, target)
-    return WLSReport(coef, intercept, ridge_used, rank, null_dim)
-
-
-def weighted_least_squares(design: DesignMatrix, ridge: float | None = None) -> WLSReport:
-    """Fit per-feature coefficients to a subset design (intercept held fixed)."""
-    return solve_weighted(
-        design.matrix, design.responses, design.weights, ridge, design.intercept
-    )
+    return WLSReport(coef, ridge_used, null_dim)
 
 
 def _constrained_fit(
@@ -156,11 +108,11 @@ def _fit_rows(
         weights = np.array([shapley_kernel_weight(d, bin(m).count("1")) for m in rows])
     else:
         weights = np.ones(len(rows))
-    design = DesignMatrix(d, rows, responses, weights, intercept=v_empty)
+    matrix = member_matrix(rows, d).astype(np.float64)
     if constrained:
         total = game((1 << d) - 1) - v_empty
-        return _constrained_fit(design.matrix, design.responses, weights, total, ridge)
-    return weighted_least_squares(design, ridge).coefficients
+        return _constrained_fit(matrix, responses, weights, total, ridge)
+    return solve_weighted(matrix, responses, weights, ridge).coefficients
 
 
 def _stratified_sizes(d: int, num_samples: int) -> list[int]:

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .attribution import c_shapley_terms, exact_shapley_weights, l_shapley_terms
-from .errors import BudgetExceededError, ZeroMassError
+from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
 from .graphs import FeatureGraph, connected_subsets_in, k_neighborhood, members_of
-from .valuation import SetFunction
 
 MAX_DENSE_FEATURES = 16
 MAX_EXHAUSTIVE_FEATURES = 12
@@ -77,15 +76,15 @@ class DiscreteJoint:
     def __post_init__(self):
         d, C = self.num_features, self.num_classes
         if d > MAX_DENSE_FEATURES:
-            raise ValueError(f"dense joints support at most {MAX_DENSE_FEATURES} features, got {d}")
+            raise ConfigurationError(f"dense joints support at most {MAX_DENSE_FEATURES} features, got {d}")
         table = np.asarray(self.table, dtype=np.float64)
         object.__setattr__(self, "table", table)
         if table.shape != (1 << d, C):
-            raise ValueError(f"table must have shape {(1 << d, C)}, got {table.shape}")
+            raise ConfigurationError(f"table must have shape {(1 << d, C)}, got {table.shape}")
         if np.any(table < 0):
-            raise ValueError("joint masses must be nonnegative")
+            raise ConfigurationError("joint masses must be nonnegative")
         if abs(table.sum() - 1.0) > 1e-12:
-            raise ValueError(f"joint masses must sum to 1, got {table.sum()!r}")
+            raise ConfigurationError(f"joint masses must sum to 1, got {table.sum()!r}")
 
     @property
     def d(self) -> int:
@@ -101,6 +100,8 @@ class DiscreteJoint:
 
 def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
     """Strictly positive random joint: normalized exponential variates."""
+    if d > MAX_DENSE_FEATURES:  # refused before its 2**d rows are drawn
+        raise ConfigurationError(f"dense joints support at most {MAX_DENSE_FEATURES} features, got {d}")
     rng = np.random.default_rng(seed)
     masses = rng.exponential(size=(1 << d, num_classes))
     return DiscreteJoint(d, num_classes, masses / masses.sum())
@@ -282,7 +283,7 @@ def mutual_information(
 
 
 # ---------------------------------------------------------------------------
-# Exact conditional models and value functions
+# Exact conditional models and the value matrix
 # ---------------------------------------------------------------------------
 
 
@@ -339,34 +340,6 @@ class ExactConditionalModel:
                 f"values {[int(v) for v in bits[r]]}"
             )
         return np.log(np.maximum(joint_rows / mass, _TINY))
-
-
-class JointValueFunction(SetFunction):
-    """Subset score for one atom, with exact conditionals as the estimator.
-
-    ``expected_logprob`` weighs log P(y | x_S) by the true conditional
-    P(y | x); ``predicted_class_logprob`` reads off the argmax class.
-    """
-
-    def __init__(self, joint: DiscreteJoint, values: np.ndarray, mode: str = "expected_logprob"):
-        super().__init__(joint.d)
-        self.model = ExactConditionalModel(joint)
-        self.mode = mode
-        self._values = np.asarray(values)
-        base = self.model.conditional(self._values, (1 << joint.d) - 1)
-        self._base = base
-        self._pred = int(np.argmax(base))
-
-    def _evaluate_many(self, masks):
-        out = []
-        for m in masks:
-            cond = self.model.conditional(self._values, m)
-            logp = np.log(np.maximum(cond, _TINY))
-            if self.mode == "predicted_class_logprob":
-                out.append(float(logp[self._pred]))
-            else:
-                out.append(float(np.sum(np.where(self._base > 0, self._base * logp, 0.0))))
-        return out
 
 
 def value_matrix(

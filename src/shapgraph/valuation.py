@@ -18,11 +18,14 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .graphs import FeatureGraph, connected_components, member_matrix, members_of
+from .graphs import member_matrix, members_of
 
 LOG_PROB_FLOOR = 1e-12
 DEFAULT_BATCH_SIZE = 256
 DEFAULT_EMPIRICAL_SAMPLES = 32
+# How far a model's probability rows may miss 1.  Not tighter: a float32
+# softmax over C classes is off by up to about C * 2**-24 per row.
+ROW_SUM_TOLERANCE = 1e-4
 
 
 class ModelContract(Protocol):
@@ -30,9 +33,10 @@ class ModelContract(Protocol):
 
     ``evaluate_batch`` takes a float/int array of shape (n, d) of full feature
     vectors and returns an (n, num_classes) array of class log-probabilities
-    (each row's exponentials summing to one).  The input rows are valid only
-    during the call: :class:`ValueFunction` refills the same buffer for its
-    next block, so a model that keeps them must copy them.
+    (each row's exponentials summing to one, which :func:`model_probs`
+    checks).  The input rows are valid only during the call:
+    :class:`ValueFunction` refills the same buffer for its next block, so a
+    model that keeps them must copy them.
 
     A model may also declare ``batch_size``, the number of rows it would
     rather get per call.  A :class:`ValueFunction` built without a batch size
@@ -58,7 +62,7 @@ class Instance:
         object.__setattr__(self, "values", np.asarray(self.values))
         object.__setattr__(self, "reference", np.asarray(self.reference))
         if self.values.shape != self.reference.shape or self.values.ndim != 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"values and reference must be equal-length vectors, got "
                 f"{self.values.shape} and {self.reference.shape}"
             )
@@ -72,30 +76,6 @@ def plugin_masked_instance(x: Instance, s: int) -> Instance:
     """Keep positions in the subset ``s``, replace the rest with the reference."""
     keep = member_matrix([s], x.d)[0]
     return Instance(np.where(keep, x.values, x.reference), x.reference)
-
-
-def empirical_conditional(
-    x: Instance,
-    s: int,
-    model: ModelContract,
-    pool: Sequence[np.ndarray] | np.ndarray,
-    m_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Estimated class probabilities given the features of ``x`` in ``s``.
-
-    Draws ``m_samples`` pool rows with replacement (seeded), keeps ``x`` on the
-    subset and the sampled row elsewhere, and averages the model's class
-    probability vectors.
-    """
-    pool = np.asarray(pool)
-    if pool.size == 0:
-        raise ConfigurationError("empirical estimation needs a nonempty pool")
-    rng = np.random.default_rng(seed)
-    rows = pool[rng.integers(0, pool.shape[0], size=m_samples)]
-    hybrids = np.where(member_matrix([s], x.d), x.values, rows)
-    log_probs = model.evaluate_batch(hybrids)
-    return np.exp(log_probs).mean(axis=0)
 
 
 class SetFunction:
@@ -229,7 +209,7 @@ class ValueFunction(SetFunction):
             for start in range(0, len(masks), self.batch_size):
                 block = masks[start : start + self.batch_size]
                 rows = self._block_rows(member_matrix(block, x.d), x.reference)
-                blocks.append(np.exp(self._run_block(rows, block)))
+                blocks.append(self._run_block(rows, block))
             return np.concatenate(blocks, axis=0)
         # empirical: row r is subset r // m hybridised with pool sample r % m
         pool = self._pool_rows
@@ -241,7 +221,7 @@ class ValueFunction(SetFunction):
             r = np.arange(start, stop)
             keep = member_matrix(masks[first:last], x.d)[r // m - first]
             rows = self._block_rows(keep, pool[r % m])
-            blocks.append(np.exp(self._run_block(rows, masks[first:last])))
+            blocks.append(self._run_block(rows, masks[first:last]))
         probs = np.concatenate(blocks, axis=0)
         return probs.reshape(len(masks), m, -1).mean(axis=1)
 
@@ -263,22 +243,12 @@ class ValueFunction(SetFunction):
         return rows
 
     def _run_block(self, rows: np.ndarray, masks: list[int]) -> np.ndarray:
-        """Model log-probs for one block of rows, checked before use.
-
-        The block must come back with shape (rows, num_classes) and hold no
-        NaN or +inf; -inf is allowed, since the probability floor absorbs it.
-        Failures name the subsets ``masks`` the block was built from.
-        """
+        """Class probabilities for one block of rows, from :func:`model_probs`;
+        a failure names the subsets ``masks`` the block was built from."""
         try:
-            out = np.asarray(self.model.evaluate_batch(rows))
+            return model_probs(self.model, rows)[1]
         except Exception as exc:
             raise _evaluation_error(masks, exc) from exc
-        expected = (rows.shape[0], self.model.num_classes)
-        if out.shape != expected:
-            raise _evaluation_error(masks, f"expected log-probs of shape {expected}, got {out.shape}")
-        if np.isnan(out).any() or np.isposinf(out).any():
-            raise _evaluation_error(masks, "model returned NaN or +inf log-probs")
-        return out
 
     def _prepare(self) -> None:
         # The score of any subset needs the model's distribution at the full
@@ -307,9 +277,33 @@ def _evaluation_error(masks: list[int], cause) -> EvaluationError:
     return EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {cause}")
 
 
-def importance_score(vf: SetFunction, s: int) -> float:
-    """Score of the feature subset ``s`` under the (memoized) value function."""
-    return vf(s)
+def model_probs(model: ModelContract, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's class log-probabilities for ``rows`` and their exponentials,
+    checked before use.
+
+    The output must have shape (rows, num_classes), and every row of
+    probabilities must sum to 1 within ``ROW_SUM_TOLERANCE``; that one test
+    also refuses NaN and +inf log-probs.  -inf is allowed, since the
+    probability floor absorbs it.  A failure raises ``EvaluationError``.
+    """
+    log_probs = np.asarray(model.evaluate_batch(rows))
+    expected = (rows.shape[0], model.num_classes)
+    if log_probs.shape != expected:
+        raise EvaluationError(f"expected log-probs of shape {expected}, got {log_probs.shape}")
+    probs = np.exp(log_probs)
+    # a product with ones sums short rows faster than sum(axis=1); a NaN or
+    # +inf anywhere makes the largest miss NaN or inf, which fails the test
+    miss = np.abs(probs @ np.ones(expected[1]) - 1.0)
+    if not miss.max(initial=0.0) <= ROW_SUM_TOLERANCE:
+        if np.isnan(log_probs).any() or np.isposinf(log_probs).any():
+            raise EvaluationError("model returned NaN or +inf log-probs")
+        bad = np.flatnonzero(miss > ROW_SUM_TOLERANCE)
+        sums = probs.sum(axis=1)
+        raise EvaluationError(
+            f"probability rows {bad[:8].tolist()} do not sum to 1 within "
+            f"{ROW_SUM_TOLERANCE} (sums {sums[bad[:4]].tolist()})"
+        )
+    return log_probs, probs
 
 
 def marginal_contribution(vf: SetFunction, s: int, i: int) -> float:
@@ -378,41 +372,3 @@ def additive_game(coeffs: Sequence[float]) -> FunctionGame:
         return float(sum(coeffs[j] for j in members_of(mask)))
 
     return FunctionGame(len(coeffs), value)
-
-
-class GraphRestrictedGame(SetFunction):
-    """Component-additive extension of a base game over a graph.
-
-    The value of a subset is the sum of the base game over the subset's
-    connected components; the empty set scores zero.  With
-    ``normalize_empty`` each component contributes v(T) - v(empty) instead,
-    which keeps the extension faithful to games whose empty-set value is not
-    zero (splitting a subset into more components then cannot multiply the
-    baseline).  Base-game queries go through the wrapped game's cache, so
-    ``inner.eval_count`` still reports distinct base evaluations.
-    """
-
-    def __init__(self, inner: SetFunction, graph: FeatureGraph, normalize_empty: bool = False):
-        if inner.d != graph.d:
-            raise ConfigurationError(
-                f"game has {inner.d} features but graph has {graph.d} nodes"
-            )
-        super().__init__(inner.d)
-        self.inner = inner
-        self.graph = graph
-        self.normalize_empty = normalize_empty
-
-    def _evaluate_many(self, masks):
-        comps_per_mask = [connected_components(self.graph, m) for m in masks]
-        all_comps = sorted({c for comps in comps_per_mask for c in comps})
-        vals = dict(zip(all_comps, self.inner.scores(all_comps))) if all_comps else {}
-        baseline = self.inner(0) if self.normalize_empty else 0.0
-        return [
-            float(sum(vals[c] - baseline for c in comps)) for comps in comps_per_mask
-        ]
-
-
-def decomposable_chain_game(d: int, graph: FeatureGraph, seed: int) -> GraphRestrictedGame:
-    """Random game that is additive over connected components of the graph."""
-    base = synthetic_game(d, seed=seed)
-    return GraphRestrictedGame(base, graph)

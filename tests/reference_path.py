@@ -5,13 +5,19 @@ Every step here is the earlier code, kept so that tests can require the
 current path to give the same bits: per-feature term lists, one
 ``np.where`` array of rows per block, the naive-Bayes ``(C, n, d)`` gather,
 and the per-mask loops of the memoized value and of the batched plan.
+
+It also holds the set functions that only tests use: the component-additive
+extension of a game over a graph, and the score of a subset at one atom of a
+dense joint under exact conditionals.
 """
 
 import numpy as np
 
 from shapgraph.attribution import DEFAULT_SUBSET_BUDGET, c_shapley_terms, l_shapley_terms
-from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET
-from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR
+from shapgraph.errors import ConfigurationError
+from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET, connected_components
+from shapgraph.theory import _TINY, ExactConditionalModel
+from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR, SetFunction, synthetic_game
 
 
 def gather_log_probs(nb, tokens):
@@ -161,3 +167,63 @@ def weighted_marginal(values, i, terms):
         total += weight * (values(mask) - values(mask & ~(1 << i)))
     return total
 
+
+class GraphRestrictedGame(SetFunction):
+    """Component-additive extension of a base game over a graph.
+
+    The value of a subset is the sum of the base game over the subset's
+    connected components; the empty set scores zero.  With
+    ``normalize_empty`` each component contributes v(T) - v(empty) instead,
+    which keeps the extension faithful to games whose empty-set value is not
+    zero (splitting a subset into more components then cannot multiply the
+    baseline).  Base-game queries go through the wrapped game's cache, so
+    ``inner.eval_count`` still reports distinct base evaluations.
+    """
+
+    def __init__(self, inner, graph, normalize_empty=False):
+        if inner.d != graph.d:
+            raise ConfigurationError(f"game has {inner.d} features but graph has {graph.d} nodes")
+        super().__init__(inner.d)
+        self.inner = inner
+        self.graph = graph
+        self.normalize_empty = normalize_empty
+
+    def _evaluate_many(self, masks):
+        comps_per_mask = [connected_components(self.graph, m) for m in masks]
+        all_comps = sorted({c for comps in comps_per_mask for c in comps})
+        vals = dict(zip(all_comps, self.inner.scores(all_comps))) if all_comps else {}
+        baseline = self.inner(0) if self.normalize_empty else 0.0
+        return [float(sum(vals[c] - baseline for c in comps)) for comps in comps_per_mask]
+
+
+def decomposable_chain_game(d, graph, seed):
+    """Random game that is additive over connected components of the graph."""
+    return GraphRestrictedGame(synthetic_game(d, seed=seed), graph)
+
+
+class JointValueFunction(SetFunction):
+    """Subset score for one atom, with exact conditionals as the estimator.
+
+    ``expected_logprob`` weighs log P(y | x_S) by the true conditional
+    P(y | x); ``predicted_class_logprob`` reads off the argmax class.
+    """
+
+    def __init__(self, joint, values, mode="expected_logprob"):
+        super().__init__(joint.d)
+        self.model = ExactConditionalModel(joint)
+        self.mode = mode
+        self._values = np.asarray(values)
+        base = self.model.conditional(self._values, (1 << joint.d) - 1)
+        self._base = base
+        self._pred = int(np.argmax(base))
+
+    def _evaluate_many(self, masks):
+        out = []
+        for m in masks:
+            cond = self.model.conditional(self._values, m)
+            logp = np.log(np.maximum(cond, _TINY))
+            if self.mode == "predicted_class_logprob":
+                out.append(float(logp[self._pred]))
+            else:
+                out.append(float(np.sum(np.where(self._base > 0, self._base * logp, 0.0))))
+        return out

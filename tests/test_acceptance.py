@@ -33,7 +33,9 @@ from shapgraph import (
 )
 from shapgraph.harness import compare_methods
 from shapgraph.models import markov_label_model, train_naive_bayes, two_topic_corpus
-from shapgraph.valuation import Instance, additive_game, decomposable_chain_game
+from shapgraph.valuation import Instance, additive_game
+
+from reference_path import decomposable_chain_game
 
 
 class Stopwatch:

@@ -309,7 +309,15 @@ class TestBadInputExitsTwo:
         empty.write_text("")
         one_row = tmp_path / "one.jsonl"
         save_dataset(str(one_row), [Instance(np.ones(12, dtype=int), np.zeros(12, dtype=int))])
-        return {"inst": str(instance_file), "wide": str(wide), "empty": str(empty), "one": str(one_row)}
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{values: [1]}")
+        no_reference = tmp_path / "noref.json"
+        no_reference.write_text(json.dumps({"values": [1] * 12}))
+        unequal = tmp_path / "unequal.json"
+        unequal.write_text(json.dumps({"values": [1] * 12, "reference": [0] * 11}))
+        return {"inst": str(instance_file), "wide": str(wide), "empty": str(empty), "one": str(one_row),
+                "missing": str(tmp_path / "missing.json"), "not_json": str(not_json),
+                "noref": str(no_reference), "unequal": str(unequal)}
 
     CASES = {
         "reg-k0-explain": ["explain", "--model", "builtin:nb", "--method", "c-shapley-reg",
@@ -322,6 +330,21 @@ class TestBadInputExitsTwo:
                          "--graph", "grid", "--input", "{inst}"],
         "empty-dataset": ["evaluate", "--dataset", "{empty}", "--methods", "random", "--budget", "48"],
         "bad-order": ["evaluate", "--dataset", "{one}", "--methods", "l-shapley:x", "--budget", "48"],
+        "input-missing": ["explain", "--model", "builtin:nb", "--method", "exact", "--input", "{missing}"],
+        "input-not-json": ["explain", "--model", "builtin:nb", "--method", "exact", "--input", "{not_json}"],
+        "input-no-reference": ["explain", "--model", "builtin:nb", "--method", "exact", "--input", "{noref}"],
+        "input-unequal-lengths": ["explain", "--model", "builtin:nb", "--method", "exact", "--input", "{unequal}"],
+        "k-negative-explain": ["explain", "--model", "builtin:nb", "--method", "l-shapley",
+                               "--k", "-1", "--input", "{inst}"],
+        "k-negative-bench": ["bench", "--method", "c-shapley", "--d", "8", "--k", "-1"],
+        "k-negative-theorem": ["theorem-check", "--trials", "1", "--k", "-1"],
+        "theorem-d20": ["theorem-check", "--trials", "1", "--d", "20"],
+        "bench-d0": ["bench", "--method", "exact", "--d", "0"],
+        "fractions-not-numbers": ["evaluate", "--dataset", "{one}", "--methods", "random", "--budget", "48",
+                                  "--fractions", "0,x"],
+        "dataset-missing": ["evaluate", "--dataset", "{missing}", "--methods", "random", "--budget", "48"],
+        "lemma-negative": ["lemma-check", "--max-n", "-1"],
+        "tcp-no-port": ["explain", "--model", "external:tcp localhost", "--method", "exact", "--input", "{inst}"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

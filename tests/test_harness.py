@@ -4,6 +4,7 @@ import pytest
 from shapgraph import (
     BudgetExceededError,
     ConfigurationError,
+    EvaluationError,
     Instance,
     chain_graph,
 )
@@ -89,6 +90,28 @@ class TestLogOddsCurve:
         informed = log_odds_curve(nb, instances, MethodSpec("l-shapley"), g, fr, seed=0)
         rand = log_odds_curve(nb, instances, MethodSpec("random"), g, fr, seed=0)
         assert informed.mean_log_odds_change[-1] < rand.mean_log_odds_change[-1]
+
+    class NaNModel:
+        num_classes = 2
+
+        def evaluate_batch(self, values):
+            return np.full((len(values), 2), np.nan)
+
+    class LogitModel:
+        """Returns raw scores in place of log-probabilities."""
+
+        num_classes = 2
+
+        def evaluate_batch(self, values):
+            return np.stack([np.asarray(values, dtype=float).sum(axis=1) / 10, np.zeros(len(values))], axis=1)
+
+    @pytest.mark.parametrize(
+        "model,problem", [(NaNModel(), "NaN"), (LogitModel(), "do not sum to 1")], ids=["nan", "logits"]
+    )
+    def test_misbehaving_model_names_the_instance(self, model, problem):
+        x = Instance(np.arange(1.0, 7.0), np.zeros(6))
+        with pytest.raises(EvaluationError, match=f"instance 0: .*{problem}"):
+            log_odds_curve(model, [x], MethodSpec("random"), chain_graph(6), (0.0, 0.5))
 
     def test_fraction_grid_validation(self):
         nb, instances, _ = nb_and_instances(n=1)

@@ -16,7 +16,6 @@ from shapgraph import (
     ValueFunction,
     chain_graph,
     epsilon_for_lshapley,
-    importance_score,
     k_neighborhood,
 )
 from shapgraph.models import (
@@ -26,7 +25,6 @@ from shapgraph.models import (
     ExternalModelEndpoint,
     NaiveBayesModel,
     UniformModel,
-    ValidatedModel,
     external_model,
     load_model_json,
     markov_label_model,
@@ -211,24 +209,6 @@ class TestMarkovLabelModel:
         )
 
 
-class TestValidatedModel:
-    def test_passes_well_formed_models(self):
-        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=6, vocab_size=15), 15)
-        wrapped = ValidatedModel(nb)
-        out = wrapped.evaluate_batch(np.array([[1, 2, 0, 0, 3, 4]]))
-        assert out.shape == (1, 2)
-
-    def test_catches_unnormalized_output(self):
-        class Broken:
-            num_classes = 2
-
-            def evaluate_batch(self, values):
-                return np.zeros((len(values), 2))  # exp sums to 2
-
-        with pytest.raises(EvaluationError, match="normalize"):
-            ValidatedModel(Broken()).evaluate_batch(np.zeros((3, 2)))
-
-
 def _nb_fixture(tmp_path):
     nb = train_naive_bayes(two_topic_corpus(0, 80, doc_len=10, vocab_size=30), 30)
     path = tmp_path / "nb.json"
@@ -346,7 +326,7 @@ class TestExternalModel:
             x = Instance(np.arange(5.0), np.zeros(5))
             vf = ValueFunction(ext, x)
             for s in (0, 3, 31):
-                assert importance_score(vf, s) == pytest.approx(-np.log(4), abs=1e-9)
+                assert vf(s) == pytest.approx(-np.log(4), abs=1e-9)
         finally:
             ext.close()
 
@@ -400,6 +380,11 @@ class TestExternalModel:
             external_model(ExternalModelEndpoint("tcp", "127.0.0.1:49998", timeout=0.2))
         # three attempts with 0.1 + 0.2 + 0.4 backoff
         assert time.perf_counter() - start >= 0.6
+
+    @pytest.mark.parametrize("address", ["localhost", "localhost:", ":8080", "localhost:http"])
+    def test_tcp_address_without_host_and_port_rejected(self, address):
+        with pytest.raises(ConfigurationError, match="host:port"):
+            ExternalModelEndpoint("tcp", address)
 
     def test_unresponsive_subprocess_times_out(self, monkeypatch):
         channels = _record_channels(monkeypatch)

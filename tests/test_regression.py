@@ -3,7 +3,6 @@ import pytest
 
 from shapgraph import (
     ConfigurationError,
-    DesignMatrix,
     SingularSystemError,
     UnsupportedTopologyError,
     chain_graph,
@@ -15,8 +14,8 @@ from shapgraph import (
     shapley_kernel_weight,
     subset_of,
     synthetic_game,
-    weighted_least_squares,
 )
+from shapgraph.graphs import member_matrix
 from shapgraph.regression import connected_design_rows, solve_weighted
 from shapgraph.valuation import additive_game
 
@@ -60,14 +59,12 @@ class TestWeightedLeastSquares:
         matrix = np.array([[(m >> j) & 1 for j in range(d)] for m in rows], dtype=float)
         responses = matrix @ coeffs
         weights = rng.uniform(0.1, 3.0, size=30)
-        design = DesignMatrix(d, rows, responses, weights, intercept=0.0)
-        np.testing.assert_array_equal(design.matrix, matrix)
-        report = weighted_least_squares(design)
+        np.testing.assert_array_equal(member_matrix(rows, d).astype(np.float64), matrix)
+        report = solve_weighted(matrix, responses, weights)
         np.testing.assert_allclose(report.coefficients, coeffs, atol=1e-9)
 
     def test_single_row_single_feature(self):
-        design = DesignMatrix(1, [1], np.array([2.5]), np.array([1.0]), intercept=0.0)
-        report = weighted_least_squares(design)
+        report = solve_weighted(np.ones((1, 1)), np.array([2.5]), np.array([1.0]))
         assert report.coefficients[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_random_system_matches_lstsq_oracle(self):
@@ -91,16 +88,14 @@ class TestWeightedLeastSquares:
         assert np.abs(gram).max() < 1e-8
 
     def test_singular_with_zero_ridge_names_null_space(self):
-        rows = [subset_of([0]), subset_of([0])]
-        design = DesignMatrix(3, rows, np.array([1.0, 1.0]), np.ones(2), intercept=0.0)
+        matrix = member_matrix([subset_of([0]), subset_of([0])], 3).astype(np.float64)
         with pytest.raises(SingularSystemError) as err:
-            weighted_least_squares(design, ridge=0.0)
+            solve_weighted(matrix, np.array([1.0, 1.0]), np.ones(2), ridge=0.0)
         assert err.value.null_space_dim == 2
 
     def test_singular_defaults_to_tiny_ridge(self):
-        rows = [subset_of([0]), subset_of([0, 1])]
-        design = DesignMatrix(3, rows, np.array([1.0, 3.0]), np.ones(2), intercept=0.0)
-        report = weighted_least_squares(design)
+        matrix = member_matrix([subset_of([0]), subset_of([0, 1])], 3).astype(np.float64)
+        report = solve_weighted(matrix, np.array([1.0, 3.0]), np.ones(2))
         assert report.ridge_used > 0
         assert report.null_space_dim == 1
         assert report.coefficients[0] == pytest.approx(1.0, abs=1e-6)
@@ -189,12 +184,3 @@ class TestRegressionCShapley:
         game = synthetic_game(6, seed=11)
         res = regression_c_shapley(game, chain_graph(6), 2, use_kernel_weights=False)
         assert res.scores.shape == (6,)
-
-    def test_design_csv_dump(self):
-        rows = connected_design_rows(chain_graph(3), 1)
-        design = DesignMatrix(
-            3, rows, np.arange(len(rows), dtype=float), np.ones(len(rows)), intercept=0.0
-        )
-        text = design.to_csv()
-        assert text.splitlines()[0] == "subset,response,weight"
-        assert len(text.splitlines()) == len(rows) + 1

@@ -23,9 +23,10 @@ from shapgraph import (
 )
 from shapgraph.models import markov_label_model
 from shapgraph import _kernels
-from shapgraph.theory import JointValueFunction, _Marginals, mutual_information, value_matrix
+from shapgraph.theory import _Marginals, mutual_information, value_matrix
 
 from oracles import absolute_mi_oracle, conditional_oracle, shapley_subset_oracle
+from reference_path import JointValueFunction
 
 
 class TestLemma1:

@@ -6,8 +6,6 @@ from shapgraph import (
     EvaluationError,
     Instance,
     ValueFunction,
-    empirical_conditional,
-    importance_score,
     marginal_contribution,
     plugin_masked_instance,
     subset_of,
@@ -16,7 +14,7 @@ from shapgraph import (
     synthetic_game,
 )
 from shapgraph.graphs import member_matrix
-from shapgraph.models import UniformModel
+from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
 from shapgraph.valuation import TableGame, additive_game
 
 
@@ -79,19 +77,26 @@ class TestPluginMasking:
             Instance(np.zeros(3), np.zeros(4))
 
 
+def empirical_probs(x, s, model, pool, m_samples, seed):
+    """Class probabilities of the empirical estimator given the features of
+    ``x`` in the subset ``s``."""
+    vf = ValueFunction(model, x, estimator="empirical", pool=pool, m_samples=m_samples, seed=seed)
+    return vf._conditional_probs([s])[0]
+
+
 class TestEmpiricalConditional:
     def test_full_subset_ignores_pool(self):
         x = make_instance()
         model = TokenSumModel()
         pool = np.random.default_rng(1).normal(size=(10, 4))
-        probs = empirical_conditional(x, (1 << 4) - 1, model, pool, 5, seed=0)
+        probs = empirical_probs(x, (1 << 4) - 1, model, pool, 5, seed=0)
         direct = np.exp(model.evaluate_batch(x.values[None, :])[0])
         np.testing.assert_allclose(probs, direct, atol=1e-12)
 
     def test_degenerate_pool(self):
         x = make_instance()
         model = TokenSumModel()
-        probs = empirical_conditional(x, 0, model, x.values[None, :], 1, seed=0)
+        probs = empirical_probs(x, 0, model, x.values[None, :], 1, seed=0)
         direct = np.exp(model.evaluate_batch(x.values[None, :])[0])
         np.testing.assert_allclose(probs, direct, atol=1e-12)
 
@@ -102,13 +107,51 @@ class TestEmpiricalConditional:
         b = np.ones(4)
         pool = np.stack([a, b])
         m = 10000
-        probs = empirical_conditional(x, 0, model, pool, m, seed=42)
+        probs = empirical_probs(x, 0, model, pool, m, seed=42)
         target = (np.exp(model.evaluate_batch(a[None]))[0] + np.exp(model.evaluate_batch(b[None]))[0]) / 2
         assert np.abs(probs - target).max() <= 3 / np.sqrt(m)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
-            empirical_conditional(make_instance(), 0, TokenSumModel(), np.empty((0, 4)), 3, 0)
+            empirical_probs(make_instance(), 0, TokenSumModel(), np.empty((0, 4)), 3, 0)
+
+
+ESTIMATORS = {
+    "plugin": {},
+    "empirical": {"estimator": "empirical", "pool": np.arange(12).reshape(2, 6) % 15, "m_samples": 3},
+}
+
+
+class TestModelOutputCheck:
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_passes_well_formed_models(self, estimator):
+        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=6, vocab_size=15), 15)
+        vf = ValueFunction(nb, Instance(np.array([1, 2, 0, 0, 3, 4]), np.zeros(6, dtype=int)), **ESTIMATORS[estimator])
+        assert np.isfinite(vf.scores(range(64))).all()
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_catches_unnormalized_output(self, estimator):
+        class Broken:
+            num_classes = 2
+
+            def evaluate_batch(self, values):
+                return np.zeros((len(values), 2))  # exp sums to 2
+
+        # the full instance is valued first, so its block is the one named
+        vf = ValueFunction(Broken(), Instance(np.arange(1, 7), np.zeros(6, dtype=int)), **ESTIMATORS[estimator])
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3, 4, 5\)\.\.\.\]: probability rows .* do not sum to 1"):
+            vf.scores([3])
+
+    def test_float32_softmax_passes(self):
+        class Float32:
+            num_classes = 5
+
+            def evaluate_batch(self, values):
+                scores = np.asarray(values, dtype=np.float32)[:, :5] * np.float32(3.7)
+                return scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+
+        vf = ValueFunction(Float32(), Instance(np.arange(1.0, 7.0), np.zeros(6)))
+        assert np.isfinite(vf.scores(range(64))).all()
 
 
 class TestImportanceScore:
@@ -122,7 +165,7 @@ class TestImportanceScore:
         x = make_instance()
         vf = ValueFunction(UniformModel(5), x)
         for s in (0, 3, 9, 15):
-            assert abs(importance_score(vf, s) + np.log(5)) < 1e-12
+            assert abs(vf(s) + np.log(5)) < 1e-12
 
     def test_predicted_mode_scores_nonpositive(self):
         rng = np.random.default_rng(2)

@@ -8,10 +8,15 @@ import numpy as np
 # because the benchmark's environment record reads it.
 USE_NUMBA = False
 
-# lowbit_component_masks works on blocks of 8192 masks: an int64 temporary of
-# a block is 64 KiB, below glibc's default mmap threshold of 128 KiB, so it
-# comes from the heap rather than from a fresh mapping that faults its pages.
-_BLOCK = 1 << 13
+# Temporaries built chunk by chunk stay at about CHUNK_BYTES, well below
+# glibc's default mmap threshold of 128 KiB, so they come from the heap rather
+# than from a fresh mapping that faults its pages in anew on every call.
+CHUNK_BYTES = 64 << 10
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk when each row's temporaries take ``row_bytes``."""
+    return max(1, CHUNK_BYTES // max(row_bytes, 1))
 
 
 def popcounts(num_bits: int) -> np.ndarray:
@@ -102,10 +107,11 @@ def lowbit_component_masks(adjacency: np.ndarray, d: int) -> np.ndarray:
     """
     tables = _neighbour_tables(adjacency, d)
     comp = np.empty(1 << d, dtype=np.int64)
-    for lo in range(0, 1 << d, _BLOCK):
-        live = np.arange(lo, min(lo + _BLOCK, 1 << d), dtype=np.int64)  # masks still growing
+    step = chunk_rows(8)  # one int64 per mask
+    for lo in range(0, 1 << d, step):
+        live = np.arange(lo, min(lo + step, 1 << d), dtype=np.int64)  # masks still growing
         cur = live & -live  # and their components
-        comp[lo : lo + _BLOCK] = cur
+        comp[lo : lo + step] = cur
         while live.size:
             grown = cur.copy()
             for b, table in enumerate(tables):

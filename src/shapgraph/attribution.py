@@ -20,7 +20,6 @@ from .graphs import (
     DEFAULT_ENUMERATION_BUDGET,
     FeatureGraph,
     connected_subsets_containing,
-    enumeration_budget_error,
     iter_bits,
     k_neighborhood,
 )
@@ -64,11 +63,17 @@ class AttributionResult:
         }
 
 
+def shapley_coefficient(n: int, t: int) -> float:
+    """1 / (n * C(n-1, t-1)): the Shapley weight, among n players, of a
+    marginal contribution to a coalition of size t that holds the player."""
+    return 1.0 / (n * math.comb(n - 1, t - 1))
+
+
 def exact_shapley_weights(d: int) -> np.ndarray:
-    """w[s] = 1 / (d * C(d-1, s-1)): weight of v(S) with |S| = s for a member."""
+    """w[s]: weight of v(S) with |S| = s for a member."""
     w = np.zeros(d + 1)
     for s in range(1, d + 1):
-        w[s] = 1.0 / (d * math.comb(d - 1, s - 1))
+        w[s] = shapley_coefficient(d, s)
     return w
 
 
@@ -110,7 +115,7 @@ def l_shapley_terms(
     """(subset, weight) pairs of the order-k local estimate for feature i.
 
     The weights are the exact-Shapley coefficients restricted to the
-    k-neighborhood: 1 / (|N| * C(|N|-1, |T|-1)) for each T containing i.
+    k-neighborhood: ``shapley_coefficient(|N|, |T|)`` for each T containing i.
     """
     nbhd = k_neighborhood(g, i, k)
     n = bin(nbhd).count("1")
@@ -118,9 +123,7 @@ def l_shapley_terms(
     rest = nbhd & ~(1 << i)
     terms = []
     for sub in _submasks(rest):
-        t = bin(sub).count("1") + 1
-        weight = 1.0 / (n * math.comb(n - 1, t - 1))
-        terms.append((sub | (1 << i), weight))
+        terms.append((sub | (1 << i), shapley_coefficient(n, bin(sub).count("1") + 1)))
     return terms
 
 
@@ -156,15 +159,15 @@ def _plan(
     plus, for C-Shapley, each member's neighbours in ``nbhd`` shifted by
     ``lo``; shifting the template's masks left by ``lo`` gives the terms
     ``l_shapley_terms`` / ``c_shapley_terms`` would give, in the same order.
-    Templates live as long as the graph, keyed also by method, k and
-    weighting; a template from a larger budget still raises for a smaller.
+    Templates live as long as the graph, keyed also by method, k, weighting
+    and budget, so a smaller budget enumerates afresh and raises.
     """
     templates = g._templates
     adjacency = g.adjacency
     for i in features:
         nbhd = k_neighborhood(g, i, k)
         lo = (nbhd & -nbhd).bit_length() - 1
-        key = (method, k, weighting, i - lo, nbhd >> lo)
+        key = (method, k, weighting, budget, i - lo, nbhd >> lo)
         if method == "c_shapley":
             key += (tuple((adjacency[j] & nbhd) >> lo for j in iter_bits(nbhd)),)
         template = templates.get(key)
@@ -175,11 +178,6 @@ def _plan(
             else:
                 terms = l_shapley_terms(g, i, k, budget)
             template = templates[key] = _template(i, terms, lo)
-        elif method == "c_shapley":
-            if len(template[1]) > budget:
-                raise enumeration_budget_error(i, budget)
-        else:
-            _check_local_budget(i, bin(nbhd).count("1"), budget)
         yield i, lo, template
 
 
@@ -292,16 +290,17 @@ def connected_subset_weight(size: int, boundary: int) -> float:
     ``boundary`` is how many of the subset's graph neighbors lie inside the
     enumeration universe; the weight is the total exact-Shapley coefficient
     mass of all supersets whose component containing the feature is exactly
-    this subset.  With two blocked neighbors it reduces to the familiar
-    2 / ((u+2)(u+1)u) interior form.
+    this subset: the Shapley coefficient of the subset among its own nodes
+    and its blocked neighbors.  With two blocked neighbors it is the
+    interior form.
     """
-    s = size + boundary - 1
-    return 1.0 / ((s + 1) * math.comb(s, size - 1))
+    return shapley_coefficient(size + boundary, size)
 
 
 def interior_subset_weight(size: int) -> float:
-    """Fixed interior-form coefficient 2 / ((u+2)(u+1)u)."""
-    return 2.0 / ((size + 2) * (size + 1) * size)
+    """Fixed interior-form coefficient 2 / ((u+2)(u+1)u), as a subset with
+    two blocked neighbors gets it."""
+    return shapley_coefficient(size + 2, size)
 
 
 def c_shapley_terms(

@@ -28,16 +28,16 @@ def subset_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def members_of(mask: int) -> tuple[int, ...]:
     """Sorted feature indices of a bitmask subset."""
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
@@ -51,13 +51,6 @@ def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
     packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -102,16 +95,11 @@ class FeatureGraph:
             raise ValueError("graph must be connected")
 
     def _is_connected(self) -> bool:
-        full = (1 << self.num_nodes) - 1
-        reached = 1
-        frontier = 1
+        reached = frontier = 1
         while frontier:
-            grow = 0
-            for j in iter_bits(frontier):
-                grow |= self.adjacency[j]
-            frontier = grow & ~reached
+            frontier = self.boundary(frontier) & ~reached
             reached |= frontier
-        return reached == full
+        return reached == (1 << self.num_nodes) - 1
 
     @property
     def d(self) -> int:
@@ -184,21 +172,13 @@ def graph_distance(g: FeatureGraph, i: int, j: int) -> int:
     """Shortest-path edge count between nodes i and j (BFS)."""
     g._check_index(i)
     g._check_index(j)
-    if i == j:
-        return 0
     dist = 0
-    reached = 1 << i
-    frontier = reached
-    while frontier:
+    reached = frontier = 1 << i
+    while not (reached >> j) & 1:  # graphs are connected, so j is reached
         dist += 1
-        grow = 0
-        for a in iter_bits(frontier):
-            grow |= g.adjacency[a]
-        frontier = grow & ~reached
+        frontier = g.boundary(frontier) & ~reached
         reached |= frontier
-        if (reached >> j) & 1:
-            return dist
-    raise ValueError(f"nodes {i} and {j} are not connected")  # unreachable: graphs are connected
+    return dist
 
 
 def diameter(g: FeatureGraph) -> int:
@@ -210,26 +190,13 @@ def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:
     g._check_index(i)
     if k < 0:
         raise ConfigurationError(f"neighborhood radius must be nonnegative, got {k}")
-    reached = 1 << i
-    frontier = reached
+    reached = frontier = 1 << i
     for _ in range(k):
-        grow = 0
-        for a in iter_bits(frontier):
-            grow |= g.adjacency[a]
-        frontier = grow & ~reached
+        frontier = g.boundary(frontier) & ~reached
         if not frontier:
             break
         reached |= frontier
     return reached
-
-
-def enumeration_budget_error(i: int, budget: int) -> BudgetExceededError:
-    """The error for more than ``budget`` connected subsets at node i."""
-    return BudgetExceededError(
-        f"connected-subset enumeration for node {i} exceeded its budget: "
-        f"{budget} subsets emitted with more remaining",
-        count=budget,
-    )
 
 
 def connected_subsets_in(
@@ -257,7 +224,11 @@ def connected_subsets_in(
 
     def extend(sub: int, candidates: list[int], banned: int) -> None:
         if len(out) >= budget:
-            raise enumeration_budget_error(i, budget)
+            raise BudgetExceededError(
+                f"connected-subset enumeration for node {i} exceeded its budget: "
+                f"{budget} subsets emitted with more remaining",
+                count=budget,
+            )
         out.append(sub)
         if bin(sub).count("1") >= cap:
             return
@@ -295,15 +266,10 @@ def connected_components(g: FeatureGraph, s: int) -> list[int]:
     remaining = s
     comps = []
     while remaining:
-        start = remaining & -remaining
-        comp = 0
-        frontier = start
+        comp = frontier = remaining & -remaining
         while frontier:
+            frontier = g.boundary(frontier) & remaining & ~comp
             comp |= frontier
-            grow = 0
-            for j in iter_bits(frontier):
-                grow |= g.adjacency[j]
-            frontier = grow & remaining & ~comp
         comps.append(comp)
         remaining &= ~comp
     return comps

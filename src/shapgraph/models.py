@@ -17,20 +17,17 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import chunk_rows
 from .errors import ConfigurationError, EvaluationError, ProtocolError
 from .theory import DiscreteJoint
 
 WIRE_VERSION = 1
 WIRE_BATCH_LIMIT = 256
 PADDING_TOKEN = 0
-# size of the temporaries built per chunk of rows by the naive-Bayes gather
-# (its padding mask) and the wire's integer encoder (its table of texts), well
-# below the 128 KiB from which glibc maps a block on pages of its own
-GATHER_CHUNK_BYTES = 64 * 1024
 # integer features below this are encoded by table lookup, see _rows_text
 INT_TEXT_LIMIT = 1 << 16
 
@@ -88,11 +85,12 @@ class NaiveBayesModel:
         # position, 0..d-1.  Padding adds exactly +0.0, which leaves a running
         # sum unchanged, so adding only the other tokens in the same order
         # gives the same bits; bincount adds its weights in input order.  Rows
-        # are taken a few at a time, so the padding mask stays within
-        # GATHER_CHUNK_BYTES; the gathered arrays hold 8 bytes per non-padding
-        # token, a few per row for the masked rows of L- and C-Shapley.
+        # are taken a few at a time, so the padding mask, a byte per token,
+        # stays within one chunk; the gathered arrays hold 8 bytes per
+        # non-padding token, a few per row for the masked rows of L- and
+        # C-Shapley.
         n, d = tokens.shape
-        step = max(1, GATHER_CHUNK_BYTES // max(d, 1))
+        step = chunk_rows(d)
         scores = np.empty((n, self.num_classes))
         for a in range(0, n, step):
             chunk = tokens[a : a + step].ravel()
@@ -369,17 +367,25 @@ class ExternalModelEndpoint:
 
 
 class _LineChannel:
-    """One JSON line per message to and from a model host.
+    """One JSON line per message to and from a model host, over two file
+    descriptors: a spawned host's stdout and stdin, or one socket for both.
 
     Both ends are non-blocking and every wait is a ``select`` under the
     endpoint timeout.  ``send`` moves whatever the host writes into the
     receive buffer while it waits to write, so a host blocked on writing a
     long reply never stalls the next request, and two requests can be in
-    flight.  Subclasses provide the descriptors and the raw read and write.
+    flight.  ``close`` says goodbye and then calls ``stop``, which ends the
+    host process or closes the socket.  ``proc`` is the spawned host, if any.
     """
 
-    def __init__(self, timeout: float):
+    def __init__(self, read_fd: int, write_fd: int, timeout: float, stop: Callable[[], None], proc=None):
+        self._read_fd = read_fd
+        self._write_fd = write_fd
+        os.set_blocking(read_fd, False)
+        os.set_blocking(write_fd, False)
         self.timeout = timeout
+        self._stop = stop
+        self.proc = proc
         self._buf = bytearray()
         self._scanned = 0  # bytes of _buf known to hold no newline
 
@@ -392,7 +398,7 @@ class _LineChannel:
                 self._receive()
             if writable:
                 try:
-                    data = data[self._write(data) :]
+                    data = data[os.write(self._write_fd, data) :]
                 except BlockingIOError:
                     pass
 
@@ -417,76 +423,33 @@ class _LineChannel:
                 return bool(readable), bool(writable)
         raise TimeoutError("timed out waiting for the model host")
 
-    def _say_bye(self) -> None:
-        # best effort, and brief: a host that stopped reading must not hold
-        # up closing
-        self.timeout = min(self.timeout, 1.0)
-        try:
-            self.send('{"op": "bye"}')
-        except Exception:
-            pass
-
     def _receive(self) -> None:
         try:
-            chunk = self._read()
+            chunk = os.read(self._read_fd, 65536)
         except BlockingIOError:
             return
         if not chunk:
             raise OSError("model host closed the connection")
         self._buf += chunk
 
-
-class _SubprocessChannel(_LineChannel):
-    """Stdio of a spawned model host."""
-
-    def __init__(self, command: str, timeout: float):
-        super().__init__(timeout)
-        self.proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
-        self._write_fd = self.proc.stdin.fileno()
-        self._read_fd = self.proc.stdout.fileno()
-        os.set_blocking(self._write_fd, False)
-        os.set_blocking(self._read_fd, False)
-
-    def _read(self) -> bytes:
-        return os.read(self._read_fd, 65536)
-
-    def _write(self, data: memoryview) -> int:
-        return os.write(self._write_fd, data)
-
     def close(self) -> None:
-        self._say_bye()
-        self.proc.terminate()
+        # the goodbye is best effort, and brief: a host that stopped reading
+        # must not hold up closing
+        self.timeout = min(self.timeout, 1.0)
         try:
-            self.proc.wait(timeout=1.0)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+            self.send('{"op": "bye"}')
+        except Exception:
+            pass
+        self._stop()
 
 
-class _TcpChannel(_LineChannel):
-    """A socket to a model host."""
-
-    def __init__(self, address: str, timeout: float):
-        super().__init__(timeout)
-        host, _, port = address.rpartition(":")
-        self.sock = socket.create_connection((host, int(port)), timeout=timeout)
-        self.sock.setblocking(False)
-        self._read_fd = self._write_fd = self.sock
-
-    def _read(self) -> bytes:
-        return self.sock.recv(65536)
-
-    def _write(self, data: memoryview) -> int:
-        return self.sock.send(data)
-
-    def close(self) -> None:
-        self._say_bye()
-        self.sock.close()
+def _stop_process(proc: subprocess.Popen) -> None:
+    proc.terminate()
+    try:
+        proc.wait(timeout=1.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 class ExternalModel:
@@ -516,10 +479,18 @@ class ExternalModel:
         self.num_classes = endpoint.num_classes or 0
         self._connect_with_retry([])  # num_classes is known after the handshake
 
-    def _open_channel(self):
+    def _open_channel(self) -> _LineChannel:
+        address, timeout = self.endpoint.address, self.endpoint.timeout
         if self.endpoint.transport == "subprocess":
-            return _SubprocessChannel(self.endpoint.address, self.endpoint.timeout)
-        return _TcpChannel(self.endpoint.address, self.endpoint.timeout)
+            proc = subprocess.Popen(
+                shlex.split(address), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+            )
+            return _LineChannel(
+                proc.stdout.fileno(), proc.stdin.fileno(), timeout, lambda: _stop_process(proc), proc
+            )
+        host, _, port = address.rpartition(":")
+        sock = socket.create_connection((host, int(port)), timeout=timeout)
+        return _LineChannel(sock.fileno(), sock.fileno(), timeout, sock.close)
 
     def _handshake(self, channel) -> int:
         channel.send(json.dumps({"op": "hello", "version": WIRE_VERSION}))
@@ -664,7 +635,7 @@ def _rows_text(block: np.ndarray) -> str:
     top = int(block.max())
     if top >= len(_int_texts):
         _int_texts = np.array([str(j) for j in range(max(2 * top, 256))], dtype=object)
-    step = max(1, GATHER_CHUNK_BYTES // (8 * block.shape[1]))
+    step = chunk_rows(8 * block.shape[1])  # a text reference per feature
     rows = []
     for a in range(0, block.shape[0], step):
         rows += ["[" + ", ".join(row) + "]" for row in _int_texts[block[a : a + step]].tolist()]

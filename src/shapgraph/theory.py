@@ -107,16 +107,6 @@ def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
     return DiscreteJoint(d, num_classes, masses / masses.sum())
 
 
-# Repeated temporaries stay well below 128 KiB, glibc's default mmap threshold,
-# so that they come from the heap instead of being mapped and page-faulted
-# afresh on every call.
-_CHUNK_BYTES = 64 << 10
-
-
-def _chunk_rows(row_bytes: int) -> int:
-    return max(1, _CHUNK_BYTES // row_bytes)
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=-1)``, bitwise.  numpy adds a row of fewer than 8 items in
     order, which a loop over the columns does far faster for short rows."""
@@ -173,7 +163,7 @@ class _Marginals:
         tables = np.zeros((C + 1, 3**d))
         # atoms in ascending order, one code per mask for each: add.at applies
         # them in order, so every cell adds its atoms as a bincount would
-        step = _chunk_rows(8 << d)
+        step = _kernels.chunk_rows(8 << d)
         for x0 in range(0, 1 << d, step):
             xs = masks[x0 : x0 + step]
             codes = (tern[xs[:, None] & masks] + summed_out).reshape(-1)
@@ -360,7 +350,7 @@ def value_matrix(
     mass = _row_sums(joint_rows)[:, None]
     log_cond = np.log(np.maximum(joint_rows / np.where(mass > 0, mass, 1.0), _TINY))
     V = np.empty((1 << d, 1 << d))
-    step = _chunk_rows(C << (d + 3))
+    step = _kernels.chunk_rows(C << (d + 3))
     if mode == "predicted_class_logprob":
         pred = np.argmax(base, axis=1)
         flat = log_cond.reshape(-1)
@@ -420,7 +410,7 @@ def _absolute_mi_of_probes(
     log_z = np.take(log_p, z, axis=0)
     log_az = np.take(log_p, z + gain, axis=0)
     out = np.empty(len(probes))
-    step = _chunk_rows(w.nbytes)
+    step = _kernels.chunk_rows(w.nbytes)
     for lo in range(0, len(probes), step):
         bz = m.codes(np.asarray(probes[lo : lo + step], dtype=np.int64) | cond)
         log_abz = np.take(log_p, bz + gain, axis=0)

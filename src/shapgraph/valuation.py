@@ -39,11 +39,12 @@ class ModelContract(Protocol):
     model that keeps them must copy them.
 
     A model may also declare ``batch_size``, the number of rows it would
-    rather get per call.  A :class:`ValueFunction` built without a batch size
-    then sends blocks of that many rows, and the all-features estimators
-    collect that many subset masks before they value them.  Models without it get
-    ``DEFAULT_BATCH_SIZE`` (256); :class:`~shapgraph.models.ExternalModel`
-    declares four wire requests' worth, so that it can keep two in flight.
+    rather get per call.  A :class:`ValueFunction` then sends blocks of as
+    many whole subsets as fit in that many rows (at least one), and the
+    all-features estimators collect that many subset masks before they value
+    them.  Models without it get ``DEFAULT_BATCH_SIZE`` (256);
+    :class:`~shapgraph.models.ExternalModel` declares four wire requests'
+    worth, so that it can keep two in flight.
     """
 
     num_classes: int
@@ -137,9 +138,10 @@ class ValueFunction(SetFunction):
     estimated conditional over the model's own class distribution at the full
     instance, while ``"predicted_class_logprob"`` returns the log-probability
     of the class predicted at the full instance (argmax ties resolve to the
-    smallest class index).  ``estimator`` is ``"plugin"`` (mask with the
-    instance's reference vector) or ``"empirical"`` (average over a seeded
-    background-pool sample, drawn once and reused for every subset).
+    smallest class index).  ``estimator`` is ``"empirical"`` (average over a
+    seeded background-pool sample, drawn once and reused for every subset)
+    or ``"plugin"`` (mask with the instance's reference vector, which is the
+    same average over a sample of one row: the reference).
     Probabilities are floored at 1e-12 before logs so fully masked inputs
     cannot produce infinities.
     """
@@ -153,7 +155,6 @@ class ValueFunction(SetFunction):
         pool: np.ndarray | None = None,
         m_samples: int = DEFAULT_EMPIRICAL_SAMPLES,
         seed: int = 0,
-        batch_size: int | None = None,
     ):
         super().__init__(instance.d)
         if estimator not in ("plugin", "empirical"):
@@ -164,11 +165,9 @@ class ValueFunction(SetFunction):
         self.instance = instance
         self.estimator = estimator
         self.mode = mode
-        if batch_size is None:
-            batch_size = getattr(model, "batch_size", DEFAULT_BATCH_SIZE)
-        self.batch_size = batch_size
+        self.batch_size = getattr(model, "batch_size", DEFAULT_BATCH_SIZE)
         self._base_probs: np.ndarray | None = None
-        self._rows: np.ndarray | None = None  # model input buffer, see _block_rows
+        self._rows: np.ndarray | None = None  # model input buffer, see _conditional_probs
         if estimator == "empirical":
             pool = np.asarray(pool) if pool is not None else None
             if pool is None or pool.size == 0:
@@ -177,10 +176,13 @@ class ValueFunction(SetFunction):
                 raise ConfigurationError(
                     f"pool rows must have the instance's {instance.d} features, got shape {pool.shape}"
                 )
+            if m_samples < 1:
+                raise ConfigurationError(f"empirical estimator needs at least one sample, got {m_samples}")
             rng = np.random.default_rng(seed)
-            self._pool_rows = pool[rng.integers(0, pool.shape[0], size=m_samples)]
+            self._fill = pool[rng.integers(0, pool.shape[0], size=m_samples)]
         else:
-            self._pool_rows = None
+            # plug-in masking is the empirical estimate over a one-row sample
+            self._fill = instance.reference[None, :]
 
     @property
     def full_mask(self) -> int:
@@ -198,49 +200,30 @@ class ValueFunction(SetFunction):
     def _conditional_probs(self, masks: list[int]) -> np.ndarray:
         """Estimated class probabilities for each subset, one row per mask.
 
-        Model rows are built and scored one block of at most ``batch_size``
-        rows at a time.  Plug-in masking makes one row per subset; the
-        empirical estimator makes one row per subset and fixed pool sample,
-        so a block may hold several subsets and a subset may span blocks.
+        Each subset makes one model row per fill row, the instance's values
+        where the subset keeps them and the fill elsewhere, and its estimate
+        is the mean over them.  Rows are scored one block of whole subsets at
+        a time: ``batch_size // m`` of them, and at least one.  Every block
+        is written into one buffer kept for the next: a fresh array per
+        block, far larger than ``_kernels.CHUNK_BYTES``, would be mapped and
+        faulted in anew each time.
         """
-        x = self.instance
-        if self.estimator == "plugin":
-            blocks = []
-            for start in range(0, len(masks), self.batch_size):
-                block = masks[start : start + self.batch_size]
-                rows = self._block_rows(member_matrix(block, x.d), x.reference)
-                blocks.append(self._run_block(rows, block))
-            return np.concatenate(blocks, axis=0)
-        # empirical: row r is subset r // m hybridised with pool sample r % m
-        pool = self._pool_rows
-        m = pool.shape[0]
-        blocks = []
-        for start in range(0, len(masks) * m, self.batch_size):
-            stop = min(start + self.batch_size, len(masks) * m)
-            first, last = start // m, (stop - 1) // m + 1
-            r = np.arange(start, stop)
-            keep = member_matrix(masks[first:last], x.d)[r // m - first]
-            rows = self._block_rows(keep, pool[r % m])
-            blocks.append(self._run_block(rows, masks[first:last]))
-        probs = np.concatenate(blocks, axis=0)
-        return probs.reshape(len(masks), m, -1).mean(axis=1)
-
-    def _block_rows(self, keep: np.ndarray, fill: np.ndarray) -> np.ndarray:
-        """The instance's values where ``keep`` is True and ``fill`` elsewhere,
-        as ``np.where(keep, values, fill)`` would give them, written into one
-        (batch_size, d) buffer that every block reuses.
-
-        A fresh array per block would be at least 128 KiB from d=64 on, where
-        glibc maps each block on its own pages and faults them in anew.
-        """
-        values = self.instance.values
+        fill = self._fill
+        m, d = fill.shape
+        step = max(1, self.batch_size // m)
         if self._rows is None:
-            dtype = np.result_type(values, fill)
-            self._rows = np.empty((self.batch_size, self.d), dtype=dtype)
-        rows = self._rows[: keep.shape[0]]
-        rows[:] = fill
-        np.copyto(rows, values, where=keep)
-        return rows
+            dtype = np.result_type(self.instance.values, fill)
+            self._rows = np.empty((step * m, d), dtype=dtype)
+        probs = np.empty((len(masks), self.model.num_classes))
+        for start in range(0, len(masks), step):
+            block = masks[start : start + step]
+            rows = self._rows[: len(block) * m]
+            rows.reshape(len(block), m, d)[:] = fill
+            np.copyto(rows, self.instance.values, where=np.repeat(member_matrix(block, d), m, axis=0))
+            block_probs = self._run_block(rows, block).reshape(len(block), m, -1)
+            np.add.reduce(block_probs, axis=1, out=probs[start : start + len(block)])
+        probs /= m  # a sum over the samples divided by m is bitwise their mean
+        return probs
 
     def _run_block(self, rows: np.ndarray, masks: list[int]) -> np.ndarray:
         """Class probabilities for one block of rows, from :func:`model_probs`;

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from shapgraph.attribution import (
     DEFAULT_SUBSET_BUDGET,
     c_shapley_terms,
     connected_subset_weight,
+    exact_shapley_weights,
     interior_subset_weight,
     l_shapley_terms,
 )
@@ -278,6 +281,18 @@ class TestCShapley:
         assert interior_subset_weight(1) == pytest.approx(1 / 3)
         assert interior_subset_weight(2) == pytest.approx(1 / 12)
         assert interior_subset_weight(3) == pytest.approx(1 / 30)
+        # the paper's interior formula, bit for bit
+        for u in range(1, 400):
+            assert interior_subset_weight(u) == 2.0 / ((u + 2) * (u + 1) * u)
+
+    def test_coefficients_are_the_written_out_shapley_weights(self):
+        for size in range(1, 400):
+            for boundary in range(60):
+                s = size + boundary - 1
+                assert connected_subset_weight(size, boundary) == 1.0 / ((s + 1) * math.comb(s, size - 1))
+        for d in range(1, 21):
+            w = exact_shapley_weights(d)
+            assert all(w[s] == 1.0 / (d * math.comb(d - 1, s - 1)) for s in range(1, d + 1))
 
     def test_myerson_weights_reduce_to_interior_form(self):
         # a subset with two blocked neighbors gets exactly the interior weight

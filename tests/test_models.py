@@ -18,8 +18,8 @@ from shapgraph import (
     epsilon_for_lshapley,
     k_neighborhood,
 )
+from shapgraph._kernels import chunk_rows
 from shapgraph.models import (
-    GATHER_CHUNK_BYTES,
     PADDING_TOKEN,
     ExternalModel,
     ExternalModelEndpoint,
@@ -120,7 +120,7 @@ class TestNaiveBayesGather:
     @pytest.mark.parametrize("d", [1, 2, 8, 9, 16, 40, 100, 400, 1000])
     def test_equals_the_full_gather(self, d):
         rng = np.random.default_rng(d)
-        step = GATHER_CHUNK_BYTES // d
+        step = chunk_rows(d)
         sizes = {1, 2, 3, 255, 256, 257}
         sizes |= {m * step + e for m in (1, 2) for e in (-1, 0, 1)}
         for num_classes in (2, 3):

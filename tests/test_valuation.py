@@ -42,6 +42,20 @@ class TokenSumModel:
         return scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
 
 
+class Batched:
+    """``model`` declaring a ``batch_size``; records the rows of each call."""
+
+    def __init__(self, model, batch_size):
+        self.model = model
+        self.num_classes = model.num_classes
+        self.batch_size = batch_size
+        self.calls = []
+
+    def evaluate_batch(self, values):
+        self.calls.append(len(values))
+        return self.model.evaluate_batch(values)
+
+
 def make_instance(d=4):
     return Instance(np.arange(1, d + 1, dtype=float), np.zeros(d))
 
@@ -114,6 +128,8 @@ class TestEmpiricalConditional:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
             empirical_probs(make_instance(), 0, TokenSumModel(), np.empty((0, 4)), 3, 0)
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            empirical_probs(make_instance(), 0, TokenSumModel(), np.ones((2, 4)), 0, 0)
 
 
 ESTIMATORS = {
@@ -218,8 +234,8 @@ class TestImportanceScore:
 
     def test_batching_matches_unbatched(self):
         x = make_instance()
-        small = ValueFunction(TokenSumModel(), x, batch_size=2)
-        big = ValueFunction(TokenSumModel(), x, batch_size=512)
+        small = ValueFunction(Batched(TokenSumModel(), 2), x)
+        big = ValueFunction(Batched(TokenSumModel(), 512), x)
         masks = list(range(16))
         np.testing.assert_allclose(small.scores(masks), big.scores(masks), atol=0)
 
@@ -230,7 +246,6 @@ class TestImportanceScore:
         x = make_instance()
         assert ValueFunction(TokenSumModel(), x).batch_size == 256
         assert ValueFunction(Declares(), x).batch_size == 1000
-        assert ValueFunction(Declares(), x, batch_size=7).batch_size == 7
 
     def test_scores_bounded_by_log_floor_even_for_saturated_models(self):
         class Saturated:
@@ -368,6 +383,7 @@ def per_mask_probs(vf, masks):
     blocks, and one model call per empirical subset."""
     x = vf.instance
     keep = member_matrix(masks, x.d)
+    fill = vf._fill
 
     def run(rows):
         return np.concatenate(
@@ -375,8 +391,8 @@ def per_mask_probs(vf, masks):
         )
 
     if vf.estimator == "plugin":
-        return np.exp(run(np.stack([np.where(k, x.values, x.reference) for k in keep])))
-    return np.stack([np.exp(run(np.where(k, x.values, vf._pool_rows))).mean(axis=0) for k in keep])
+        return np.exp(run(np.stack([np.where(k, x.values, fill[0]) for k in keep])))
+    return np.stack([np.exp(run(np.where(k, x.values, fill))).mean(axis=0) for k in keep])
 
 
 class TestBlockedRows:
@@ -395,20 +411,40 @@ class TestBlockedRows:
         rng = np.random.default_rng(n)
         x = Instance(rng.integers(1, 200, size=self.D), np.zeros(self.D, dtype=int))
         pool = rng.integers(1, 200, size=(12, self.D))
-        # 10 samples per subset: with batch_size 7 every subset spans blocks
+        # 10 samples per subset: with batch_size 7 each block holds one subset
         kwargs = {"pool": pool, "m_samples": 10, "seed": 3} if estimator == "empirical" else {}
         masks = rng.permutation(1 << self.D)[:n].tolist()
         for mode in ("predicted_class_logprob", "expected_logprob"):
-            vf = ValueFunction(model, x, estimator=estimator, mode=mode, batch_size=batch_size, **kwargs)
+            vf = ValueFunction(Batched(model, batch_size), x, estimator=estimator, mode=mode, **kwargs)
             got = vf.scores(masks)
             expected = vf._score_from_probs(per_mask_probs(vf, masks))
             assert (got == expected).all()
+
+    @pytest.mark.parametrize("mode", ["predicted_class_logprob", "expected_logprob"])
+    def test_plugin_is_the_empirical_estimate_over_the_reference(self, model, mode):
+        rng = np.random.default_rng(5)
+        x = Instance(rng.integers(1, 200, size=self.D), rng.integers(0, 200, size=self.D))
+        masks = rng.permutation(1 << self.D)[:300].tolist()
+        plugin = ValueFunction(model, x, mode=mode)
+        empirical = ValueFunction(model, x, "empirical", mode, pool=x.reference[None], m_samples=1)
+        assert (plugin.scores(masks) == empirical.scores(masks)).all()
+
+    def test_blocks_hold_whole_subsets(self, model):
+        rng = np.random.default_rng(6)
+        x = Instance(rng.integers(1, 200, size=self.D), np.zeros(self.D, dtype=int))
+        pool = rng.integers(1, 200, size=(12, self.D))
+        batched = Batched(model, 7)
+        vf = ValueFunction(batched, x, "empirical", pool=pool, m_samples=10)
+        vf.scores([1, 2, 3])
+        # the full instance first, then one subset of 10 rows per call
+        assert batched.calls == [10, 10, 10, 10]
 
     def test_empirical_error_names_the_failing_block(self):
         calls = []
 
         class FailsThirdCall:
             num_classes = 2
+            batch_size = 4
 
             def evaluate_batch(self, values):
                 calls.append(len(values))
@@ -417,9 +453,7 @@ class TestBlockedRows:
                 return np.full((len(values), 2), np.log(0.5))
 
         pool = np.arange(8.0).reshape(2, 4)
-        vf = ValueFunction(
-            FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2, batch_size=4
-        )
+        vf = ValueFunction(FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2)
         # call 1 probes the full mask, call 2 holds subsets 1 and 2, call 3 subsets 3 and 4
         with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
             vf.scores([1, 2, 3, 4])

@@ -45,12 +45,31 @@ def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
 
     Masks are Python or numpy integers and may be wider than 64 bits.  Each is
     serialized little-endian, so bit j of a mask lands in column j after one
-    batched unpack.
+    batched unpack.  A negative mask, or one with a bit at d or above, raises
+    ``ConfigurationError`` (see :func:`check_masks`).
     """
     width = (d + 7) // 8
-    packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
+    try:
+        packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
+    except OverflowError:  # negative, or wider than the whole bytes
+        check_masks(masks, d)
+        raise
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
+    # the bits of the last byte above d; the unpack would drop them unseen
+    if d & 7 and rows.size and (rows[:, -1] >> (d & 7)).any():
+        check_masks(masks, d)
     return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
+
+
+def check_masks(masks: Sequence[int], d: int) -> None:
+    """Raise ``ConfigurationError`` naming the first mask that is negative or
+    has a bit at ``d`` or above, if any: no subset of d features is that."""
+    if not len(masks) or (min(masks) >= 0 and not int(max(masks)) >> d):
+        return
+    for mask in map(int, masks):
+        if mask < 0 or mask >> d:
+            what = "is negative" if mask < 0 else f"has bit {mask.bit_length() - 1}"
+            raise ConfigurationError(f"subset mask {mask:#x} {what}; subsets of {d} features lie in [0, 2**{d})")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import socket
 import sys
 import traceback
@@ -16,17 +17,46 @@ import traceback
 import numpy as np
 
 from .models import load_model_json
+from .valuation import masked_rows
+
+
+OPS = ["eval", "eval_masked"]
+_HEX_MASKS = re.compile("(?:[0-9a-fA-F]+,)*")  # masks, each followed by a comma
 
 
 def _reply(model, request: dict) -> dict:
     op = request["op"]
     if op == "hello":
-        return {"op": "hello", "num_classes": model.num_classes}
+        return {"op": "hello", "num_classes": model.num_classes, "ops": OPS}
     if op == "eval":
-        values = np.asarray(request["instances"], dtype=np.float64)
-        log_probs = np.asarray(model.evaluate_batch(values), dtype=np.float64)
-        return {"op": "eval", "id": request["id"], "log_probs": log_probs.tolist()}
-    return {"op": "error", "message": f"unknown op {op!r}"}
+        rows = np.asarray(request["instances"], dtype=np.float64)
+    elif op == "eval_masked":
+        # the float64 rows an eval request of the same rows would carry
+        rows = masked_rows(
+            np.asarray(request["values"], dtype=np.float64),
+            np.asarray(request["fill"], dtype=np.float64),
+            _hex_masks(request["masks"]),
+        )
+    else:
+        return {"op": "error", "message": f"unknown op {op!r}"}
+    log_probs = np.asarray(model.evaluate_batch(rows), dtype=np.float64)
+    return {"op": "eval", "id": request["id"], "log_probs": log_probs.tolist()}
+
+
+def _hex_masks(texts: list) -> list[int]:
+    """Subset masks from their hex texts; bit j is feature j.  The digits
+    are checked for all masks at once, since ``int`` would also take a sign,
+    a ``0x`` prefix, underscores and spaces."""
+    if not isinstance(texts, list):
+        raise ValueError(f"masks must be a list, got {type(texts).__name__}")
+    try:
+        valid = _HEX_MASKS.fullmatch("".join([text + "," for text in texts]))
+    except TypeError:  # a mask that is not a string
+        valid = None
+    if not valid:
+        bad = next(t for t in texts if not isinstance(t, str) or not _HEX_MASKS.fullmatch(t + ","))
+        raise ValueError(f"subset masks are hex strings, got {bad!r}")
+    return [int(text, 16) for text in texts]
 
 
 def serve_stream(model, reader, writer) -> None:

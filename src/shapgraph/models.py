@@ -455,11 +455,16 @@ def _stop_process(proc: subprocess.Popen) -> None:
 class ExternalModel:
     """ModelContract over the line-delimited JSON wire protocol.
 
-    ``evaluate_batch`` splits its rows into requests of at most
-    ``WIRE_BATCH_LIMIT`` and keeps up to ``IN_FLIGHT`` of them in flight, so
-    the client encodes request k+1 while the host evaluates request k;
-    replies are read in request order.  ``batch_size`` asks value functions
-    for blocks of several requests, which is what lets the two overlap.
+    ``evaluate_batch`` splits its rows into ``eval`` requests of at most
+    ``WIRE_BATCH_LIMIT``; ``evaluate_masked`` sends subset masks in
+    ``eval_masked`` requests of as many rows' worth, and the host builds the
+    rows.  ``masks_on_host`` says whether the host listed ``eval_masked`` in
+    its ``hello`` reply, and so whether value functions call
+    ``evaluate_masked``.  Either way one loop keeps up to ``IN_FLIGHT``
+    requests in flight, so the client encodes request k+1 while the host
+    evaluates request k; replies are read in request order.  ``batch_size``
+    asks value functions for blocks of several requests, which is what lets
+    the two overlap.
 
     Transient transport failures (timeouts, closed pipes, refused
     connections) are retried up to three times with exponential backoff on a
@@ -477,6 +482,7 @@ class ExternalModel:
         self._channel = None
         self._next_id = 0
         self.num_classes = endpoint.num_classes or 0
+        self.masks_on_host = False  # whether the host speaks eval_masked, from its hello
         self._connect_with_retry([])  # num_classes is known after the handshake
 
     def _open_channel(self) -> _LineChannel:
@@ -494,25 +500,28 @@ class ExternalModel:
 
     def _handshake(self, channel) -> int:
         channel.send(json.dumps({"op": "hello", "version": WIRE_VERSION}))
-        reply = self._parse(channel.recv_line())
+        line = channel.recv_line()
+        reply = self._parse(line)
         if reply.get("op") != "hello" or "num_classes" not in reply:
-            raise ProtocolError(f"bad handshake reply: {reply!r}")
+            raise ProtocolError(f"bad handshake reply: {_excerpt(line)}")
         served = int(reply["num_classes"])
         if self.endpoint.num_classes is not None and served != self.endpoint.num_classes:
             raise ProtocolError(
                 f"endpoint declared {self.endpoint.num_classes} classes "
                 f"but host serves {served}"
             )
+        ops = reply.get("ops")
+        self.masks_on_host = isinstance(ops, list) and "eval_masked" in ops
         return served
 
     @staticmethod
     def _parse(line: str) -> dict:
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed wire line: {line!r}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ProtocolError(f"malformed wire line: {_excerpt(line)}") from exc
         if not isinstance(obj, dict):
-            raise ProtocolError(f"malformed wire line: {line!r}")
+            raise ProtocolError(f"malformed wire line: {_excerpt(line)}")
         return obj
 
     def _connect_with_retry(self, batch_indices: list[int]) -> None:
@@ -537,19 +546,53 @@ class ExternalModel:
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         values = _wire_values(values)
-        starts = range(0, values.shape[0], WIRE_BATCH_LIMIT)
+
+        def request(k: int) -> _Request:
+            start = k * WIRE_BATCH_LIMIT
+            block = values[start : start + WIRE_BATCH_LIMIT]
+            indices = range(start, start + block.shape[0])
+            return _Request("eval", indices, len(indices), f'"instances": [{_rows_text(block)}]')
+
+        return self._exchange(-(-values.shape[0] // WIRE_BATCH_LIMIT), request)
+
+    def evaluate_masked(self, values: np.ndarray, fill: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+        """Log-probs of the rows :func:`~shapgraph.valuation.masked_rows`
+        builds, row ``r * m + j`` for mask r and fill row j, with the rows
+        built by the host: each ``eval_masked`` request carries the instance,
+        the (m, d) fill and ``max(1, 256 // m)`` whole subsets as hex masks.
+        Only a host that listed ``eval_masked`` in its ``hello`` reply, as
+        ``masks_on_host`` says, can answer it.  The ``batch_indices`` of an
+        ``EvaluationError`` are positions in ``masks``.
+        """
+        fill = _wire_values(fill)
+        m = fill.shape[0]
+        values = _rows_text(_wire_values(np.asarray(values)[None, :]))
+        head = f'"values": {values}, "fill": [{_rows_text(fill)}], "masks": '
+        per_request = max(1, WIRE_BATCH_LIMIT // m)
+
+        def request(k: int) -> _Request:
+            indices = range(k * per_request, min((k + 1) * per_request, len(masks)))
+            texts = '", "'.join([f"{masks[r]:x}" for r in indices])
+            return _Request("eval_masked", indices, len(indices) * m, f'{head}["{texts}"]')
+
+        return self._exchange(-(-len(masks) // per_request), request)
+
+    def _exchange(self, count: int, request: Callable[[int], _Request]) -> np.ndarray:
+        """Send the requests ``request(0), ..., request(count - 1)``, up to
+        ``IN_FLIGHT`` at a time, and return their replies' log-probs stacked
+        in request order.  Each request is built just before it is first sent
+        and kept until it is answered, for a resend."""
         replies: list[np.ndarray] = []
         in_flight: deque[_Request] = deque()  # sent and unanswered, oldest first
         failures = 0
-        while len(replies) < len(starts):
+        while len(replies) < count:
             try:
                 if self._channel is None:
                     self._connect_with_retry([i for r in in_flight for i in r.indices])
-                    for request in in_flight:
-                        self._send(request)
-                while len(in_flight) < self.IN_FLIGHT and len(replies) + len(in_flight) < len(starts):
-                    start = starts[len(replies) + len(in_flight)]
-                    in_flight.append(_Request(start, values[start : start + WIRE_BATCH_LIMIT]))
+                    for pending in in_flight:
+                        self._send(pending)
+                while len(in_flight) < self.IN_FLIGHT and len(replies) + len(in_flight) < count:
+                    in_flight.append(request(len(replies) + len(in_flight)))
                     self._send(in_flight[-1])
                 replies.append(self._receive(in_flight))
                 failures = 0
@@ -572,7 +615,7 @@ class ExternalModel:
     def _send(self, request: _Request) -> None:
         request.id = self._next_id
         self._next_id += 1
-        self._channel.send(f'{{"op": "eval", "id": {request.id}, "instances": [{request.instances}]}}')
+        self._channel.send(f'{{"op": "{request.op}", "id": {request.id}, {request.body}}}')
 
     def _receive(self, in_flight: deque[_Request]) -> np.ndarray:
         """The reply to the oldest request in flight, checked.
@@ -580,7 +623,8 @@ class ExternalModel:
         An error reply raises ``EvaluationError`` once the replies to the
         later requests are read too, so the channel stays in step.
         """
-        reply = self._parse(self._channel.recv_line())
+        line = self._channel.recv_line()
+        reply = self._parse(line)
         request = in_flight.popleft()
         if reply.get("op") == "error":
             self._drain(in_flight)
@@ -589,12 +633,12 @@ class ExternalModel:
                 batch_indices=list(request.indices),
             )
         if reply.get("op") != "eval" or reply.get("id") != request.id:
-            raise ProtocolError(f"response does not match request {request.id}: {reply!r}")
+            raise ProtocolError(f"response does not match request {request.id}: {_excerpt(line)}")
         try:
             log_probs = np.asarray(reply.get("log_probs"), dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"unreadable log-probs in reply {request.id}: {exc}") from exc
-        expected = (len(request.indices), self.num_classes)
+        expected = (request.rows, self.num_classes)
         if log_probs.shape != expected:
             raise ProtocolError(f"expected {expected} log-probs, got {log_probs.shape}")
         return log_probs
@@ -661,13 +705,23 @@ def _wire_values(values: np.ndarray) -> np.ndarray:
 
 
 class _Request:
-    """One eval request: its rows' JSON text, kept for a resend, and the id
-    it was last sent under."""
+    """One request: its op, the body text after its id, kept for a resend,
+    the id it was last sent under, the number of reply rows it is owed and
+    the indices an error names."""
 
-    def __init__(self, start: int, block: np.ndarray):
-        self.indices = range(start, start + block.shape[0])
-        self.instances = _rows_text(block)
+    def __init__(self, op: str, indices: range, rows: int, body: str):
+        self.op = op
+        self.indices = indices
+        self.rows = rows
+        self.body = body
         self.id = -1
+
+
+def _excerpt(line: str) -> str:
+    """A wire line as an error quotes it: at most its first 200 characters."""
+    if len(line) <= 200:
+        return repr(line)
+    return f"{line[:200]!r}... ({len(line)} characters)"
 
 
 def external_model(endpoint: ExternalModelEndpoint) -> ExternalModel:

@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .graphs import member_matrix, members_of
+from .graphs import check_masks, member_matrix, members_of
 
 LOG_PROB_FLOOR = 1e-12
 DEFAULT_BATCH_SIZE = 256
@@ -45,6 +45,16 @@ class ModelContract(Protocol):
     them.  Models without it get ``DEFAULT_BATCH_SIZE`` (256);
     :class:`~shapgraph.models.ExternalModel` declares four wire requests'
     worth, so that it can keep two in flight.
+
+    A model whose ``masks_on_host`` is true builds the masked rows itself:
+    :class:`ValueFunction` then calls ``evaluate_masked(values, fill,
+    masks)`` in place of ``evaluate_batch``, with the instance's (d,)
+    values, the (m, d) fill rows and a block of subset masks, and expects
+    the log-probs of the ``len(masks) * m`` rows :func:`masked_rows` builds,
+    in its order, checked as ``evaluate_batch``'s are.  ``ExternalModel``
+    sets it when its host lists ``eval_masked`` in the ``hello`` reply; any
+    other model gets rows.  Masks out of range for d features raise
+    ``ConfigurationError`` before any model call, on either path.
     """
 
     num_classes: int
@@ -75,8 +85,7 @@ class Instance:
 
 def plugin_masked_instance(x: Instance, s: int) -> Instance:
     """Keep positions in the subset ``s``, replace the rest with the reference."""
-    keep = member_matrix([s], x.d)[0]
-    return Instance(np.where(keep, x.values, x.reference), x.reference)
+    return Instance(masked_rows(x.values, x.reference[None, :], [s])[0], x.reference)
 
 
 class SetFunction:
@@ -200,36 +209,42 @@ class ValueFunction(SetFunction):
     def _conditional_probs(self, masks: list[int]) -> np.ndarray:
         """Estimated class probabilities for each subset, one row per mask.
 
-        Each subset makes one model row per fill row, the instance's values
-        where the subset keeps them and the fill elsewhere, and its estimate
-        is the mean over them.  Rows are scored one block of whole subsets at
-        a time: ``batch_size // m`` of them, and at least one.  Every block
-        is written into one buffer kept for the next: a fresh array per
-        block, far larger than ``_kernels.CHUNK_BYTES``, would be mapped and
-        faulted in anew each time.
+        Each subset makes one model row per fill row (see
+        :func:`masked_rows`), and its estimate is the mean over them.  Rows
+        are scored one block of whole subsets at a time: ``batch_size // m``
+        of them, and at least one.  A model whose ``masks_on_host`` is true
+        gets each block as the instance, the fill and the subset masks, and
+        builds the rows itself.  For any other model every block is written
+        into one buffer kept for the next: a fresh array per block, far
+        larger than ``_kernels.CHUNK_BYTES``, would be mapped and faulted in
+        anew each time.
         """
-        fill = self._fill
+        values, fill = self.instance.values, self._fill
         m, d = fill.shape
         step = max(1, self.batch_size // m)
-        if self._rows is None:
-            dtype = np.result_type(self.instance.values, fill)
-            self._rows = np.empty((step * m, d), dtype=dtype)
+        on_host = getattr(self.model, "masks_on_host", False)
+        if self._rows is None and not on_host:
+            self._rows = np.empty((step * m, d), dtype=np.result_type(values, fill))
         probs = np.empty((len(masks), self.model.num_classes))
         for start in range(0, len(masks), step):
             block = masks[start : start + step]
-            rows = self._rows[: len(block) * m]
-            rows.reshape(len(block), m, d)[:] = fill
-            np.copyto(rows, self.instance.values, where=np.repeat(member_matrix(block, d), m, axis=0))
-            block_probs = self._run_block(rows, block).reshape(len(block), m, -1)
-            np.add.reduce(block_probs, axis=1, out=probs[start : start + len(block)])
+            n = len(block) * m
+            if on_host:
+                check_masks(block, d)
+                block_probs = self._run_block(block, n, self.model.evaluate_masked, values, fill, block)
+            else:
+                rows = masked_rows(values, fill, block, out=self._rows[:n])
+                block_probs = self._run_block(block, n, self.model.evaluate_batch, rows)
+            np.add.reduce(block_probs.reshape(len(block), m, -1), axis=1, out=probs[start : start + len(block)])
         probs /= m  # a sum over the samples divided by m is bitwise their mean
         return probs
 
-    def _run_block(self, rows: np.ndarray, masks: list[int]) -> np.ndarray:
-        """Class probabilities for one block of rows, from :func:`model_probs`;
-        a failure names the subsets ``masks`` the block was built from."""
+    def _run_block(self, masks: list[int], n: int, evaluate, *args) -> np.ndarray:
+        """Class probabilities for the ``n`` rows of one block, from
+        ``evaluate(*args)`` and checked by :func:`checked_probs`; a failure
+        names the subsets ``masks`` the block was built from."""
         try:
-            return model_probs(self.model, rows)[1]
+            return checked_probs(evaluate(*args), n, self.model.num_classes)[1]
         except Exception as exc:
             raise _evaluation_error(masks, exc) from exc
 
@@ -260,17 +275,43 @@ def _evaluation_error(masks: list[int], cause) -> EvaluationError:
     return EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {cause}")
 
 
-def model_probs(model: ModelContract, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The model's class log-probabilities for ``rows`` and their exponentials,
-    checked before use.
+def masked_rows(values: np.ndarray, fill: np.ndarray, masks: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+    """Model input rows for the subsets ``masks``: row ``r * m + j`` holds
+    ``values`` (d,) where ``masks[r]`` keeps a feature and fill row ``j`` of
+    the (m, d) ``fill`` elsewhere.
 
-    The output must have shape (rows, num_classes), and every row of
+    The rows go into ``out`` when it is given, else into a new array of the
+    two inputs' common dtype.  The wire host builds ``eval_masked`` rows with
+    this too, so they are the rows a value function would have sent.
+    """
+    if values.ndim != 1 or fill.ndim != 2 or fill.shape[1] != values.shape[0]:
+        raise ConfigurationError(
+            f"masked rows need a vector of d values and (m, d) fill rows, got shapes {values.shape} and {fill.shape}"
+        )
+    m, d = fill.shape
+    if out is None:
+        out = np.empty((len(masks) * m, d), dtype=np.result_type(values, fill))
+    out.reshape(len(masks), m, d)[:] = fill
+    np.copyto(out, values, where=np.repeat(member_matrix(masks, d), m, axis=0))
+    return out
+
+
+def model_probs(model: ModelContract, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's class log-probabilities for ``rows`` and their
+    exponentials, checked by :func:`checked_probs`."""
+    return checked_probs(model.evaluate_batch(rows), rows.shape[0], model.num_classes)
+
+
+def checked_probs(log_probs, n: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log_probs`` as an array and their exponentials, checked before use.
+
+    The log-probs must have shape (n, num_classes), and every row of
     probabilities must sum to 1 within ``ROW_SUM_TOLERANCE``; that one test
     also refuses NaN and +inf log-probs.  -inf is allowed, since the
     probability floor absorbs it.  A failure raises ``EvaluationError``.
     """
-    log_probs = np.asarray(model.evaluate_batch(rows))
-    expected = (rows.shape[0], model.num_classes)
+    log_probs = np.asarray(log_probs)
+    expected = (n, num_classes)
     if log_probs.shape != expected:
         raise EvaluationError(f"expected log-probs of shape {expected}, got {log_probs.shape}")
     probs = np.exp(log_probs)

@@ -5,6 +5,7 @@ import pytest
 
 from shapgraph import (
     BudgetExceededError,
+    ConfigurationError,
     FeatureGraph,
     chain_graph,
     connected_components,
@@ -49,6 +50,18 @@ class TestMemberMatrix:
 
     def test_no_masks(self):
         assert member_matrix([], 5).shape == (0, 5)
+
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 10, 16, 64, 65])
+    def test_out_of_range_masks_name_the_first(self, d):
+        top = (1 << d) - 1
+        cases = [(1 << d, f"has bit {d}"), (top + (1 << (d + 5)), f"has bit {d + 5}"), (1 << 200, "has bit 200"), (-1, "is negative")]
+        for bad, what in cases:
+            with pytest.raises(ConfigurationError, match=f"subset mask {bad:#x} {what}; subsets of {d} features"):
+                member_matrix([0, top, bad, -3], d)
+            if -1 <= bad < 1 << 63:
+                with pytest.raises(ConfigurationError, match=f"subset mask {bad:#x}"):
+                    member_matrix(np.array([0, bad], dtype=np.int64), d)
+        assert member_matrix([top], d).all()
 
 
 class TestConstruction:

@@ -32,6 +32,7 @@ from shapgraph.models import (
     two_topic_corpus,
 )
 from shapgraph.model_server import serve_stream, serve_tcp
+from shapgraph.valuation import masked_rows
 
 from reference_path import gather_log_probs
 
@@ -231,10 +232,12 @@ def _record_channels(monkeypatch):
 
 class _InOrderChannel:
     """A fake host channel: records every line sent and answers the requests
-    in the order they were sent, as a host does."""
+    in the order they were sent, as a host does.  Its hello lists ``ops``
+    unless that is None."""
 
-    def __init__(self, sent):
+    def __init__(self, sent, ops=None):
         self.sent = sent
+        self.ops = ops
         self.answered = 0
 
     def send(self, line):
@@ -244,18 +247,24 @@ class _InOrderChannel:
         request = json.loads(self.sent[self.answered])
         self.answered += 1
         if request["op"] == "hello":
-            return json.dumps({"op": "hello", "num_classes": 2})
-        n = len(request["instances"])
-        return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[0.0, -1.0]] * n})
+            hello = {"op": "hello", "num_classes": 2}
+            if self.ops is not None:
+                hello["ops"] = self.ops
+            return json.dumps(hello)
+        if request["op"] == "eval":
+            n = len(request["instances"])
+        else:
+            n = len(request["masks"]) * len(request["fill"])
+        return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[np.log(0.5)] * 2] * n})
 
     def close(self):
         pass
 
 
-def _in_order_host(monkeypatch):
+def _in_order_host(monkeypatch, ops=None):
     """Route ExternalModel to an _InOrderChannel; returns the lines it is sent."""
     sent = []
-    monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: _InOrderChannel(sent))
+    monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: _InOrderChannel(sent, ops))
     return sent
 
 
@@ -272,9 +281,12 @@ marker = sys.argv[1]
 for line in sys.stdin:
     request = json.loads(line)
     if request["op"] == "hello":
-        replies = [{"op": "hello", "num_classes": 2}]
-    elif request["op"] == "eval":
-        n = len(request["instances"])
+        replies = [{"op": "hello", "num_classes": 2, "ops": ["eval", "eval_masked"]}]
+    elif request["op"] in ("eval", "eval_masked"):
+        if request["op"] == "eval":
+            n = len(request["instances"])
+        else:
+            n = len(request["masks"]) * len(request["fill"])
         reply = {"op": "eval", "id": request["id"], "log_probs": [[math.log(0.25), math.log(0.75)]] * n}
         replies = [reply]
         if not os.path.exists(marker):
@@ -303,7 +315,7 @@ def requests():
     evals = 0
     for line in sys.stdin:
         request = json.loads(line)
-        if request["op"] == "eval":
+        if request["op"] in ("eval", "eval_masked"):
             with open(log, "a") as fh:
                 fh.write(f"{int(first)} {request['id']}\\n")
             if first and evals == 1:
@@ -547,6 +559,138 @@ class TestExternalModel:
         finally:
             ext.close()
 
+    @pytest.mark.parametrize("ops", [None, ["eval"], "eval_masked", {"eval_masked": 1}])
+    @pytest.mark.parametrize("estimator", ["plugin", "empirical"])
+    def test_host_without_eval_masked_gets_only_eval_lines(self, monkeypatch, ops, estimator):
+        sent = _in_order_host(monkeypatch, ops)
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        assert not ext.masks_on_host
+        rng = np.random.default_rng(8)
+        x = Instance(rng.integers(1, 30, size=10), np.zeros(10, dtype=int))
+        vf = ValueFunction(ext, x, estimator, pool=rng.integers(1, 30, size=(4, 10)))
+        vf.scores(list(range(300)))
+        assert [json.loads(line)["op"] for line in sent] == ["hello"] + ["eval"] * (len(sent) - 1)
+        assert len(sent) > 2
+
+    @pytest.mark.parametrize("m, sizes", [(1, [256, 256, 88]), (3, [85] * 6 + [5]), (32, [8] * 75), (300, [1] * 5)])
+    def test_masked_requests_carry_whole_subsets(self, monkeypatch, m, sizes):
+        sent = _in_order_host(monkeypatch, ["eval", "eval_masked"])
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        assert ext.masks_on_host
+        rng = np.random.default_rng(m)
+        values, fill = rng.integers(0, 300, size=70), rng.integers(0, 300, size=(m, 70))
+        masks = [int.from_bytes(rng.bytes(9), "little") >> 2 for _ in range(sum(sizes))]
+        assert ext.evaluate_masked(values, fill, masks).shape == (len(masks) * m, 2)
+        starts = np.cumsum([0] + sizes)
+        assert sent[1:] == [
+            json.dumps(
+                {"op": "eval_masked", "id": k, "values": values.tolist(), "fill": fill.tolist(),
+                 "masks": [f"{mask:x}" for mask in masks[a:b]]}
+            )
+            for k, (a, b) in enumerate(zip(starts, starts[1:]))
+        ]
+
+    @pytest.mark.parametrize("estimator", ["plugin", "empirical"])
+    def test_masked_value_function_is_bitwise_the_in_process_one(self, tmp_path, estimator):
+        nb, path = _nb_fixture(tmp_path)
+        cmd = f"{sys.executable} -m shapgraph.model_server --model-file {path}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd))
+        try:
+            assert ext.masks_on_host
+            rng = np.random.default_rng(9)
+            x = Instance(rng.integers(1, 30, size=10), np.zeros(10, dtype=int))
+            pool = rng.integers(0, 30, size=(6, 10))
+            local = ValueFunction(nb, x, estimator, pool=pool)
+            remote = ValueFunction(ext, x, estimator, pool=pool)
+            masks = rng.permutation(1 << 10)[:700].tolist()
+            np.testing.assert_array_equal(remote.scores(masks), local.scores(masks))
+            assert remote._rows is None
+            with pytest.raises(ConfigurationError, match="subset mask 0x1000 has bit 12"):
+                remote(1 << 12)
+            assert remote.eval_count == local.eval_count
+        finally:
+            ext.close()
+
+    def test_dropped_connection_resends_unanswered_masked_requests(self, tmp_path):
+        nb, path = _nb_fixture(tmp_path)
+        host = tmp_path / "host.py"
+        host.write_text(_DROPPING_HOST)
+        log = tmp_path / "ids.log"
+        cmd = f"{sys.executable} {host} {path} {tmp_path / 'marker'} {log}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        try:
+            rng = np.random.default_rng(6)
+            values, fill = rng.integers(0, 30, size=10), np.zeros((1, 10), dtype=int)
+            masks = rng.integers(0, 1 << 10, size=700).tolist()
+            expected = nb.evaluate_batch(masked_rows(values, fill, masks))
+            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, masks), expected)
+        finally:
+            ext.close()
+        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert seen == [(1, 0), (1, 1), (0, 3), (0, 4)]
+
+    def test_error_reply_to_a_masked_request_drains_the_one_in_flight(self, tmp_path):
+        nb, _ = _nb_fixture(tmp_path)
+        port = _free_port()
+        thread = threading.Thread(target=serve_tcp, args=(nb, "127.0.0.1", port, 1), daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        ext = external_model(ExternalModelEndpoint("tcp", f"127.0.0.1:{port}", timeout=5))
+        try:
+            channel = ext._channel
+            rng = np.random.default_rng(3)
+            values, fill = rng.integers(1, 30, size=10), np.zeros((1, 10), dtype=int)
+            values[4] = 99  # out of the vocabulary: only subsets that keep feature 4 fail
+            masks = (rng.integers(0, 1 << 10, size=700) & ~(1 << 4)).tolist()
+            bad = masks[:256] + [mask | 1 << 4 for mask in masks[256:512]] + masks[512:]
+            with pytest.raises(EvaluationError, match="token ids must lie in") as exc:
+                ext.evaluate_masked(values, fill, bad)  # request 1 of 3, request 2 in flight
+            assert exc.value.batch_indices == list(range(256, 512))
+            assert ext._channel is channel
+            expected = nb.evaluate_batch(masked_rows(values, fill, masks))
+            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, masks), expected)
+        finally:
+            ext.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_mismatched_reply_id_to_a_masked_request_is_protocol_error(self, tmp_path):
+        host = tmp_path / "host.py"
+        host.write_text(_STRAY_REPLY_HOST)
+        cmd = f"{sys.executable} {host} {tmp_path / 'marker'}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        first = ext._channel
+        try:
+            assert ext.masks_on_host
+            fill = np.zeros((2, 3))
+            with pytest.raises(ProtocolError, match="does not match request 0"):
+                ext.evaluate_masked(np.ones(3), fill, list(range(8)) * 100)
+            assert ext._channel is None and first.proc.wait(timeout=5) is not None
+            out = ext.evaluate_masked(np.ones(3), fill, list(range(8)) * 100)
+            np.testing.assert_array_equal(out, np.log([[0.25, 0.75]] * 1600))
+        finally:
+            ext.close()
+
+    def test_long_wire_lines_are_quoted_in_part(self, monkeypatch):
+        for line in ["[" * 100_000, json.dumps(list(range(30_000)))]:
+            with pytest.raises(ProtocolError, match="malformed wire line") as exc:
+                ExternalModel._parse(line)
+            assert f"... ({len(line)} characters)" in str(exc.value) and len(str(exc.value)) < 300
+
+        class StrayIds(_InOrderChannel):
+            def recv_line(self):
+                reply = json.loads(super().recv_line())
+                if reply["op"] == "eval":
+                    reply["id"] += 1
+                return json.dumps(reply)
+
+        sent = []
+        monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: StrayIds(sent))
+        ext = external_model(ExternalModelEndpoint("subprocess", "unused"))
+        with pytest.raises(ProtocolError, match="does not match request 0") as exc:
+            ext.evaluate_batch(np.zeros((256, 3)))
+        assert "characters)" in str(exc.value) and len(str(exc.value)) < 300
+
     def test_malformed_reply_is_protocol_error(self):
         cmd = f"{sys.executable} -c \"print('not json', flush=True); import time; time.sleep(5)\""
         with pytest.raises(ProtocolError, match="malformed"):
@@ -585,4 +729,32 @@ class TestModelServer:
         assert "JSONDecodeError" in replies[0]["message"]
         assert "instances" in replies[1]["message"]
         assert "token ids" in replies[2]["message"]
-        assert replies[3] == {"op": "hello", "num_classes": 2}
+        assert replies[3] == {"op": "hello", "num_classes": 2, "ops": ["eval", "eval_masked"]}
+
+    def test_bad_masked_requests_get_error_replies_and_serving_continues(self):
+        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=4, vocab_size=15), 15)
+        good = {"op": "eval_masked", "id": 9, "values": [3, 1, 4, 1], "fill": [[0, 0, 0, 0], [2, 7, 1, 8]],
+                "masks": ["0", "f", "5", "A"]}
+        bad = [
+            (dict(good, masks=["1g"]), "hex strings, got '1g'"),
+            (dict(good, masks=[""]), "hex strings"),
+            (dict(good, masks=["-5"]), "hex strings"),
+            (dict(good, masks=[5]), "hex strings, got 5"),
+            (dict(good, masks=["0x5"]), "hex strings, got '0x5'"),
+            (dict(good, masks="f"), "masks must be a list"),
+            (dict(good, masks=["10"]), "subset mask 0x10 has bit 4"),
+            (dict(good, fill=[[0, 0, 0]]), "masked rows need"),
+            (dict(good, fill=[[0, 0, 0, 0], [0, 0]]), "ValueError"),
+            ({k: v for k, v in good.items() if k != "fill"}, "fill"),
+            ({k: v for k, v in good.items() if k != "masks"}, "masks"),
+            (dict(good, values=[99, 0, 0, 0]), "token ids"),
+        ]
+        lines = [json.dumps(request) for request, _ in bad] + [json.dumps(good)]
+        writer = io.StringIO()
+        serve_stream(nb, io.StringIO("\n".join(lines) + "\n"), writer)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert [r["op"] for r in replies] == ["error"] * len(bad) + ["eval"]
+        for reply, (_, message) in zip(replies, bad):
+            assert message in reply["message"]
+        rows = masked_rows(np.array(good["values"]), np.array(good["fill"]), [0, 15, 5, 10])
+        assert replies[-1] == {"op": "eval", "id": 9, "log_probs": nb.evaluate_batch(rows).tolist()}

@@ -15,7 +15,7 @@ from shapgraph import (
 )
 from shapgraph.graphs import member_matrix
 from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
-from shapgraph.valuation import TableGame, additive_game
+from shapgraph.valuation import TableGame, additive_game, masked_rows
 
 
 class OneHotModel:
@@ -54,6 +54,27 @@ class Batched:
     def evaluate_batch(self, values):
         self.calls.append(len(values))
         return self.model.evaluate_batch(values)
+
+
+class MasksOnHost:
+    """``model`` behind the masked entry point, as a wire host that speaks
+    ``eval_masked`` serves it: rows are built on the model's side of the call.
+    Records each call's subset count."""
+
+    masks_on_host = True
+
+    def __init__(self, model, batch_size=256):
+        self.model = model
+        self.num_classes = model.num_classes
+        self.batch_size = batch_size
+        self.calls = []
+
+    def evaluate_batch(self, values):
+        raise AssertionError("a model with masks_on_host gets no rows")
+
+    def evaluate_masked(self, values, fill, masks):
+        self.calls.append(len(masks))
+        return self.model.evaluate_batch(masked_rows(values, fill, masks))
 
 
 def make_instance(d=4):
@@ -458,6 +479,90 @@ class TestBlockedRows:
         with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
             vf.scores([1, 2, 3, 4])
         assert calls == [2, 4, 4]
+
+
+class TestMaskedRows:
+    def test_rows_are_the_subset_kept_over_each_fill_row(self):
+        rng = np.random.default_rng(7)
+        values, fill = rng.integers(1, 50, size=9), rng.integers(0, 50, size=(3, 9))
+        masks = [0, 5, 511, 256, 37]
+        rows = masked_rows(values, fill, masks)
+        keep = member_matrix(masks, 9)
+        expected = np.stack([np.where(k, values, f) for k in keep for f in fill])
+        np.testing.assert_array_equal(rows, expected)
+        assert rows.dtype == np.int64
+        assert masked_rows(values.astype(float), fill, masks).dtype == np.float64
+
+    def test_writes_into_the_buffer_given(self):
+        values, fill = np.arange(1.0, 5.0), np.zeros((2, 4))
+        out = np.full((6, 4), -1.0)
+        got = masked_rows(values, fill, [1, 2], out=out[:4])
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out[:4], [[1, 0, 0, 0]] * 2 + [[0, 2, 0, 0]] * 2)
+        np.testing.assert_array_equal(out[4:], -1.0)
+
+    @pytest.mark.parametrize(
+        "values, fill",
+        [(np.zeros(4), np.zeros((2, 5))), (np.zeros(4), np.zeros(4)), (np.zeros((1, 4)), np.zeros((2, 4)))],
+    )
+    def test_shape_mismatch_is_a_configuration_error(self, values, fill):
+        with pytest.raises(ConfigurationError, match="masked rows need"):
+            masked_rows(values, fill, [1])
+
+    @pytest.mark.parametrize("mask", [1 << 10, 1 << 12, 1 << 70, -1])
+    def test_out_of_range_mask_raises_and_values_nothing(self, mask):
+        model = build_nb()
+        x = Instance(np.arange(1, 11), np.zeros(10, dtype=int))
+        for vf in (ValueFunction(model, x), ValueFunction(MasksOnHost(model), x)):
+            vf.prepare()
+            with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
+                vf(mask)
+            with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
+                vf.scores([3, mask, 5])
+            assert vf.eval_count == 1
+
+
+def build_nb():
+    from shapgraph.cli import build_demo_nb
+
+    return build_demo_nb()
+
+
+class TestMasksOnHost:
+    """A model that builds the masked rows itself gets the same calls'
+    worth of subsets and gives the same bits as the row path."""
+
+    D = 10
+
+    @pytest.mark.parametrize("estimator", ["plugin", "empirical"])
+    @pytest.mark.parametrize("batch_size", [7, 1024])
+    def test_scores_equal_the_row_path(self, estimator, batch_size):
+        model = build_nb()
+        rng = np.random.default_rng(batch_size)
+        x = Instance(rng.integers(1, 200, size=self.D), np.zeros(self.D, dtype=int))
+        kwargs = {}
+        if estimator == "empirical":
+            kwargs = {"pool": rng.integers(1, 200, size=(12, self.D)), "m_samples": 32, "seed": 3}
+        masks = rng.permutation(1 << self.D)[:600].tolist()
+        for mode in ("predicted_class_logprob", "expected_logprob"):
+            rows = ValueFunction(Batched(model, batch_size), x, estimator, mode, **kwargs)
+            host = MasksOnHost(model, batch_size)
+            masked = ValueFunction(host, x, estimator, mode, **kwargs)
+            assert (masked.scores(masks) == rows.scores(masks)).all()
+            # the same blocks of whole subsets
+            m = 32 if estimator == "empirical" else 1
+            assert rows.model.calls == [m * c for c in host.calls]
+            assert masked._rows is None  # no row buffer on this path
+
+    def test_bad_output_is_checked_and_names_the_subsets(self):
+        class ShortReply(MasksOnHost):
+            def evaluate_masked(self, values, fill, masks):
+                return super().evaluate_masked(values, fill, masks)[:-1]
+
+        vf = ValueFunction(ShortReply(UniformModel(2)), make_instance())
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3\)\.\.\.\]: expected log-probs of shape \(1, 2\)"):
+            vf(3)
+        assert vf.eval_count == 0
 
 
 class TestConcurrency:

@@ -4,6 +4,16 @@ permutation-sampled, and graph-restricted (Myerson) estimators.
 All estimators consume a memoized :class:`~shapgraph.valuation.SetFunction`,
 so their reported ``model_evaluations`` is the number of distinct subsets the
 run actually forced, with caching shared across features and methods.
+
+L- and C-Shapley plan their terms before they value anything.  Features
+whose neighbourhoods have the same shape share one term template, and the
+templates of every feature make one :class:`PlanTable`: the plan's distinct
+subsets as packed member rows, the two subset indices, weight and feature of
+each term, and the plan step that first holds each subset.  The tables of
+all-features runs live on the graph next to the templates, so explaining
+many instances on one graph plans once; the game values a table in one
+``value_table`` call, and the scores are one scatter over its terms.  A
+one-feature run values its one template's masks with ``scores`` instead.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ from .graphs import (
     connected_subsets_containing,
     iter_bits,
     k_neighborhood,
+    pack_masks,
 )
-from .valuation import SetFunction
+from .valuation import SetFunction, SubsetTable
 
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_MYERSON_LIMIT = 15
@@ -189,65 +200,98 @@ def _template(i: int, terms: list[tuple[int, float]], lo: int) -> Template:
     return masks, [weight for _, weight in terms]
 
 
-def _marginal_sums(game: SetFunction, plan: Iterable[PlanStep]) -> tuple[np.ndarray, list[int]]:
-    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan,
-    valuing the subsets in full batches.
+@dataclass(eq=False)
+class PlanTable:
+    """The terms of a plan over its distinct subsets.
 
-    Features are taken in plan order; their masks are sent to ``game.scores``
-    once at least ``game.batch_size`` are pending (checked after each
-    feature) and once at the end.  Each feature's sum starts from 0.0 and adds
-    its terms in order.  Returns the scores and, per planned feature, the
-    distinct subsets first valued during its turn.
+    ``subsets`` holds every S and S minus i of the plan once, in the order
+    they first occur; term t is feature ``features[t]`` with weight
+    ``weights[t]`` and the subsets at ``with_i[t]`` and ``without_i[t]``.
+    ``first_turn[r]`` is the plan step that first holds subset r.
     """
-    scores = np.zeros(game.d)
-    per_feature: list[int] = []
-    features: list[int] = []
-    masks: list[int] = []  # S, S minus i, S, S minus i, ...
-    weights: list[float] = []
-    turns: list[int] = []  # mask count after each pending feature's terms
 
-    def flush() -> None:
-        # Charge each feature the subsets that neither the cache nor an
-        # earlier pending feature holds, as if it were valued on its own.
-        # What ``prepare`` values can only be new for a game that has valued
-        # nothing yet, so it falls to the first feature.  The last feature
-        # gets whatever else the batch valued.
-        before = game.eval_count
-        game.prepare()
-        new: set[int] = set()
-        counts = []
-        for start, end in zip([0, *turns], turns[:-1]):
-            seen = len(new)
-            new.update(m for m in masks[start:end] if m not in game)
-            counts.append(len(new) - seen)
-        if counts:
-            counts[0] += game.eval_count - before
-        values = game.scores(masks)
-        counts.append(game.eval_count - before - sum(counts))
-        per_feature.extend(counts)
-        np.add.at(scores, features, np.asarray(weights) * (values[0::2] - values[1::2]))
-        for pending in (features, masks, weights, turns):
-            pending.clear()
-
-    for i, lo, (template_masks, template_weights) in plan:
-        masks += [m << lo for m in template_masks]
-        weights += template_weights
-        features += [i] * len(template_weights)
-        turns.append(len(masks))
-        if len(masks) >= game.batch_size:
-            flush()
-    if turns:
-        flush()
-    return scores, per_feature
+    subsets: SubsetTable
+    with_i: np.ndarray
+    without_i: np.ndarray
+    weights: np.ndarray
+    features: np.ndarray
+    first_turn: np.ndarray
+    turns: int
 
 
-def _weighted_marginals(game: SetFunction, i: int, plan: Iterable[PlanStep]) -> float:
-    return float(_marginal_sums(game, plan)[0][i])
+def _plan_table(steps: list[PlanStep], d: int) -> PlanTable:
+    """The plan table of the plan ``steps`` over d features.
+
+    Each template's masks are packed once per bit offset and placed at
+    their byte shift, so the plan's masks are never Python integers; the
+    distinct rows come from one ``np.unique`` over them.
+    """
+    width = (d + 7) // 8
+    placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
+    sizes = [len(masks) for _, _, (masks, _) in steps]
+    packed = np.zeros((sum(sizes), width), dtype=np.uint8)
+    at = 0
+    for (_, lo, template), size in zip(steps, sizes):
+        byte, bit = divmod(lo, 8)
+        rows = placed.get((id(template), bit))
+        if rows is None:
+            masks = template[0]
+            span = max(masks).bit_length() + bit
+            rows = placed[id(template), bit] = pack_masks([m << bit for m in masks], span)
+        packed[at : at + size, byte : byte + rows.shape[1]] = rows
+        at += size
+    subsets, first, inverse = SubsetTable.distinct(packed, d)
+    return PlanTable(
+        subsets,
+        inverse[0::2].astype(np.int32),
+        inverse[1::2].astype(np.int32),
+        np.array([w for _, _, (_, weights) in steps for w in weights], dtype=np.float64),
+        np.repeat([i for i, _, _ in steps], np.array(sizes) // 2),
+        np.repeat(np.arange(len(steps), dtype=np.int32), sizes)[first],
+        len(steps),
+    )
 
 
-def _all_features(game: SetFunction, method: str, k: int, plan: Iterable[PlanStep]) -> AttributionResult:
+def _table(method: str, g: FeatureGraph, k: int, weighting: str | None, budget: int) -> PlanTable:
+    """The plan table of every feature, kept on the graph next to the
+    templates and keyed as they are."""
+    key = (method, k, weighting, budget)
+    table = g._tables.get(key)
+    if table is None:
+        table = g._tables[key] = _plan_table(list(_plan(method, g, range(g.d), k, weighting, budget)), g.d)
+    return table
+
+
+def _marginal_sums(game: SetFunction, table: PlanTable) -> tuple[np.ndarray, list[int]]:
+    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan
+    table, with all of its subsets valued in one ``value_table`` call.
+
+    Each feature's sum starts from 0.0 and adds its terms in order.  Returns
+    the scores and, per plan step, the distinct subsets first valued during
+    its turn; what ``prepare`` values falls to the first step.
+    """
     before = game.eval_count
-    scores, per_feature = _marginal_sums(game, plan)
+    values, new = game.value_table(table.subsets)
+    per_feature = np.bincount(table.first_turn[new], minlength=table.turns)
+    per_feature[0] += game.eval_count - before - int(new.sum())
+    scores = np.zeros(game.d)
+    np.add.at(scores, table.features, table.weights * (values[table.with_i] - values[table.without_i]))
+    return scores, per_feature.tolist()
+
+
+def _one_feature(game: SetFunction, method: str, g: FeatureGraph, i: int, k: int, weighting: str | None, budget: int) -> float:
+    """The weighted marginals of feature i, valued by ``scores`` and summed
+    from 0.0 in term order, as an all-features run sums them."""
+    ((_, lo, (masks, weights)),) = _plan(method, g, [i], k, weighting, budget)
+    values = game.scores([m << lo for m in masks])
+    total = np.zeros(1)
+    np.add.at(total, np.zeros(len(weights), dtype=np.intp), np.asarray(weights) * (values[0::2] - values[1::2]))
+    return float(total[0])
+
+
+def _all_features(game: SetFunction, method: str, k: int, table: PlanTable) -> AttributionResult:
+    before = game.eval_count
+    scores, per_feature = _marginal_sums(game, table)
     return AttributionResult(
         method=method,
         scores=scores,
@@ -270,7 +314,7 @@ def l_shapley(
     containing i, with neighborhood-restricted Shapley coefficients.  For k at
     least the graph diameter this is the exact Shapley value.
     """
-    return _weighted_marginals(game, i, _plan("l_shapley", g, [i], k, None, budget))
+    return _one_feature(game, "l_shapley", g, i, k, None, budget)
 
 
 def l_shapley_all(
@@ -281,7 +325,7 @@ def l_shapley_all(
 ) -> AttributionResult:
     """Local Shapley estimates for every feature, sharing one evaluation cache
     and filling the model batch across features."""
-    return _all_features(game, "l_shapley", k, _plan("l_shapley", g, range(g.d), k, None, budget))
+    return _all_features(game, "l_shapley", k, _table("l_shapley", g, k, None, budget))
 
 
 def connected_subset_weight(size: int, boundary: int) -> float:
@@ -345,7 +389,7 @@ def c_shapley(
     Sums weighted marginal contributions over the connected subsets of the
     k-neighborhood that contain i.
     """
-    return _weighted_marginals(game, i, _plan("c_shapley", g, [i], k, weighting, budget))
+    return _one_feature(game, "c_shapley", g, i, k, weighting, budget)
 
 
 def c_shapley_all(
@@ -357,8 +401,7 @@ def c_shapley_all(
 ) -> AttributionResult:
     """Connected-subset estimates for every feature, sharing one cache and
     filling the model batch across features."""
-    plan = _plan("c_shapley", g, range(g.d), k, weighting, budget)
-    return _all_features(game, "c_shapley", k, plan)
+    return _all_features(game, "c_shapley", k, _table("c_shapley", g, k, weighting, budget))
 
 
 def sample_shapley(

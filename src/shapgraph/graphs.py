@@ -5,6 +5,8 @@ bitmasks: bit ``j`` set means feature ``j`` is in the subset.  This keeps
 memo keys cheap and enumeration allocation-free; :func:`subset_of` and
 :func:`members_of` convert to and from index collections, and
 :func:`member_matrix` turns a batch of masks into boolean membership rows.
+Batches of subsets also travel as packed member rows, one little-endian
+mask of ``ceil(d / 8)`` bytes per row (:func:`pack_masks`).
 """
 
 from __future__ import annotations
@@ -43,11 +45,18 @@ def members_of(mask: int) -> tuple[int, ...]:
 def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
     """Boolean ``(len(masks), d)`` matrix; row r is True at the members of masks[r].
 
-    Masks are Python or numpy integers and may be wider than 64 bits.  Each is
-    serialized little-endian, so bit j of a mask lands in column j after one
-    batched unpack.  A negative mask, or one with a bit at d or above, raises
-    ``ConfigurationError`` (see :func:`check_masks`).
+    Masks are Python or numpy integers and may be wider than 64 bits.  A
+    negative mask, or one with a bit at d or above, raises
+    ``ConfigurationError`` (see :func:`pack_masks`).
     """
+    return unpack_rows(pack_masks(masks, d), d)
+
+
+def pack_masks(masks: Sequence[int], d: int) -> np.ndarray:
+    """The masks as packed member rows: a ``(len(masks), ceil(d / 8))`` uint8
+    array whose row r is masks[r] little-endian, so bit j of a mask is bit
+    ``j % 8`` of byte ``j // 8``.  A negative mask, or one with a bit at d or
+    above, raises ``ConfigurationError`` (see :func:`check_masks`)."""
     width = (d + 7) // 8
     try:
         packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
@@ -55,10 +64,21 @@ def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
         check_masks(masks, d)
         raise
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
-    # the bits of the last byte above d; the unpack would drop them unseen
+    # the bits of the last byte above d; an unpack would drop them unseen
     if d & 7 and rows.size and (rows[:, -1] >> (d & 7)).any():
         check_masks(masks, d)
+    return rows
+
+
+def unpack_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """Boolean ``(n, d)`` membership matrix of n packed member rows."""
     return np.unpackbits(rows, axis=1, count=d, bitorder="little").view(bool)
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The integer masks of packed member rows."""
+    data, width = rows.tobytes(), rows.shape[1]
+    return [int.from_bytes(data[at : at + width], "little") for at in range(0, len(data), width)]
 
 
 def check_masks(masks: Sequence[int], d: int) -> None:
@@ -80,7 +100,8 @@ class FeatureGraph:
     grid graphs remember nothing beyond their shape, general graphs carry an
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
     ``_templates`` holds the estimators' term templates, one per
-    neighbourhood shape, for as long as the graph lives (see
+    neighbourhood shape, and ``_tables`` their plan tables, one per method,
+    order, weighting and budget, for as long as the graph lives (see
     :mod:`shapgraph.attribution`).
     """
 
@@ -91,6 +112,7 @@ class FeatureGraph:
     cols: int | None = None
     adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.num_nodes

@@ -555,24 +555,27 @@ class ExternalModel:
 
         return self._exchange(-(-values.shape[0] // WIRE_BATCH_LIMIT), request)
 
-    def evaluate_masked(self, values: np.ndarray, fill: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    def evaluate_masked(self, values: np.ndarray, fill: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Log-probs of the rows :func:`~shapgraph.valuation.masked_rows`
         builds, row ``r * m + j`` for mask r and fill row j, with the rows
         built by the host: each ``eval_masked`` request carries the instance,
         the (m, d) fill and ``max(1, 256 // m)`` whole subsets as hex masks.
-        Only a host that listed ``eval_masked`` in its ``hello`` reply, as
-        ``masks_on_host`` says, can answer it.  The ``batch_indices`` of an
-        ``EvaluationError`` are positions in ``masks``.
+        The subsets come as packed member rows (see
+        :func:`~shapgraph.graphs.pack_masks`).  Only a host that listed
+        ``eval_masked`` in its ``hello`` reply, as ``masks_on_host`` says, can
+        answer it.  The ``batch_indices`` of an ``EvaluationError`` are
+        positions in ``rows``.
         """
         fill = _wire_values(fill)
         m = fill.shape[0]
         values = _rows_text(_wire_values(np.asarray(values)[None, :]))
         head = f'"values": {values}, "fill": [{_rows_text(fill)}], "masks": '
         per_request = max(1, WIRE_BATCH_LIMIT // m)
+        masks = _rows_hex(rows)
 
         def request(k: int) -> _Request:
             indices = range(k * per_request, min((k + 1) * per_request, len(masks)))
-            texts = '", "'.join([f"{masks[r]:x}" for r in indices])
+            texts = '", "'.join(masks[indices.start : indices.stop])
             return _Request("eval_masked", indices, len(indices) * m, f'{head}["{texts}"]')
 
         return self._exchange(-(-len(masks) // per_request), request)
@@ -662,6 +665,14 @@ class ExternalModel:
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 _int_texts = np.array([], dtype=object)  # str(j) at j, grown on demand
+
+
+def _rows_hex(rows: np.ndarray) -> list[str]:
+    """The masks of packed member rows as the wire's hex texts, ``f"{mask:x}"``
+    of each."""
+    digits = 2 * rows.shape[1]
+    text = rows[:, ::-1].tobytes().hex()
+    return [text[at : at + digits].lstrip("0") or "0" for at in range(0, len(text), digits)]
 
 
 def _rows_text(block: np.ndarray) -> str:

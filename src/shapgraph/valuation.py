@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .graphs import check_masks, member_matrix, members_of
+from .graphs import member_matrix, members_of, pack_masks, row_masks, unpack_rows
 
 LOG_PROB_FLOOR = 1e-12
 DEFAULT_BATCH_SIZE = 256
@@ -40,20 +40,22 @@ class ModelContract(Protocol):
 
     A model may also declare ``batch_size``, the number of rows it would
     rather get per call.  A :class:`ValueFunction` then sends blocks of as
-    many whole subsets as fit in that many rows (at least one), and the
-    all-features estimators collect that many subset masks before they value
-    them.  Models without it get ``DEFAULT_BATCH_SIZE`` (256);
+    many whole subsets as fit in that many rows (at least one); the blocks
+    of one ``scores`` or ``value_table`` call run on over all the subsets it
+    values, so an all-features estimator fills every block but its last.
+    Models without it get ``DEFAULT_BATCH_SIZE`` (256);
     :class:`~shapgraph.models.ExternalModel` declares four wire requests'
     worth, so that it can keep two in flight.
 
     A model whose ``masks_on_host`` is true builds the masked rows itself:
     :class:`ValueFunction` then calls ``evaluate_masked(values, fill,
-    masks)`` in place of ``evaluate_batch``, with the instance's (d,)
-    values, the (m, d) fill rows and a block of subset masks, and expects
-    the log-probs of the ``len(masks) * m`` rows :func:`masked_rows` builds,
-    in its order, checked as ``evaluate_batch``'s are.  ``ExternalModel``
-    sets it when its host lists ``eval_masked`` in the ``hello`` reply; any
-    other model gets rows.  Masks out of range for d features raise
+    rows)`` in place of ``evaluate_batch``, with the instance's (d,)
+    values, the (m, d) fill rows and a block of subsets as packed member
+    rows (see :func:`~shapgraph.graphs.pack_masks`), and expects the
+    log-probs of the ``len(rows) * m`` rows :func:`masked_rows` builds, in
+    its order, checked as ``evaluate_batch``'s are.
+    ``ExternalModel`` sets it when its host lists ``eval_masked`` in the
+    ``hello`` reply; any other model gets rows.  Masks out of range for d features raise
     ``ConfigurationError`` before any model call, on either path.
     """
 
@@ -88,56 +90,174 @@ def plugin_masked_instance(x: Instance, s: int) -> Instance:
     return Instance(masked_rows(x.values, x.reference[None, :], [s])[0], x.reference)
 
 
+class SubsetTable:
+    """Distinct subsets as packed member rows (see :func:`~shapgraph.graphs.pack_masks`),
+    in the order of their first occurrence in the rows they were built from.
+
+    ``sorter`` orders the rows by their bytes, so that :meth:`find` looks
+    rows up by binary search.  :meth:`SetFunction.value_table` values a table
+    in one call.
+    """
+
+    def __init__(self, rows: np.ndarray, sorter: np.ndarray, d: int):
+        self.rows = rows
+        self.sorter = sorter
+        self.d = d
+
+    @classmethod
+    def distinct(cls, packed: np.ndarray, d: int) -> tuple["SubsetTable", np.ndarray, np.ndarray]:
+        """The table of the distinct rows of ``packed``, subsets of d
+        features; the position in ``packed`` where each first occurs; and
+        the table row of each row of ``packed``."""
+        _, first, inverse = np.unique(_byte_keys(packed), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the sorted position of each table row
+        sorter = np.empty_like(order)  # the table row of each sorted position
+        sorter[order] = np.arange(len(order))
+        first = first[order]
+        return cls(packed[first], sorter, d), first, sorter[inverse]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the packed ``rows`` are in the table: the table positions
+        of those that are, and a boolean mask over ``rows`` saying which."""
+        if not len(self) or not len(rows):
+            return np.empty(0, dtype=np.intp), np.zeros(len(rows), dtype=bool)
+        mine, theirs = _byte_keys(self.rows), _byte_keys(rows)
+        at = self.sorter[np.minimum(np.searchsorted(mine, theirs, sorter=self.sorter), len(self) - 1)]
+        hit = mine[at] == theirs
+        return at[hit], hit
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per packed row, compared and sorted by its bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
 class SetFunction:
     """Memoized real-valued function of feature subsets.
 
     Subclasses implement ``_evaluate_many``, which values distinct subsets
-    not valued before, and may implement ``_prepare``; callers use
-    ``__call__`` or the batched ``scores``.  ``eval_count`` is the number of
-    distinct subsets ever evaluated, which repeated queries never increase.
-    """
+    not valued before, and may implement ``_evaluate_packed`` (the same for
+    packed member rows) and ``_prepare``.  Callers use ``__call__`` or the
+    batched ``scores`` for masks, and ``value_table`` for a
+    :class:`SubsetTable`.  ``eval_count`` is the number of distinct subsets
+    ever evaluated, which repeated queries never increase.
 
-    # subset masks the all-features estimators collect before they value them
-    batch_size = DEFAULT_BATCH_SIZE
+    Every value is kept once, next to its subset's packed member row, in
+    array stores, and ``value_table`` looks its tables up there.  A dict keyed
+    by mask mirrors the stores for ``scores``; what ``value_table`` valued
+    enters it only when a read by mask needs it.
+    """
 
     def __init__(self, d: int):
         self.d = d
-        self._cache: dict[int, float] = {}
+        self._stores: list[tuple[np.ndarray, np.ndarray]] = []  # (packed rows, values)
+        self._count = 0  # rows in the stores
+        self._cache: dict[int, float] = {}  # the first _settled rows of the stores, by mask
+        self._settled = 0
         self._lock = threading.Lock()
 
     def _evaluate_many(self, masks: list[int]) -> list[float]:
         raise NotImplementedError
 
+    def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
+        """Values of the distinct subsets of packed member ``rows``."""
+        return np.asarray(self._evaluate_many(row_masks(rows)), dtype=np.float64)
+
     @property
     def eval_count(self) -> int:
-        return len(self._cache)
+        return self._count
 
     def prepare(self) -> None:
         """Value whatever every other subset's value depends on; the first
-        ``scores`` call that values anything does this too.  Plain set
-        functions depend on nothing."""
+        ``scores`` or ``value_table`` call that values anything does this
+        too.  Plain set functions depend on nothing."""
         with self._lock:
             self._prepare()
 
     def _prepare(self) -> None:
         """``prepare`` under the lock."""
 
+    def _keep(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Store the values of newly valued subsets, under the lock.  A
+        strided view, such as one class's column of log-probs, is copied so
+        that it does not keep its whole base array alive."""
+        self._stores.append((rows, np.ascontiguousarray(values)))
+        self._count += len(rows)
+
+    def _settle(self) -> None:
+        """Mirror every stored value into the dict, under the lock."""
+        at = 0
+        for rows, values in self._stores:
+            skip = max(self._settled - at, 0)
+            at += len(rows)
+            if skip < len(rows):
+                self._cache.update(zip(row_masks(rows[skip:]), values[skip:].tolist()))
+        self._settled = at
+
     def __contains__(self, mask: int) -> bool:
         """Whether the subset has been valued already."""
-        return mask in self._cache
+        with self._lock:
+            if mask in self._cache:
+                return True
+            if self._settled == self._count or not 0 <= int(mask) < 1 << self.d:
+                return False
+            probe = SubsetTable(pack_masks([mask], self.d), np.zeros(1, dtype=np.intp), self.d)
+            return any(probe.find(rows)[1].any() for rows, _ in self._stores)
 
     def __call__(self, mask: int) -> float:
         return float(self.scores([mask])[0])
 
     def scores(self, masks: Sequence[int]) -> np.ndarray:
+        """Values of the subsets ``masks``, valuing those not valued before
+        in one call.  A mask out of range for d features raises
+        ``ConfigurationError`` before anything is valued."""
         with self._lock:
-            cache = self._cache
-            if not cache and len(masks):
+            if not self._count and len(masks):
                 self._prepare()
+            if self._settled < self._count:
+                self._settle()
+            cache = self._cache
             missing = [m for m in dict.fromkeys(masks) if m not in cache]
             if missing:
-                cache.update(zip(missing, map(float, self._evaluate_many(missing))))
+                rows = pack_masks(missing, self.d)
+                values = self._evaluate_packed(rows)
+                self._keep(rows, values)
+                cache.update(zip(missing, values.tolist()))
+                self._settled = self._count
             return np.fromiter(map(cache.__getitem__, masks), np.float64, len(masks))
+
+    def value_table(self, table: SubsetTable) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the table's subsets, in its row order, and a boolean mask
+        of those this call valued.
+
+        ``prepare`` runs first, so what it values counts as valued before.
+        The stores, merged into one, are looked up in the table by binary
+        search over its sorted rows; the rest of its subsets are valued in
+        one call, in table order, and stored without entering the dict.
+        """
+        if table.d != self.d:
+            raise ConfigurationError(f"a table of subsets of {table.d} features, valued by a set function of {self.d}")
+        with self._lock:
+            if len(table):
+                self._prepare()
+            if len(self._stores) > 1:
+                self._stores = [tuple(np.concatenate(parts) for parts in zip(*self._stores))]
+            values = np.empty(len(table))
+            new = np.ones(len(table), dtype=bool)
+            for rows, known in self._stores:
+                at, hit = table.find(rows)
+                values[at] = known[hit]
+                new[at] = False
+            missing = np.flatnonzero(new)
+            if len(missing):
+                rows = table.rows if len(missing) == len(table) else table.rows[missing]
+                values[missing] = fresh = self._evaluate_packed(rows)
+                self._keep(rows, fresh)
+            return values, new
 
 
 class ValueFunction(SetFunction):
@@ -206,18 +326,19 @@ class ValueFunction(SetFunction):
     def predicted_class(self) -> int:
         return int(np.argmax(self.base_probs()))
 
-    def _conditional_probs(self, masks: list[int]) -> np.ndarray:
-        """Estimated class probabilities for each subset, one row per mask.
+    def _conditional_probs(self, rows: np.ndarray) -> np.ndarray:
+        """Estimated class probabilities for each subset, one row per packed
+        member row of ``rows``.
 
         Each subset makes one model row per fill row (see
         :func:`masked_rows`), and its estimate is the mean over them.  Rows
         are scored one block of whole subsets at a time: ``batch_size // m``
         of them, and at least one.  A model whose ``masks_on_host`` is true
-        gets each block as the instance, the fill and the subset masks, and
-        builds the rows itself.  For any other model every block is written
-        into one buffer kept for the next: a fresh array per block, far
-        larger than ``_kernels.CHUNK_BYTES``, would be mapped and faulted in
-        anew each time.
+        gets each block as the instance, the fill and the block's packed
+        rows, and builds the model rows itself.  For any other model every block
+        is written into one buffer kept for the next: a fresh array per
+        block, far larger than ``_kernels.CHUNK_BYTES``, would be mapped and
+        faulted in anew each time.
         """
         values, fill = self.instance.values, self._fill
         m, d = fill.shape
@@ -225,41 +346,42 @@ class ValueFunction(SetFunction):
         on_host = getattr(self.model, "masks_on_host", False)
         if self._rows is None and not on_host:
             self._rows = np.empty((step * m, d), dtype=np.result_type(values, fill))
-        probs = np.empty((len(masks), self.model.num_classes))
-        for start in range(0, len(masks), step):
-            block = masks[start : start + step]
+        probs = np.empty((len(rows), self.model.num_classes))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
             n = len(block) * m
             if on_host:
-                check_masks(block, d)
                 block_probs = self._run_block(block, n, self.model.evaluate_masked, values, fill, block)
             else:
-                rows = masked_rows(values, fill, block, out=self._rows[:n])
-                block_probs = self._run_block(block, n, self.model.evaluate_batch, rows)
+                out = _fill_rows(values, fill, unpack_rows(block, d), self._rows[:n])
+                block_probs = self._run_block(block, n, self.model.evaluate_batch, out)
             np.add.reduce(block_probs.reshape(len(block), m, -1), axis=1, out=probs[start : start + len(block)])
         probs /= m  # a sum over the samples divided by m is bitwise their mean
         return probs
 
-    def _run_block(self, masks: list[int], n: int, evaluate, *args) -> np.ndarray:
-        """Class probabilities for the ``n`` rows of one block, from
+    def _run_block(self, rows: np.ndarray, n: int, evaluate, *args) -> np.ndarray:
+        """Class probabilities for the ``n`` model rows of one block, from
         ``evaluate(*args)`` and checked by :func:`checked_probs`; a failure
-        names the subsets ``masks`` the block was built from."""
+        names the subsets of the packed member ``rows`` the block was built
+        from."""
         try:
             return checked_probs(evaluate(*args), n, self.model.num_classes)[1]
         except Exception as exc:
-            raise _evaluation_error(masks, exc) from exc
+            subsets = ", ".join(str(tuple(np.flatnonzero(keep).tolist())) for keep in unpack_rows(rows[:4], self.d))
+            raise EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {exc}") from exc
 
     def _prepare(self) -> None:
         # The score of any subset needs the model's distribution at the full
         # instance (argmax class or expectation weights), so it is evaluated
         # first and cached like any other subset.
         if self._base_probs is None:
-            full = self.full_mask
-            probs = self._conditional_probs([full])
+            rows = pack_masks([self.full_mask], self.d)
+            probs = self._conditional_probs(rows)
             self._base_probs = probs[0] / probs[0].sum()
-            self._cache[full] = float(self._score_from_probs(probs)[0])
+            self._keep(rows, self._score_from_probs(probs))
 
-    def _evaluate_many(self, masks: list[int]) -> list[float]:
-        return self._score_from_probs(self._conditional_probs(masks)).tolist()
+    def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
+        return self._score_from_probs(self._conditional_probs(rows))
 
     def _score_from_probs(self, probs: np.ndarray) -> np.ndarray:
         """Scores of an (n, num_classes) array of class probabilities, one per row."""
@@ -268,11 +390,6 @@ class ValueFunction(SetFunction):
         if self.mode == "predicted_class_logprob":
             return logp[:, int(np.argmax(base))]
         return np.where(base > 0, base * logp, 0.0).sum(axis=1)
-
-
-def _evaluation_error(masks: list[int], cause) -> EvaluationError:
-    subsets = ", ".join(str(members_of(m)) for m in masks[:4])
-    return EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {cause}")
 
 
 def masked_rows(values: np.ndarray, fill: np.ndarray, masks: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
@@ -291,8 +408,14 @@ def masked_rows(values: np.ndarray, fill: np.ndarray, masks: Sequence[int], out:
     m, d = fill.shape
     if out is None:
         out = np.empty((len(masks) * m, d), dtype=np.result_type(values, fill))
-    out.reshape(len(masks), m, d)[:] = fill
-    np.copyto(out, values, where=np.repeat(member_matrix(masks, d), m, axis=0))
+    return _fill_rows(values, fill, member_matrix(masks, d), out)
+
+
+def _fill_rows(values: np.ndarray, fill: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`masked_rows` of the subsets whose (n, d) membership is ``keep``."""
+    m, d = fill.shape
+    out.reshape(len(keep), m, d)[:] = fill
+    np.copyto(out, values, where=np.repeat(keep, m, axis=0))
     return out
 
 

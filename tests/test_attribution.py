@@ -231,7 +231,7 @@ class TestBatchedPlan:
     @pytest.mark.parametrize("all_fn,terms_fn", [(l_shapley_all, l_shapley_terms), (c_shapley_all, c_shapley_terms)])
     def test_flush_at_the_model_batch_size(self, all_fn, terms_fn):
         # a model that declares a batch size gets blocks of that many rows;
-        # the flushes grow with it and leave every output as it was
+        # the blocks grow with it and leave every output as it was
         class WideModel:
             batch_size = 1024
 
@@ -258,6 +258,31 @@ class TestBatchedPlan:
         terms = sum(len(terms_fn(g, i, k)) for i in range(d))
         # the unmasked instance is one call of its own
         assert wide.calls <= -(-2 * terms // 1024) + 1 < narrow.calls
+
+    @pytest.mark.parametrize("all_fn,terms_fn", [(l_shapley_all, l_shapley_terms), (c_shapley_all, c_shapley_terms)])
+    def test_over_budget_raises_before_any_model_call(self, all_fn, terms_fn):
+        # a chain of 40 whose last node also holds 12 leaves: only that hub's
+        # neighbourhood is over the budget, and the features before it ask
+        # for more subsets than a model batch holds
+        d, k, budget = 52, 1, 1000
+        g = general_graph(d, [(j, j + 1) for j in range(39)] + [(39, 40 + j) for j in range(12)])
+        assert sum(2 * len(terms_fn(g, i, k)) for i in range(39)) > DEFAULT_BATCH_SIZE
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+                self.num_classes = inner.num_classes
+                self.calls = 0
+
+            def evaluate_batch(self, values):
+                self.calls += 1
+                return self.inner.evaluate_batch(values)
+
+        model = Recording(build_demo_nb())
+        vf = ValueFunction(model, Instance(two_topic_corpus(3, 1, doc_len=d)[0][0], np.zeros(d, dtype=int)))
+        with pytest.raises(BudgetExceededError, match="node 39"):
+            all_fn(vf, g, k, budget=budget)
+        assert model.calls == 0 and vf.eval_count == 0
 
     def test_warm_cache_charges_only_new_subsets(self):
         g = chain_graph(30)

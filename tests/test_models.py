@@ -19,6 +19,7 @@ from shapgraph import (
     k_neighborhood,
 )
 from shapgraph._kernels import chunk_rows
+from shapgraph.graphs import pack_masks
 from shapgraph.models import (
     PADDING_TOKEN,
     ExternalModel,
@@ -580,7 +581,7 @@ class TestExternalModel:
         rng = np.random.default_rng(m)
         values, fill = rng.integers(0, 300, size=70), rng.integers(0, 300, size=(m, 70))
         masks = [int.from_bytes(rng.bytes(9), "little") >> 2 for _ in range(sum(sizes))]
-        assert ext.evaluate_masked(values, fill, masks).shape == (len(masks) * m, 2)
+        assert ext.evaluate_masked(values, fill, pack_masks(masks, 70)).shape == (len(masks) * m, 2)
         starts = np.cumsum([0] + sizes)
         assert sent[1:] == [
             json.dumps(
@@ -623,7 +624,7 @@ class TestExternalModel:
             values, fill = rng.integers(0, 30, size=10), np.zeros((1, 10), dtype=int)
             masks = rng.integers(0, 1 << 10, size=700).tolist()
             expected = nb.evaluate_batch(masked_rows(values, fill, masks))
-            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, masks), expected)
+            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, pack_masks(masks, 10)), expected)
         finally:
             ext.close()
         seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
@@ -644,11 +645,11 @@ class TestExternalModel:
             masks = (rng.integers(0, 1 << 10, size=700) & ~(1 << 4)).tolist()
             bad = masks[:256] + [mask | 1 << 4 for mask in masks[256:512]] + masks[512:]
             with pytest.raises(EvaluationError, match="token ids must lie in") as exc:
-                ext.evaluate_masked(values, fill, bad)  # request 1 of 3, request 2 in flight
+                ext.evaluate_masked(values, fill, pack_masks(bad, 10))  # request 1 of 3, request 2 in flight
             assert exc.value.batch_indices == list(range(256, 512))
             assert ext._channel is channel
             expected = nb.evaluate_batch(masked_rows(values, fill, masks))
-            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, masks), expected)
+            np.testing.assert_array_equal(ext.evaluate_masked(values, fill, pack_masks(masks, 10)), expected)
         finally:
             ext.close()
         thread.join(timeout=5)
@@ -664,9 +665,9 @@ class TestExternalModel:
             assert ext.masks_on_host
             fill = np.zeros((2, 3))
             with pytest.raises(ProtocolError, match="does not match request 0"):
-                ext.evaluate_masked(np.ones(3), fill, list(range(8)) * 100)
+                ext.evaluate_masked(np.ones(3), fill, pack_masks(list(range(8)) * 100, 3))
             assert ext._channel is None and first.proc.wait(timeout=5) is not None
-            out = ext.evaluate_masked(np.ones(3), fill, list(range(8)) * 100)
+            out = ext.evaluate_masked(np.ones(3), fill, pack_masks(list(range(8)) * 100, 3))
             np.testing.assert_array_equal(out, np.log([[0.25, 0.75]] * 1600))
         finally:
             ext.close()

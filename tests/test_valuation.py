@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from shapgraph import (
     l_shapley_all,
     synthetic_game,
 )
-from shapgraph.graphs import member_matrix
+from shapgraph.graphs import member_matrix, pack_masks, row_masks
 from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
-from shapgraph.valuation import TableGame, additive_game, masked_rows
+from shapgraph.valuation import FunctionGame, SubsetTable, TableGame, additive_game, masked_rows
 
 
 class OneHotModel:
@@ -72,9 +74,14 @@ class MasksOnHost:
     def evaluate_batch(self, values):
         raise AssertionError("a model with masks_on_host gets no rows")
 
-    def evaluate_masked(self, values, fill, masks):
-        self.calls.append(len(masks))
-        return self.model.evaluate_batch(masked_rows(values, fill, masks))
+    def evaluate_masked(self, values, fill, rows):
+        self.calls.append(len(rows))
+        return self.model.evaluate_batch(masked_rows(values, fill, row_masks(rows)))
+
+
+def _table(masks, d):
+    """The subset table of ``masks``."""
+    return SubsetTable.distinct(pack_masks(masks, d), d)[0]
 
 
 def make_instance(d=4):
@@ -116,7 +123,7 @@ def empirical_probs(x, s, model, pool, m_samples, seed):
     """Class probabilities of the empirical estimator given the features of
     ``x`` in the subset ``s``."""
     vf = ValueFunction(model, x, estimator="empirical", pool=pool, m_samples=m_samples, seed=seed)
-    return vf._conditional_probs([s])[0]
+    return vf._conditional_probs(pack_masks([s], x.d))[0]
 
 
 class TestEmpiricalConditional:
@@ -479,6 +486,12 @@ class TestBlockedRows:
         with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
             vf.scores([1, 2, 3, 4])
         assert calls == [2, 4, 4]
+        # a table's blocks are named from its packed rows
+        calls.clear()
+        vf = ValueFunction(FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2)
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
+            vf.value_table(_table([1, 2, 3, 4, 1], 4))
+        assert calls == [2, 4, 4] and vf.eval_count == 1
 
 
 class TestMaskedRows:
@@ -564,6 +577,65 @@ class TestMasksOnHost:
             vf(3)
         assert vf.eval_count == 0
 
+        class ShortAfterFirst(MasksOnHost):
+            def evaluate_masked(self, values, fill, masks):
+                log_probs = super().evaluate_masked(values, fill, masks)
+                return log_probs if len(self.calls) == 1 else log_probs[:-1]
+
+        # a table's blocks are named from its packed rows, past the first byte too
+        host = ShortAfterFirst(UniformModel(2), batch_size=2)
+        vf = ValueFunction(host, make_instance(12))
+        table = _table([0b1000_0000_0001, 0b10_0001_0000, 5, 6], 12)
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 11\), \(4, 9\)\.\.\.\]: expected log-probs of shape \(2, 2\)"):
+            vf.value_table(table)
+        assert host.calls == [1, 2] and vf.eval_count == 1
+
+
+class TestSubsetTable:
+    def test_distinct_rows_in_first_occurrence_order(self):
+        masks = [6, 1 << 9, 6, 0, 1 << 9, 3, 0]
+        table, first, inverse = SubsetTable.distinct(pack_masks(masks, 10), 10)
+        assert row_masks(table.rows) == [6, 1 << 9, 0, 3]
+        assert first.tolist() == [0, 1, 3, 5]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 2]
+        keys = [bytes(row) for row in table.rows[table.sorter]]
+        assert keys == sorted(keys)
+        at, hit = table.find(pack_masks([3, 7, 6, 1 << 9], 10))
+        assert at.tolist() == [3, 0, 1] and hit.tolist() == [True, False, True, True]
+
+    def test_value_table_finds_every_store_and_values_the_rest_once(self):
+        game = synthetic_game(10, seed=4)
+        calls = []
+        evaluate = game._evaluate_many
+        game._evaluate_many = lambda masks: calls.append(list(masks)) or evaluate(masks)
+        game.scores([3, 5])
+        values, new = game.value_table(_table([5, 7, 3, 9, 7], 10))
+        assert values.tolist() == game.table[[5, 7, 3, 9]].tolist()
+        assert new.tolist() == [False, True, False, True] and game.eval_count == 4
+        values, new = game.value_table(_table([9, 11, 3, 12, 13, 14], 10))  # 9 from a table, 3 from scores
+        assert values.tolist() == game.table[[9, 11, 3, 12, 13, 14]].tolist()
+        assert new.tolist() == [False, True, False, True, True, True]
+        assert calls == [[3, 5], [7, 9], [11, 12, 13, 14]] and game.eval_count == 8
+        values, new = game.value_table(_table([7, 12, 15], 10))
+        assert values.tolist() == game.table[[7, 12, 15]].tolist() and new.tolist() == [False, False, True]
+        assert calls[3:] == [[15]] and game.eval_count == 9
+        # a membership test searches the tables' rows and leaves the dict as it was
+        assert 7 in game and 15 in game and 8 not in game and 1 << 10 not in game and -1 not in game
+        assert sorted(game._cache) == [3, 5] and game.eval_count == 9
+        assert game.scores([11, 7, 9, 15]).tolist() == game.table[[11, 7, 9, 15]].tolist()
+        assert len(calls) == 4 and game.eval_count == 9
+
+    @pytest.mark.parametrize("mask", [1 << 3, 1 << 40, -1])
+    def test_plain_set_function_refuses_masks_out_of_range(self, mask):
+        game = FunctionGame(3, float)
+        with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
+            game.scores([2, mask])
+        assert game.eval_count == 0 and mask not in game
+
+    def test_table_of_other_features_is_refused(self):
+        with pytest.raises(ConfigurationError, match="subsets of 12 features"):
+            synthetic_game(10, seed=4).value_table(_table([1, 2], 12))
+
 
 class TestConcurrency:
     def test_concurrent_queries_consistent_and_counted_once(self):
@@ -587,6 +659,30 @@ class TestConcurrency:
             expected = [sequential[(offset + i) % 16] for i in range(16)]
             np.testing.assert_array_equal(got, expected)
         assert vf.eval_count == 16
+
+    def test_count_holds_while_another_thread_reads_by_mask(self):
+        import threading
+
+        # a read by mask moves the values of several tables into the dict;
+        # the count seen meanwhile is the number of distinct subsets throughout
+        d = 14
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                game = synthetic_game(d, seed=2)
+                for j in range(d):  # each table larger than all before it
+                    game.value_table(_table(range((1 << j) - 1, (2 << j) - 1), d))
+                reader = threading.Thread(target=game.scores, args=([0],))
+                seen = set()
+                reader.start()
+                while reader.is_alive():
+                    seen.add(game.eval_count)
+                reader.join(timeout=30)
+                assert not reader.is_alive()
+                assert seen <= {(1 << d) - 1} and len(game._cache) == (1 << d) - 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMarginalContribution:

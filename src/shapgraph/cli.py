@@ -182,6 +182,8 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_theorem_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     records = []
     all_hold = True
     for trial in range(args.trials):

@@ -161,26 +161,6 @@ class FeatureGraph:
             grow |= self.adjacency[j]
         return grow & ~mask
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "d": self.num_nodes}
-        if self.kind == "grid":
-            out["rows"] = self.rows
-            out["cols"] = self.cols
-        if self.kind == "general":
-            out["edges"] = [list(e) for e in self.edges]
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "FeatureGraph":
-        kind = data["kind"]
-        if kind == "chain":
-            return chain_graph(data["d"])
-        if kind == "grid":
-            return grid_graph(data["rows"], data["cols"])
-        if kind == "general":
-            return general_graph(data["d"], [tuple(e) for e in data["edges"]])
-        raise ValueError(f"unknown graph kind {kind!r}")
-
 
 def chain_graph(d: int) -> FeatureGraph:
     """Line graph on d nodes with edges (i, i+1)."""
@@ -244,7 +224,6 @@ def connected_subsets_in(
     g: FeatureGraph,
     i: int,
     universe: int,
-    max_size: int | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[int]:
     """All connected subsets containing i inside an arbitrary node universe.
@@ -258,9 +237,6 @@ def connected_subsets_in(
     """
     if not (universe >> i) & 1:
         raise ValueError(f"node {i} is not inside the given universe")
-    cap = max_size if max_size is not None else bin(universe).count("1")
-    if cap < 1:
-        raise ValueError(f"max_size must be positive, got {cap}")
     out: list[int] = []
 
     def extend(sub: int, candidates: list[int], banned: int) -> None:
@@ -271,8 +247,6 @@ def connected_subsets_in(
                 count=budget,
             )
         out.append(sub)
-        if bin(sub).count("1") >= cap:
-            return
         for pos, w in enumerate(candidates):
             fresh = g.adjacency[w] & universe & ~banned
             nxt = candidates[pos + 1 :] + list(iter_bits(fresh))
@@ -288,14 +262,13 @@ def connected_subsets_containing(
     g: FeatureGraph,
     i: int,
     k: int,
-    max_size: int | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[int]:
     """All connected subsets U with i in U, U inside the k-neighborhood of i.
 
     See :func:`connected_subsets_in` for ordering and budget semantics.
     """
-    return connected_subsets_in(g, i, k_neighborhood(g, i, k), max_size, budget)
+    return connected_subsets_in(g, i, k_neighborhood(g, i, k), budget)
 
 
 def connected_components(g: FeatureGraph, s: int) -> list[int]:

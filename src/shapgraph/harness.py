@@ -179,8 +179,13 @@ def log_odds_curve(
     """
     if not dataset:
         raise ConfigurationError("dataset is empty")
-    if correct_only and labels is None:
-        raise ConfigurationError("correct_only needs labels")
+    if correct_only:
+        for idx in range(len(dataset)):
+            label = labels[idx] if labels is not None and idx < len(labels) else None
+            if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+                raise ConfigurationError(
+                    f"correct_only needs an integer label on every instance; instance {idx} has {label!r}"
+                )
     fr = _validate_fractions(fractions)
     totals = np.zeros(len(fr))
     used_instances = 0

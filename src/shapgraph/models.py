@@ -28,8 +28,6 @@ from .theory import DiscreteJoint
 WIRE_VERSION = 1
 WIRE_BATCH_LIMIT = 256
 PADDING_TOKEN = 0
-# integer features below this are encoded by table lookup, see _rows_text
-INT_TEXT_LIMIT = 1 << 16
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -402,13 +400,14 @@ class _LineChannel:
                 except BlockingIOError:
                     pass
 
-    def recv_line(self) -> str:
+    def recv_line(self) -> bytes:
+        """The next line the host wrote, without its newline, undecoded."""
         deadline = time.monotonic() + self.timeout
         while (end := self._buf.find(b"\n", self._scanned)) < 0:
             self._scanned = len(self._buf)
             self._wait(deadline, write=False)
             self._receive()
-        line = self._buf[:end].decode()
+        line = bytes(self._buf[:end])
         del self._buf[: end + 1]
         self._scanned = 0
         return line
@@ -466,10 +465,17 @@ class ExternalModel:
     asks value functions for blocks of several requests, which is what lets
     the two overlap.
 
-    Transient transport failures (timeouts, closed pipes, refused
-    connections) are retried up to three times with exponential backoff on a
-    fresh connection, resending every unanswered request under a fresh id;
-    protocol violations are not retried.
+    One retry policy covers the whole connection.  A transport failure
+    (refused connection, timeout, closed pipe) while connecting, during the
+    handshake or mid-exchange closes the channel, and the next attempt opens
+    a fresh one, handshakes and resends every unanswered request under a
+    fresh id.  After the n-th failure in a row without a reply the client
+    sleeps ``BACKOFF * 2**(n-1)``; the ``MAX_ATTEMPTS``-th then raises
+    ``EvaluationError``.  Bytes or fields that break the protocol (a line
+    that is not UTF-8 JSON of an object, a mismatched id or shape, a
+    ``hello`` without a positive integer ``num_classes``) raise
+    ``ProtocolError`` at once and close the channel, stopping a spawned
+    host; the next call reconnects.
     """
 
     MAX_ATTEMPTS = 3
@@ -483,7 +489,7 @@ class ExternalModel:
         self._next_id = 0
         self.num_classes = endpoint.num_classes or 0
         self.masks_on_host = False  # whether the host speaks eval_masked, from its hello
-        self._connect_with_retry([])  # num_classes is known after the handshake
+        self._exchange(0, None)  # connects; num_classes is known after the handshake
 
     def _open_channel(self) -> _LineChannel:
         address, timeout = self.endpoint.address, self.endpoint.timeout
@@ -498,51 +504,33 @@ class ExternalModel:
         sock = socket.create_connection((host, int(port)), timeout=timeout)
         return _LineChannel(sock.fileno(), sock.fileno(), timeout, sock.close)
 
-    def _handshake(self, channel) -> int:
-        channel.send(json.dumps({"op": "hello", "version": WIRE_VERSION}))
-        line = channel.recv_line()
+    def _handshake(self) -> None:
+        self._channel.send(json.dumps({"op": "hello", "version": WIRE_VERSION}))
+        line = self._channel.recv_line()
         reply = self._parse(line)
-        if reply.get("op") != "hello" or "num_classes" not in reply:
+        served = reply.get("num_classes")
+        if reply.get("op") != "hello" or type(served) is not int or served < 1:
             raise ProtocolError(f"bad handshake reply: {_excerpt(line)}")
-        served = int(reply["num_classes"])
         if self.endpoint.num_classes is not None and served != self.endpoint.num_classes:
             raise ProtocolError(
                 f"endpoint declared {self.endpoint.num_classes} classes "
                 f"but host serves {served}"
             )
         ops = reply.get("ops")
+        self.num_classes = served
         self.masks_on_host = isinstance(ops, list) and "eval_masked" in ops
-        return served
 
     @staticmethod
-    def _parse(line: str) -> dict:
+    def _parse(line: bytes) -> dict:
+        """The JSON object one line from the host holds; a line that is not
+        UTF-8 JSON of an object is a ``ProtocolError``."""
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            obj = json.loads(line.decode())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError; too deep a nest recurses
             raise ProtocolError(f"malformed wire line: {_excerpt(line)}") from exc
         if not isinstance(obj, dict):
             raise ProtocolError(f"malformed wire line: {_excerpt(line)}")
         return obj
-
-    def _connect_with_retry(self, batch_indices: list[int]) -> None:
-        last = None
-        for attempt in range(self.MAX_ATTEMPTS):
-            try:
-                channel = self._open_channel()
-                try:
-                    self.num_classes = self._handshake(channel)
-                except BaseException:
-                    channel.close()  # a failed handshake must not leave the host running
-                    raise
-                self._channel = channel
-                return
-            except OSError as exc:  # timeouts and refused or closed connections alike
-                last = exc
-                time.sleep(self.BACKOFF * (2**attempt))
-        raise EvaluationError(
-            f"could not reach external model after {self.MAX_ATTEMPTS} attempts: {last}",
-            batch_indices=batch_indices,
-        )
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         values = _wire_values(values)
@@ -580,20 +568,27 @@ class ExternalModel:
 
         return self._exchange(-(-len(masks) // per_request), request)
 
-    def _exchange(self, count: int, request: Callable[[int], _Request]) -> np.ndarray:
+    def _exchange(self, count: int, request: Callable[[int], _Request] | None) -> np.ndarray:
         """Send the requests ``request(0), ..., request(count - 1)``, up to
         ``IN_FLIGHT`` at a time, and return their replies' log-probs stacked
         in request order.  Each request is built just before it is first sent
-        and kept until it is answered, for a resend."""
+        and kept until it is answered, for a resend.
+
+        This is the one retry loop of the class docstring: without a channel
+        it connects, handshakes and resends what is in flight, so with
+        ``count=0`` it only connects.
+        """
         replies: list[np.ndarray] = []
         in_flight: deque[_Request] = deque()  # sent and unanswered, oldest first
-        failures = 0
-        while len(replies) < count:
+        failures = 0  # transport failures since the last reply
+        while self._channel is None or len(replies) < count:
             try:
                 if self._channel is None:
-                    self._connect_with_retry([i for r in in_flight for i in r.indices])
+                    self._channel = self._open_channel()
+                    self._handshake()
                     for pending in in_flight:
                         self._send(pending)
+                    continue
                 while len(in_flight) < self.IN_FLIGHT and len(replies) + len(in_flight) < count:
                     in_flight.append(request(len(replies) + len(in_flight)))
                     self._send(in_flight[-1])
@@ -604,15 +599,15 @@ class ExternalModel:
                 # starts over on a fresh connection
                 self.close()
                 raise
-            except OSError as exc:
+            except OSError as exc:  # timeouts and refused or closed connections alike
                 self.close()
                 failures += 1
+                time.sleep(self.BACKOFF * (2 ** (failures - 1)))
                 if failures == self.MAX_ATTEMPTS:
                     raise EvaluationError(
-                        f"external model evaluation failed after {self.MAX_ATTEMPTS} attempts: {exc}",
+                        f"external model failed after {self.MAX_ATTEMPTS} attempts: {exc}",
                         batch_indices=[i for r in in_flight for i in r.indices],
                     ) from exc
-                time.sleep(self.BACKOFF * (2 ** (failures - 1)))
         return np.concatenate(replies) if replies else np.empty((0, self.num_classes))
 
     def _send(self, request: _Request) -> None:
@@ -664,7 +659,6 @@ class ExternalModel:
 
 
 _encode = json.JSONEncoder(allow_nan=False).encode
-_int_texts = np.array([], dtype=object)  # str(j) at j, grown on demand
 
 
 def _rows_hex(rows: np.ndarray) -> list[str]:
@@ -677,24 +671,9 @@ def _rows_hex(rows: np.ndarray) -> list[str]:
 
 def _rows_text(block: np.ndarray) -> str:
     """The JSON text of a block's rows, without the outer brackets: the
-    bytes of ``json.dumps(block.tolist())[1:-1]``.
-
-    Integers in [0, INT_TEXT_LIMIT) are looked up in a table of their texts,
-    about four times faster than ``json`` formats them; other blocks are
-    formatted one row at a time, so a block's Python numbers are never all
-    held at once.
-    """
-    global _int_texts
-    if block.dtype.kind not in "iu" or not block.size or block.min() < 0 or block.max() >= INT_TEXT_LIMIT:
-        return ", ".join([_encode(row.tolist()) for row in block])
-    top = int(block.max())
-    if top >= len(_int_texts):
-        _int_texts = np.array([str(j) for j in range(max(2 * top, 256))], dtype=object)
-    step = chunk_rows(8 * block.shape[1])  # a text reference per feature
-    rows = []
-    for a in range(0, block.shape[0], step):
-        rows += ["[" + ", ".join(row) + "]" for row in _int_texts[block[a : a + step]].tolist()]
-    return ", ".join(rows)
+    bytes of ``json.dumps(block.tolist())[1:-1]``, formatted one row at a
+    time, so a block's Python numbers are never all held at once."""
+    return ", ".join([_encode(row.tolist()) for row in block])
 
 
 def _wire_values(values: np.ndarray) -> np.ndarray:
@@ -728,7 +707,7 @@ class _Request:
         self.id = -1
 
 
-def _excerpt(line: str) -> str:
+def _excerpt(line: bytes) -> str:
     """A wire line as an error quotes it: at most its first 200 characters."""
     if len(line) <= 200:
         return repr(line)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +33,14 @@ def shapley_kernel_weight(d: int, subset_size: int) -> float:
     return math.exp(math.log(d - 1) - log_binom - math.log(n) - math.log(d - n))
 
 
-@dataclass
-class WLSReport:
-    """Solution of a weighted least-squares fit plus conditioning details."""
-
-    coefficients: np.ndarray
-    ridge_used: float
-    null_space_dim: int
-
-
 def solve_weighted(
     matrix: np.ndarray,
     responses: np.ndarray,
     weights: np.ndarray,
     ridge: float | None = None,
-) -> WLSReport:
-    """Solve min sum_r w_r (F_r - x_r beta)^2 via the weighted normal equations.
+) -> np.ndarray:
+    """The coefficients beta minimizing sum_r w_r (F_r - x_r beta)^2, from the
+    weighted normal equations.
 
     When the normal matrix is rank deficient, a ridge of
     ``1e-10 * trace / ncols`` is added (or the caller's explicit positive
@@ -62,7 +53,6 @@ def solve_weighted(
     normal = matrix.T @ (weights[:, None] * matrix)
     target = matrix.T @ (weights * responses)
     null_dim = matrix.shape[1] - int(np.linalg.matrix_rank(normal))
-    ridge_used = 0.0
     if null_dim > 0:
         if ridge is not None and ridge == 0.0:
             raise SingularSystemError(
@@ -70,10 +60,9 @@ def solve_weighted(
                 "and ridge regularization is disabled",
                 null_space_dim=null_dim,
             )
-        ridge_used = ridge if ridge is not None else 1e-10 * np.trace(normal) / matrix.shape[1]
-        normal = normal + ridge_used * np.eye(matrix.shape[1])
-    coef = np.linalg.solve(normal, target)
-    return WLSReport(coef, ridge_used, null_dim)
+        ridge = ridge if ridge is not None else 1e-10 * np.trace(normal) / matrix.shape[1]
+        normal = normal + ridge * np.eye(matrix.shape[1])
+    return np.linalg.solve(normal, target)
 
 
 def _constrained_fit(
@@ -88,10 +77,10 @@ def _constrained_fit(
     h = responses - matrix[:, -1] * total
     if matrix.shape[1] == 1:
         return np.array([total])
-    report = solve_weighted(z, h, weights, ridge)
+    coef = solve_weighted(z, h, weights, ridge)
     beta = np.empty(matrix.shape[1])
-    beta[:-1] = report.coefficients
-    beta[-1] = total - report.coefficients.sum()
+    beta[:-1] = coef
+    beta[-1] = total - coef.sum()
     return beta
 
 
@@ -112,7 +101,7 @@ def _fit_rows(
     if constrained:
         total = game((1 << d) - 1) - v_empty
         return _constrained_fit(matrix, responses, weights, total, ridge)
-    return solve_weighted(matrix, responses, weights, ridge).coefficients
+    return solve_weighted(matrix, responses, weights, ridge)
 
 
 def _stratified_sizes(d: int, num_samples: int) -> list[int]:

@@ -102,12 +102,11 @@ def components_oracle(d, edges, members):
     return out
 
 
-def connected_subsets_oracle(d, edges, i, neighborhood, max_size=None):
+def connected_subsets_oracle(d, edges, i, neighborhood):
     """Filter every subset of the neighborhood for the enumeration contract."""
     nb = sorted(neighborhood)
-    cap = max_size if max_size is not None else len(nb)
     found = []
-    for r in range(1, cap + 1):
+    for r in range(1, len(nb) + 1):
         for combo in itertools.combinations(nb, r):
             if i in combo and is_connected_subset(d, edges, combo):
                 found.append(sum(1 << j for j in combo))

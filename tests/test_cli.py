@@ -155,6 +155,28 @@ class TestEvaluate:
         assert len(lines) == 1 + 2 * 3
         assert "evals[l-shapley]" in proc.stdout
 
+    @pytest.mark.parametrize("labels, named", [
+        ([0, None, 1, None], "instance 1 has None"),  # None: no label field
+        ([0, 1, "1", 1], "instance 2 has '1'"),
+        ([0, 1, 1, 1.0], "instance 3 has 1.0"),
+        ([True, 1, 1, 1], "instance 0 has True"),
+    ])
+    def test_correct_only_refuses_a_row_without_an_integer_label(self, tmp_path, dataset_file, capsys, labels, named):
+        from shapgraph import cli
+
+        dataset = tmp_path / "labels.jsonl"
+        rows = [json.loads(line) for line in dataset_file.read_text().splitlines()]
+        assert len(rows) == len(labels)
+        for row, label in zip(rows, labels):
+            del row["label"]
+            if label is not None:
+                row["label"] = label
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["evaluate", "--dataset", str(dataset), "--methods", "random", "--budget", "48", "--correct-only"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 class TestLemmaCheck:
     def test_small_sweep_passes(self):
@@ -339,6 +361,8 @@ class TestBadInputExitsTwo:
         "k-negative-bench": ["bench", "--method", "c-shapley", "--d", "8", "--k", "-1"],
         "k-negative-theorem": ["theorem-check", "--trials", "1", "--k", "-1"],
         "theorem-d20": ["theorem-check", "--trials", "1", "--d", "20"],
+        "theorem-no-trials": ["theorem-check", "--trials", "0"],
+        "theorem-negative-trials": ["theorem-check", "--trials", "-3"],
         "bench-d0": ["bench", "--method", "exact", "--d", "0"],
         "fractions-not-numbers": ["evaluate", "--dataset", "{one}", "--methods", "random", "--budget", "48",
                                   "--fractions", "0,x"],

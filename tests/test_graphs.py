@@ -6,7 +6,6 @@ import pytest
 from shapgraph import (
     BudgetExceededError,
     ConfigurationError,
-    FeatureGraph,
     chain_graph,
     connected_components,
     connected_subsets_containing,
@@ -184,7 +183,7 @@ class TestNeighborhood:
 
 class TestConnectedSubsets:
     def test_chain_example(self):
-        got = connected_subsets_containing(chain_graph(5), 2, 1, max_size=3)
+        got = connected_subsets_containing(chain_graph(5), 2, 1)
         expected = [subset_of(s) for s in [(2,), (1, 2), (2, 3), (1, 2, 3)]]
         assert sorted(got) == sorted(expected)
         assert len(got) == 4
@@ -242,10 +241,6 @@ class TestConnectedSubsets:
         assert disconnected not in subsets
         assert connected in subsets
 
-    def test_max_size_cap(self):
-        got = connected_subsets_containing(chain_graph(9), 4, 3, max_size=2)
-        assert max(bin(m).count("1") for m in got) == 2
-
     def test_budget_error_names_count(self):
         with pytest.raises(BudgetExceededError) as err:
             connected_subsets_containing(grid_graph(4, 4), 5, 3, budget=10)
@@ -285,20 +280,3 @@ class TestConnectedComponents:
             expect = components_oracle(g.d, g.edges, members_of(s))
             assert sorted(frozenset(members_of(p)) for p in pieces) == sorted(expect)
 
-
-class TestSerialization:
-    def test_round_trip_all_kinds(self):
-        for g in (chain_graph(6), grid_graph(2, 3), general_graph(3, [(0, 1), (1, 2)])):
-            data = g.to_json()
-            back = FeatureGraph.from_json(data)
-            assert back.num_nodes == g.num_nodes
-            assert set(back.edges) == set(g.edges)
-            assert back.kind == g.kind
-
-    def test_chain_json_shape(self):
-        data = chain_graph(4).to_json()
-        assert data == {"kind": "chain", "d": 4}
-
-    def test_grid_json_shape(self):
-        data = grid_graph(2, 3).to_json()
-        assert data == {"kind": "grid", "d": 6, "rows": 2, "cols": 3}

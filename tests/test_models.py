@@ -233,8 +233,9 @@ def _record_channels(monkeypatch):
 
 class _InOrderChannel:
     """A fake host channel: records every line sent and answers the requests
-    in the order they were sent, as a host does.  Its hello lists ``ops``
-    unless that is None."""
+    in the order they were sent, as a host does, in bytes as
+    ``_LineChannel.recv_line`` returns them.  Its hello lists ``ops`` unless
+    that is None."""
 
     def __init__(self, sent, ops=None):
         self.sent = sent
@@ -251,12 +252,12 @@ class _InOrderChannel:
             hello = {"op": "hello", "num_classes": 2}
             if self.ops is not None:
                 hello["ops"] = self.ops
-            return json.dumps(hello)
+            return json.dumps(hello).encode()
         if request["op"] == "eval":
             n = len(request["instances"])
         else:
             n = len(request["masks"]) * len(request["fill"])
-        return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[np.log(0.5)] * 2] * n})
+        return json.dumps({"op": "eval", "id": request["id"], "log_probs": [[np.log(0.5)] * 2] * n}).encode()
 
     def close(self):
         pass
@@ -326,6 +327,54 @@ def requests():
 
 
 serve_stream(model, requests(), sys.stdout)
+"""
+
+
+_ONE_SHOT_HOST = """
+import json, os, sys
+
+marker = sys.argv[1]
+if os.path.exists(marker):
+    sys.exit(0)  # a relaunched host dies before its hello
+open(marker, "w").close()
+for line in sys.stdin:
+    if json.loads(line)["op"] != "hello":
+        sys.exit(1)  # the first host dies on its first eval
+    print(json.dumps({"op": "hello", "num_classes": 2}), flush=True)
+"""
+
+
+_BAD_BYTE_HOST = """
+import json, math, os, sys
+
+marker, encoding = sys.argv[1:]
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["op"] == "hello":
+        reply = {"op": "hello", "num_classes": 2}
+    elif request["op"] == "eval":
+        n = len(request["instances"])
+        reply = {"op": "eval", "id": request["id"], "log_probs": [[math.log(0.25), math.log(0.75)]] * n}
+    else:
+        break
+    text = json.dumps(reply).encode()
+    if reply["op"] == "eval" and not os.path.exists(marker):
+        open(marker, "w").close()
+        if encoding == "utf-16":  # valid JSON text, but not in UTF-8
+            text = json.dumps(reply).encode("utf-16")
+        else:
+            text = text.replace(b'"eval"', b'"ev\\xffal"')
+    sys.stdout.buffer.write(text + b"\\n")
+    sys.stdout.flush()
+"""
+
+
+_HELLO_HOST = """
+import sys, time
+
+sys.stdin.readline()
+print(sys.argv[1], flush=True)
+time.sleep(30)
 """
 
 
@@ -675,7 +724,7 @@ class TestExternalModel:
     def test_long_wire_lines_are_quoted_in_part(self, monkeypatch):
         for line in ["[" * 100_000, json.dumps(list(range(30_000)))]:
             with pytest.raises(ProtocolError, match="malformed wire line") as exc:
-                ExternalModel._parse(line)
+                ExternalModel._parse(line.encode())
             assert f"... ({len(line)} characters)" in str(exc.value) and len(str(exc.value)) < 300
 
         class StrayIds(_InOrderChannel):
@@ -683,7 +732,7 @@ class TestExternalModel:
                 reply = json.loads(super().recv_line())
                 if reply["op"] == "eval":
                     reply["id"] += 1
-                return json.dumps(reply)
+                return json.dumps(reply).encode()
 
         sent = []
         monkeypatch.setattr(ExternalModel, "_open_channel", lambda self: StrayIds(sent))
@@ -696,6 +745,46 @@ class TestExternalModel:
         cmd = f"{sys.executable} -c \"print('not json', flush=True); import time; time.sleep(5)\""
         with pytest.raises(ProtocolError, match="malformed"):
             external_model(ExternalModelEndpoint("subprocess", cmd, timeout=2.0))
+
+    def test_host_that_cannot_be_relaunched_gets_one_channel_per_attempt(self, tmp_path, monkeypatch):
+        channels = _record_channels(monkeypatch)
+        host = tmp_path / "host.py"
+        host.write_text(_ONE_SHOT_HOST)
+        cmd = f"{sys.executable} {host} {tmp_path / 'marker'}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        with pytest.raises(EvaluationError, match="3 attempts") as exc:
+            ext.evaluate_batch(np.zeros((2, 3)))
+        assert exc.value.batch_indices == [0, 1]
+        # the failed eval and two failed relaunches count toward one limit:
+        # three channels in all, none left running
+        assert len(channels) == 3
+        assert all(c.proc.poll() is not None for c in channels)
+
+    @pytest.mark.parametrize("encoding", ["0xff", "utf-16"])
+    def test_reply_that_is_not_utf8_is_protocol_error_and_reconnects(self, tmp_path, encoding):
+        host = tmp_path / "host.py"
+        host.write_text(_BAD_BYTE_HOST)
+        cmd = f"{sys.executable} {host} {tmp_path / 'marker'} {encoding}"
+        ext = external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        first = ext._channel
+        try:
+            with pytest.raises(ProtocolError, match="malformed wire line"):
+                ext.evaluate_batch(np.zeros((2, 3)))
+            assert ext._channel is None and first.proc.wait(timeout=5) is not None
+            out = ext.evaluate_batch(np.zeros((2, 3)))
+            np.testing.assert_array_equal(out, np.log([[0.25, 0.75]] * 2))
+        finally:
+            ext.close()
+
+    @pytest.mark.parametrize("served", ['"abc"', "0", "2.5", "true"])
+    def test_hello_without_a_positive_integer_class_count_is_protocol_error(self, tmp_path, monkeypatch, served):
+        channels = _record_channels(monkeypatch)
+        host = tmp_path / "host.py"
+        host.write_text(_HELLO_HOST)
+        cmd = f"""{sys.executable} {host} '{{"op": "hello", "num_classes": {served}}}'"""
+        with pytest.raises(ProtocolError, match="bad handshake reply"):
+            external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
+        assert len(channels) == 1 and channels[0].proc.poll() is not None
 
     def test_host_error_message_reaches_the_caller(self, tmp_path):
         _, path = _nb_fixture(tmp_path)

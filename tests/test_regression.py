@@ -60,12 +60,12 @@ class TestWeightedLeastSquares:
         responses = matrix @ coeffs
         weights = rng.uniform(0.1, 3.0, size=30)
         np.testing.assert_array_equal(member_matrix(rows, d).astype(np.float64), matrix)
-        report = solve_weighted(matrix, responses, weights)
-        np.testing.assert_allclose(report.coefficients, coeffs, atol=1e-9)
+        coefficients = solve_weighted(matrix, responses, weights)
+        np.testing.assert_allclose(coefficients, coeffs, atol=1e-9)
 
     def test_single_row_single_feature(self):
-        report = solve_weighted(np.ones((1, 1)), np.array([2.5]), np.array([1.0]))
-        assert report.coefficients[0] == pytest.approx(2.5, abs=1e-9)
+        coefficients = solve_weighted(np.ones((1, 1)), np.array([2.5]), np.array([1.0]))
+        assert coefficients[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_random_system_matches_lstsq_oracle(self):
         rng = np.random.default_rng(1)
@@ -73,17 +73,17 @@ class TestWeightedLeastSquares:
         matrix = np.array([[(m >> j) & 1 for j in range(4)] for m in rows], dtype=float)
         responses = rng.normal(size=10)
         weights = rng.uniform(0.5, 2.0, size=10)
-        report = solve_weighted(matrix, responses, weights)
+        coefficients = solve_weighted(matrix, responses, weights)
         oracle = wls_lstsq_oracle(matrix, responses, weights)
-        np.testing.assert_allclose(report.coefficients, oracle, atol=1e-8)
+        np.testing.assert_allclose(coefficients, oracle, atol=1e-8)
 
     def test_residual_orthogonal_to_columns(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(20, 6))
         responses = rng.normal(size=20)
         weights = rng.uniform(0.1, 1.0, size=20)
-        report = solve_weighted(matrix, responses, weights)
-        residual = responses - matrix @ report.coefficients
+        coefficients = solve_weighted(matrix, responses, weights)
+        residual = responses - matrix @ coefficients
         gram = matrix.T @ (weights * residual)
         assert np.abs(gram).max() < 1e-8
 
@@ -95,10 +95,13 @@ class TestWeightedLeastSquares:
 
     def test_singular_defaults_to_tiny_ridge(self):
         matrix = member_matrix([subset_of([0]), subset_of([0, 1])], 3).astype(np.float64)
-        report = solve_weighted(matrix, np.array([1.0, 3.0]), np.ones(2))
-        assert report.ridge_used > 0
-        assert report.null_space_dim == 1
-        assert report.coefficients[0] == pytest.approx(1.0, abs=1e-6)
+        responses, weights = np.array([1.0, 3.0]), np.ones(2)
+        coefficients = solve_weighted(matrix, responses, weights)
+        # the ridge added is 1e-10 * trace / ncols, and it pins the one null
+        # direction, feature 2, at 0
+        tiny = 1e-10 * np.trace(matrix.T @ matrix) / 3
+        np.testing.assert_array_equal(coefficients, solve_weighted(matrix, responses, weights, ridge=tiny))
+        np.testing.assert_allclose(coefficients, [1.0, 2.0, 0.0], atol=1e-6)
 
     def test_empty_design_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,13 +13,16 @@ each term, and the plan step that first holds each subset.  The tables of
 all-features runs live on the graph next to the templates, so explaining
 many instances on one graph plans once; the game values a table in one
 ``value_table`` call, and the scores are one scatter over its terms.  A
-one-feature run values its one template's masks with ``scores`` instead.
+one-feature run values its one template's masks with ``scores``, a
+``value_table`` call too, which finds them in the game's one value store.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,7 +105,7 @@ def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> Attrib
             f"(limit {limit}); use l_shapley / c_shapley / sample_shapley instead"
         )
     before = game.eval_count
-    values = game.scores(range(1 << d))
+    values = game.scores(np.arange(1 << d))
     phi = _kernels.shapley_scatter(values, d, exact_shapley_weights(d))
     return AttributionResult(
         method="exact",
@@ -420,16 +423,13 @@ def sample_shapley(
     before = game.eval_count
     rng = np.random.default_rng(seed)
     perms = [rng.permutation(d) for _ in range(num_permutations)]
+    prefixes = []
+    for perm in perms:  # the empty set, then each longer prefix
+        prefixes += accumulate((1 << j for j in perm.tolist()), or_, initial=0)
+    marginals = np.diff(game.scores(prefixes).reshape(num_permutations, d + 1))
     totals = np.zeros(d)
-    for perm in perms:
-        prefixes = [0]
-        mask = 0
-        for j in perm:
-            mask |= 1 << int(j)
-            prefixes.append(mask)
-        vals = game.scores(prefixes)
-        for pos, j in enumerate(perm):
-            totals[int(j)] += vals[pos + 1] - vals[pos]
+    for perm, row in zip(perms, marginals):
+        totals[perm] += row
     return AttributionResult(
         method="sample_shapley",
         scores=totals / num_permutations,
@@ -459,7 +459,7 @@ def myerson_value(
     comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
     connected = np.unique(comp[1:])
     baseline = game(0)
-    vals = game.scores([int(c) for c in connected])
+    vals = game.scores(connected)
     raw = np.zeros(1 << d)
     raw[connected] = vals - baseline
     table = _kernels.component_sum_table(comp, raw)

@@ -2,11 +2,11 @@
 
 Feature subsets are represented throughout the package as Python integer
 bitmasks: bit ``j`` set means feature ``j`` is in the subset.  This keeps
-memo keys cheap and enumeration allocation-free; :func:`subset_of` and
-:func:`members_of` convert to and from index collections, and
-:func:`member_matrix` turns a batch of masks into boolean membership rows.
-Batches of subsets also travel as packed member rows, one little-endian
-mask of ``ceil(d / 8)`` bytes per row (:func:`pack_masks`).
+enumeration allocation-free; :func:`subset_of` and :func:`members_of`
+convert to and from index collections, and :func:`member_matrix` turns a
+batch of masks into boolean membership rows.  Batches of subsets also travel
+as packed member rows, one little-endian mask of ``ceil(d / 8)`` bytes per
+row (:func:`pack_masks`), and are valued and kept as such.
 """
 
 from __future__ import annotations
@@ -52,12 +52,17 @@ def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
     return unpack_rows(pack_masks(masks, d), d)
 
 
-def pack_masks(masks: Sequence[int], d: int) -> np.ndarray:
+def pack_masks(masks: Sequence[int] | np.ndarray, d: int) -> np.ndarray:
     """The masks as packed member rows: a ``(len(masks), ceil(d / 8))`` uint8
     array whose row r is masks[r] little-endian, so bit j of a mask is bit
-    ``j % 8`` of byte ``j // 8``.  A negative mask, or one with a bit at d or
+    ``j % 8`` of byte ``j // 8``.  ``masks`` are Python or numpy integers, or
+    for d <= 64 an integer ndarray, whose rows are its entries' little-endian
+    bytes after one range check.  A negative mask, or one with a bit at d or
     above, raises ``ConfigurationError`` (see :func:`check_masks`)."""
     width = (d + 7) // 8
+    if isinstance(masks, np.ndarray) and masks.dtype.kind in "iu" and d <= 64:
+        check_masks(masks, d)
+        return np.ascontiguousarray(masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width])
     try:
         packed = b"".join(map(int.to_bytes, map(int, masks), repeat(width), repeat("little")))
     except OverflowError:  # negative, or wider than the whole bytes
@@ -84,7 +89,7 @@ def row_masks(rows: np.ndarray) -> list[int]:
 def check_masks(masks: Sequence[int], d: int) -> None:
     """Raise ``ConfigurationError`` naming the first mask that is negative or
     has a bit at ``d`` or above, if any: no subset of d features is that."""
-    if not len(masks) or (min(masks) >= 0 and not int(max(masks)) >> d):
+    if not len(masks) or (np.min(masks) >= 0 and not int(np.max(masks)) >> d):
         return
     for mask in map(int, masks):
         if mask < 0 or mask >> d:

@@ -469,13 +469,13 @@ class ExternalModel:
     (refused connection, timeout, closed pipe) while connecting, during the
     handshake or mid-exchange closes the channel, and the next attempt opens
     a fresh one, handshakes and resends every unanswered request under a
-    fresh id.  After the n-th failure in a row without a reply the client
-    sleeps ``BACKOFF * 2**(n-1)``; the ``MAX_ATTEMPTS``-th then raises
-    ``EvaluationError``.  Bytes or fields that break the protocol (a line
-    that is not UTF-8 JSON of an object, a mismatched id or shape, a
-    ``hello`` without a positive integer ``num_classes``) raise
-    ``ProtocolError`` at once and close the channel, stopping a spawned
-    host; the next call reconnects.
+    fresh id.  The client sleeps only between attempts: after the n-th
+    failure in a row without a reply it sleeps ``BACKOFF * 2**(n-1)``, and
+    the ``MAX_ATTEMPTS``-th raises ``EvaluationError`` at once.  Bytes or
+    fields that break the protocol (a line that is not UTF-8 JSON of an
+    object, a mismatched id or shape, a ``hello`` without a positive integer
+    ``num_classes``) raise ``ProtocolError`` at once and close the channel,
+    stopping a spawned host; the next call reconnects.
     """
 
     MAX_ATTEMPTS = 3
@@ -602,12 +602,12 @@ class ExternalModel:
             except OSError as exc:  # timeouts and refused or closed connections alike
                 self.close()
                 failures += 1
-                time.sleep(self.BACKOFF * (2 ** (failures - 1)))
                 if failures == self.MAX_ATTEMPTS:
                     raise EvaluationError(
                         f"external model failed after {self.MAX_ATTEMPTS} attempts: {exc}",
                         batch_indices=[i for r in in_flight for i in r.indices],
                     ) from exc
+                time.sleep(self.BACKOFF * (2 ** (failures - 1)))
         return np.concatenate(replies) if replies else np.empty((0, self.num_classes))
 
     def _send(self, request: _Request) -> None:

@@ -41,8 +41,8 @@ class ModelContract(Protocol):
     A model may also declare ``batch_size``, the number of rows it would
     rather get per call.  A :class:`ValueFunction` then sends blocks of as
     many whole subsets as fit in that many rows (at least one); the blocks
-    of one ``scores`` or ``value_table`` call run on over all the subsets it
-    values, so an all-features estimator fills every block but its last.
+    of one ``value_table`` call, which is what ``scores`` makes, run on over
+    all the subsets it values, so every block but the last is full.
     Models without it get ``DEFAULT_BATCH_SIZE`` (256);
     :class:`~shapgraph.models.ExternalModel` declares four wire requests'
     worth, so that it can keep two in flight.
@@ -96,7 +96,8 @@ class SubsetTable:
 
     ``sorter`` orders the rows by their bytes, so that :meth:`find` looks
     rows up by binary search.  :meth:`SetFunction.value_table` values a table
-    in one call.
+    in one call, and a set function keeps what it valued as tables too: it
+    searches them in a larger table, or a smaller table in them.
     """
 
     def __init__(self, rows: np.ndarray, sorter: np.ndarray, d: int):
@@ -109,12 +110,19 @@ class SubsetTable:
         """The table of the distinct rows of ``packed``, subsets of d
         features; the position in ``packed`` where each first occurs; and
         the table row of each row of ``packed``."""
-        _, first, inverse = np.unique(_byte_keys(packed), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the sorted position of each table row
+        keys = _byte_keys(packed)
+        perm = keys.argsort(kind="stable")  # as np.unique sorts, without its overhead on small calls
+        keys = keys[perm]
+        head = np.ones(len(keys), dtype=bool)  # the first of each run of equal keys
+        head[1:] = keys[1:] != keys[:-1]
+        first = perm[head]
+        order = first.argsort()  # the sorted position of each table row
         sorter = np.empty_like(order)  # the table row of each sorted position
         sorter[order] = np.arange(len(order))
+        inverse = np.empty_like(perm)
+        inverse[perm] = sorter[head.cumsum() - 1]
         first = first[order]
-        return cls(packed[first], sorter, d), first, sorter[inverse]
+        return cls(packed[first], sorter, d), first, inverse
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -125,7 +133,7 @@ class SubsetTable:
         if not len(self) or not len(rows):
             return np.empty(0, dtype=np.intp), np.zeros(len(rows), dtype=bool)
         mine, theirs = _byte_keys(self.rows), _byte_keys(rows)
-        at = self.sorter[np.minimum(np.searchsorted(mine, theirs, sorter=self.sorter), len(self) - 1)]
+        at = self.sorter[np.minimum(mine.searchsorted(theirs, sorter=self.sorter), len(self) - 1)]
         hit = mine[at] == theirs
         return at[hit], hit
 
@@ -146,18 +154,20 @@ class SetFunction:
     :class:`SubsetTable`.  ``eval_count`` is the number of distinct subsets
     ever evaluated, which repeated queries never increase.
 
-    Every value is kept once, next to its subset's packed member row, in
-    array stores, and ``value_table`` looks its tables up there.  A dict keyed
-    by mask mirrors the stores for ``scores``; what ``value_table`` valued
-    enters it only when a read by mask needs it.
+    Each value is kept once: in the store, one table and its values, or in
+    a run, a table valued since the last merge.  ``value_table`` looks a
+    table up from the smaller side: the store and runs in a table larger
+    than all of them, so a fresh plan is never merged; else the table in the
+    store, once the runs' sorters are merged into its own with no new sort.
     """
 
     def __init__(self, d: int):
+        if d < 1:
+            raise ConfigurationError(f"a set function needs at least one feature, got {d}")
         self.d = d
-        self._stores: list[tuple[np.ndarray, np.ndarray]] = []  # (packed rows, values)
-        self._count = 0  # rows in the stores
-        self._cache: dict[int, float] = {}  # the first _settled rows of the stores, by mask
-        self._settled = 0
+        self._store = (SubsetTable.distinct(np.empty((0, (d + 7) // 8), dtype=np.uint8), d)[0], np.empty(0))
+        self._pending: list[tuple[SubsetTable, np.ndarray]] = []  # runs valued since the last merge
+        self._count = 0  # subsets in the store and the runs
         self._lock = threading.Lock()
 
     def _evaluate_many(self, masks: list[int]) -> list[float]:
@@ -181,82 +191,71 @@ class SetFunction:
     def _prepare(self) -> None:
         """``prepare`` under the lock."""
 
-    def _keep(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Store the values of newly valued subsets, under the lock.  A
-        strided view, such as one class's column of log-probs, is copied so
-        that it does not keep its whole base array alive."""
-        self._stores.append((rows, np.ascontiguousarray(values)))
-        self._count += len(rows)
+    def _keep(self, run: SubsetTable, values: np.ndarray) -> None:
+        """Keep the values of the newly valued subsets of ``run``, under the
+        lock.  A strided view, such as one class's column of log-probs, is
+        copied so that it does not keep its whole base array alive."""
+        self._pending.append((run, np.ascontiguousarray(values)))
+        self._count += len(run)
 
-    def _settle(self) -> None:
-        """Mirror every stored value into the dict, under the lock."""
-        at = 0
-        for rows, values in self._stores:
-            skip = max(self._settled - at, 0)
-            at += len(rows)
-            if skip < len(rows):
-                self._cache.update(zip(row_masks(rows[skip:]), values[skip:].tolist()))
-        self._settled = at
+    def _merge(self) -> None:
+        """Merge the pending runs into the store, under the lock."""
+        for run, values in self._pending:
+            store, known = self._store
+            at = _byte_keys(store.rows).searchsorted(_byte_keys(run.rows)[run.sorter], sorter=store.sorter)
+            at += np.arange(len(run))  # where the run's sorted rows land among the merged ones
+            rest = np.ones(len(store) + len(run), dtype=bool)  # where the store's land
+            rest[at] = False
+            sorter = np.empty(len(rest), dtype=np.intp)
+            sorter[at], sorter[rest] = run.sorter + len(store), store.sorter
+            self._store = SubsetTable(np.concatenate((store.rows, run.rows)), sorter, self.d), np.concatenate((known, values))
+        self._pending.clear()
 
     def __contains__(self, mask: int) -> bool:
         """Whether the subset has been valued already."""
         with self._lock:
-            if mask in self._cache:
-                return True
-            if self._settled == self._count or not 0 <= int(mask) < 1 << self.d:
-                return False
-            probe = SubsetTable(pack_masks([mask], self.d), np.zeros(1, dtype=np.intp), self.d)
-            return any(probe.find(rows)[1].any() for rows, _ in self._stores)
+            self._merge()
+            return 0 <= int(mask) < 1 << self.d and bool(self._store[0].find(pack_masks([mask], self.d))[1][0])
 
     def __call__(self, mask: int) -> float:
         return float(self.scores([mask])[0])
 
-    def scores(self, masks: Sequence[int]) -> np.ndarray:
-        """Values of the subsets ``masks``, valuing those not valued before
-        in one call.  A mask out of range for d features raises
-        ``ConfigurationError`` before anything is valued."""
-        with self._lock:
-            if not self._count and len(masks):
-                self._prepare()
-            if self._settled < self._count:
-                self._settle()
-            cache = self._cache
-            missing = [m for m in dict.fromkeys(masks) if m not in cache]
-            if missing:
-                rows = pack_masks(missing, self.d)
-                values = self._evaluate_packed(rows)
-                self._keep(rows, values)
-                cache.update(zip(missing, values.tolist()))
-                self._settled = self._count
-            return np.fromiter(map(cache.__getitem__, masks), np.float64, len(masks))
+    def scores(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Values of the subsets ``masks``, integers or an integer array, in one
+        ``value_table`` call; a mask out of range for d features raises
+        ``ConfigurationError`` (see :func:`~shapgraph.graphs.pack_masks`)."""
+        table, _, inverse = SubsetTable.distinct(pack_masks(masks, self.d), self.d)
+        return self.value_table(table)[0][inverse]
 
     def value_table(self, table: SubsetTable) -> tuple[np.ndarray, np.ndarray]:
         """Values of the table's subsets, in its row order, and a boolean mask
-        of those this call valued.
-
-        ``prepare`` runs first, so what it values counts as valued before.
-        The stores, merged into one, are looked up in the table by binary
-        search over its sorted rows; the rest of its subsets are valued in
-        one call, in table order, and stored without entering the dict.
-        """
+        of those this call valued: the subsets not kept yet, valued in one
+        call, in table order, and kept as one run.  ``prepare`` runs first,
+        so what it values counts as valued before."""
         if table.d != self.d:
             raise ConfigurationError(f"a table of subsets of {table.d} features, valued by a set function of {self.d}")
         with self._lock:
             if len(table):
                 self._prepare()
-            if len(self._stores) > 1:
-                self._stores = [tuple(np.concatenate(parts) for parts in zip(*self._stores))]
             values = np.empty(len(table))
-            new = np.ones(len(table), dtype=bool)
-            for rows, known in self._stores:
-                at, hit = table.find(rows)
-                values[at] = known[hit]
-                new[at] = False
-            missing = np.flatnonzero(new)
+            if self._count < len(table):
+                new = np.ones(len(table), dtype=bool)
+                for known, known_values in [self._store, *self._pending]:
+                    at, hit = table.find(known.rows)
+                    values[at] = known_values[hit]
+                    new[at] = False
+            else:
+                self._merge()
+                at, hit = self._store[0].find(table.rows)
+                values[hit] = self._store[1][at]
+                new = ~hit
+            missing = new.nonzero()[0]
             if len(missing):
-                rows = table.rows if len(missing) == len(table) else table.rows[missing]
-                values[missing] = fresh = self._evaluate_packed(rows)
-                self._keep(rows, fresh)
+                run = table
+                if len(missing) < len(table):  # the missing rows, with the order of their bytes
+                    run = SubsetTable(table.rows[missing], missing.searchsorted(table.sorter[new[table.sorter]]), self.d)
+                values[missing] = fresh = self._evaluate_packed(run.rows)
+                self._keep(run, fresh)
             return values, new
 
 
@@ -313,18 +312,11 @@ class ValueFunction(SetFunction):
             # plug-in masking is the empirical estimate over a one-row sample
             self._fill = instance.reference[None, :]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.d) - 1
-
     def base_probs(self) -> np.ndarray:
         """Model class probabilities at the unmasked instance."""
         if self._base_probs is None:
-            self(self.full_mask)  # populates via the cache path
+            self.prepare()
         return self._base_probs
-
-    def predicted_class(self) -> int:
-        return int(np.argmax(self.base_probs()))
 
     def _conditional_probs(self, rows: np.ndarray) -> np.ndarray:
         """Estimated class probabilities for each subset, one row per packed
@@ -371,14 +363,13 @@ class ValueFunction(SetFunction):
             raise EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {exc}") from exc
 
     def _prepare(self) -> None:
-        # The score of any subset needs the model's distribution at the full
-        # instance (argmax class or expectation weights), so it is evaluated
-        # first and cached like any other subset.
+        # Every score needs the model's distribution at the full instance (argmax
+        # class or expectation weights), so it is valued first and kept as usual.
         if self._base_probs is None:
-            rows = pack_masks([self.full_mask], self.d)
+            rows = pack_masks([(1 << self.d) - 1], self.d)
             probs = self._conditional_probs(rows)
             self._base_probs = probs[0] / probs[0].sum()
-            self._keep(rows, self._score_from_probs(probs))
+            self._keep(SubsetTable(rows, np.zeros(1, dtype=np.intp), self.d), self._score_from_probs(probs))
 
     def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
         return self._score_from_probs(self._conditional_probs(rows))

@@ -297,7 +297,11 @@ class TestMethodTable:
         assert cli.main(["bench", "--method", method, "--d", "8", "--k", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == method
-        assert report["total_evaluations"] > 0
+        totals = {"exact": 256, "l-shapley": 28, "c-shapley": 28, "c-shapley-reg": 9, "sample": 9,
+                  "kernelshap": 33, "myerson": 37}
+        assert report["total_evaluations"] == totals[method]
+        if method in ("l-shapley", "c-shapley"):
+            assert report["per_feature_max"] == 4
 
     def test_bench_grid_has_no_chain_references(self, capsys):
         from shapgraph import cli

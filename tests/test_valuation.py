@@ -619,18 +619,25 @@ class TestSubsetTable:
         values, new = game.value_table(_table([7, 12, 15], 10))
         assert values.tolist() == game.table[[7, 12, 15]].tolist() and new.tolist() == [False, False, True]
         assert calls[3:] == [[15]] and game.eval_count == 9
-        # a membership test searches the tables' rows and leaves the dict as it was
-        assert 7 in game and 15 in game and 8 not in game and 1 << 10 not in game and -1 not in game
-        assert sorted(game._cache) == [3, 5] and game.eval_count == 9
+        # a membership test finds what scores and every table valued, and values nothing
+        assert all(mask in game for mask in [3, 5, 7, 9, 11, 12, 13, 14, 15])
+        assert 8 not in game and 1 << 10 not in game and -1 not in game
+        assert len(calls) == 4 and game.eval_count == 9
         assert game.scores([11, 7, 9, 15]).tolist() == game.table[[11, 7, 9, 15]].tolist()
         assert len(calls) == 4 and game.eval_count == 9
 
     @pytest.mark.parametrize("mask", [1 << 3, 1 << 40, -1])
     def test_plain_set_function_refuses_masks_out_of_range(self, mask):
         game = FunctionGame(3, float)
-        with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
-            game.scores([2, mask])
+        for masks in ([2, mask], np.array([2, mask]), np.array([mask, 2], dtype=np.int64)):
+            with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
+                game.scores(masks)
         assert game.eval_count == 0 and mask not in game
+        # an integer array is valued bitwise as the same masks given as Python ints
+        masks = [0, 7, 2, 7, 5]
+        expected = synthetic_game(3, seed=1).scores(masks).tobytes()
+        for dtype in (np.int64, np.uint8):
+            assert synthetic_game(3, seed=1).scores(np.array(masks, dtype=dtype)).tobytes() == expected
 
     def test_table_of_other_features_is_refused(self):
         with pytest.raises(ConfigurationError, match="subsets of 12 features"):
@@ -663,7 +670,7 @@ class TestConcurrency:
     def test_count_holds_while_another_thread_reads_by_mask(self):
         import threading
 
-        # a read by mask moves the values of several tables into the dict;
+        # a read by mask merges the runs of several tables into the store;
         # the count seen meanwhile is the number of distinct subsets throughout
         d = 14
         interval = sys.getswitchinterval()
@@ -680,7 +687,13 @@ class TestConcurrency:
                     seen.add(game.eval_count)
                 reader.join(timeout=30)
                 assert not reader.is_alive()
-                assert seen <= {(1 << d) - 1} and len(game._cache) == (1 << d) - 1
+                assert seen <= {(1 << d) - 1}
+                # every subset the tables valued is in the store, and reading them again makes no call
+                calls = []
+                game._evaluate_many = lambda masks: calls.append(masks)
+                assert 0 in game and (1 << d) - 2 in game and (1 << d) - 1 not in game
+                assert game.scores(range((1 << d) - 1)).tolist() == game.table[:-1].tolist()
+                assert calls == [] and game.eval_count == (1 << d) - 1
         finally:
             sys.setswitchinterval(interval)
 

@@ -36,6 +36,7 @@ from .graphs import (
     iter_bits,
     k_neighborhood,
     pack_masks,
+    submasks,
 )
 from .valuation import SetFunction, SubsetTable
 
@@ -114,15 +115,6 @@ def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> Attrib
     )
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def l_shapley_terms(
     g: FeatureGraph, i: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> list[tuple[int, float]]:
@@ -130,15 +122,13 @@ def l_shapley_terms(
 
     The weights are the exact-Shapley coefficients restricted to the
     k-neighborhood: ``shapley_coefficient(|N|, |T|)`` for each T containing i.
+    The terms run in descending order of T, the whole neighbourhood first.
     """
     nbhd = k_neighborhood(g, i, k)
-    n = bin(nbhd).count("1")
+    n = nbhd.bit_count()
     _check_local_budget(i, n, budget)
-    rest = nbhd & ~(1 << i)
-    terms = []
-    for sub in _submasks(rest):
-        terms.append((sub | (1 << i), shapley_coefficient(n, bin(sub).count("1") + 1)))
-    return terms
+    rest = reversed(submasks(nbhd & ~(1 << i)))
+    return [(sub | (1 << i), shapley_coefficient(n, sub.bit_count() + 1)) for sub in rest]
 
 
 def _check_local_budget(i: int, n: int, budget: int) -> None:
@@ -227,7 +217,7 @@ def _plan_table(steps: list[PlanStep], d: int) -> PlanTable:
 
     Each template's masks are packed once per bit offset and placed at
     their byte shift, so the plan's masks are never Python integers; the
-    distinct rows come from one ``np.unique`` over them.
+    distinct rows come from one :meth:`SubsetTable.distinct` over them.
     """
     width = (d + 7) // 8
     placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
@@ -369,9 +359,9 @@ def c_shapley_terms(
     nbhd = k_neighborhood(g, i, k)
     terms = []
     for mask in connected_subsets_containing(g, i, k, budget=budget):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         if weighting == "myerson":
-            blocked = bin(g.boundary(mask) & nbhd).count("1")
+            blocked = (g.boundary(mask) & nbhd).bit_count()
             weight = connected_subset_weight(size, blocked)
         else:
             weight = interior_subset_weight(size)

@@ -3,16 +3,18 @@
 Feature subsets are represented throughout the package as Python integer
 bitmasks: bit ``j`` set means feature ``j`` is in the subset.  This keeps
 enumeration allocation-free; :func:`subset_of` and :func:`members_of`
-convert to and from index collections, and :func:`member_matrix` turns a
-batch of masks into boolean membership rows.  Batches of subsets also travel
-as packed member rows, one little-endian mask of ``ceil(d / 8)`` bytes per
-row (:func:`pack_masks`), and are valued and kept as such.
+convert to and from index collections, and :func:`submasks` lists the
+subsets of a mask.  Batches of subsets travel as packed member rows, one
+little-endian mask of ``ceil(d / 8)`` bytes per row (:func:`pack_masks`),
+are valued and kept as such, and :func:`unpack_rows` turns them into boolean
+membership rows.  :func:`reach` is the one breadth-first search: distances,
+neighbourhoods, components and connectivity are read off its steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,14 +44,12 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def member_matrix(masks: Sequence[int], d: int) -> np.ndarray:
-    """Boolean ``(len(masks), d)`` matrix; row r is True at the members of masks[r].
-
-    Masks are Python or numpy integers and may be wider than 64 bits.  A
-    negative mask, or one with a bit at d or above, raises
-    ``ConfigurationError`` (see :func:`pack_masks`).
-    """
-    return unpack_rows(pack_masks(masks, d), d)
+def submasks(mask: int) -> list[int]:
+    """Every subset of ``mask``, in ascending order, the empty set first."""
+    subs = [0]
+    for j in iter_bits(mask):
+        subs += [s | (1 << j) for s in subs]
+    return subs
 
 
 def pack_masks(masks: Sequence[int] | np.ndarray, d: int) -> np.ndarray:
@@ -141,10 +141,7 @@ class FeatureGraph:
             raise ValueError("graph must be connected")
 
     def _is_connected(self) -> bool:
-        reached = frontier = 1
-        while frontier:
-            frontier = self.boundary(frontier) & ~reached
-            reached |= frontier
+        *_, reached = reach(self, 1)
         return reached == (1 << self.num_nodes) - 1
 
     @property
@@ -194,17 +191,23 @@ def general_graph(d: int, edges: Iterable[tuple[int, int]]) -> FeatureGraph:
     return FeatureGraph(d, tuple(tuple(e) for e in edges), "general")
 
 
+def reach(g: FeatureGraph, start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first search from the nodes ``start`` through the nodes
+    ``within`` (all of them by default): the nodes reached after 0, 1, 2, ...
+    steps, as bitmasks, until a step adds no node."""
+    reached = frontier = start
+    while frontier:
+        yield reached
+        frontier = g.boundary(frontier) & within & ~reached
+        reached |= frontier
+
+
 def graph_distance(g: FeatureGraph, i: int, j: int) -> int:
-    """Shortest-path edge count between nodes i and j (BFS)."""
+    """Shortest-path edge count between nodes i and j."""
     g._check_index(i)
     g._check_index(j)
-    dist = 0
-    reached = frontier = 1 << i
-    while not (reached >> j) & 1:  # graphs are connected, so j is reached
-        dist += 1
-        frontier = g.boundary(frontier) & ~reached
-        reached |= frontier
-    return dist
+    # graphs are connected, so j is reached
+    return next(dist for dist, reached in enumerate(reach(g, 1 << i)) if (reached >> j) & 1)
 
 
 def diameter(g: FeatureGraph) -> int:
@@ -216,12 +219,7 @@ def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:
     g._check_index(i)
     if k < 0:
         raise ConfigurationError(f"neighborhood radius must be nonnegative, got {k}")
-    reached = frontier = 1 << i
-    for _ in range(k):
-        frontier = g.boundary(frontier) & ~reached
-        if not frontier:
-            break
-        reached |= frontier
+    *_, reached = islice(reach(g, 1 << i), k + 1)
     return reached
 
 
@@ -259,7 +257,7 @@ def connected_subsets_in(
 
     seed_candidates = list(iter_bits(g.adjacency[i] & universe))
     extend(1 << i, seed_candidates, (1 << i) | (g.adjacency[i] & universe))
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 
@@ -282,13 +280,9 @@ def connected_components(g: FeatureGraph, s: int) -> list[int]:
     Returned in increasing order of their smallest member; the pieces are
     disjoint and their union is ``s``.
     """
-    remaining = s
     comps = []
-    while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
-            frontier = g.boundary(frontier) & remaining & ~comp
-            comp |= frontier
+    while s:
+        *_, comp = reach(g, s & -s, s)
         comps.append(comp)
-        remaining &= ~comp
+        s &= ~comp
     return comps

@@ -16,6 +16,7 @@ import traceback
 
 import numpy as np
 
+from .graphs import pack_masks
 from .models import load_model_json
 from .valuation import masked_rows
 
@@ -32,11 +33,10 @@ def _reply(model, request: dict) -> dict:
         rows = np.asarray(request["instances"], dtype=np.float64)
     elif op == "eval_masked":
         # the float64 rows an eval request of the same rows would carry
-        rows = masked_rows(
-            np.asarray(request["values"], dtype=np.float64),
-            np.asarray(request["fill"], dtype=np.float64),
-            _hex_masks(request["masks"]),
-        )
+        values = np.asarray(request["values"], dtype=np.float64)
+        masks = _hex_masks(request["masks"])
+        # values.size is d for a vector; any other shape fails in masked_rows
+        rows = masked_rows(values, np.asarray(request["fill"], dtype=np.float64), pack_masks(masks, values.size))
     else:
         return {"op": "error", "message": f"unknown op {op!r}"}
     log_probs = np.asarray(model.evaluate_batch(rows), dtype=np.float64)

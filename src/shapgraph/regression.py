@@ -10,7 +10,7 @@ import numpy as np
 
 from .attribution import AttributionResult
 from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
-from .graphs import FeatureGraph, member_matrix, subset_of
+from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
 
 LOG_GAMMA_THRESHOLD = 30
@@ -94,10 +94,10 @@ def _fit_rows(
     v_empty = game(0)
     responses = game.scores(rows) - v_empty
     if kernel_weights:
-        weights = np.array([shapley_kernel_weight(d, bin(m).count("1")) for m in rows])
+        weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
     else:
         weights = np.ones(len(rows))
-    matrix = member_matrix(rows, d).astype(np.float64)
+    matrix = unpack_rows(pack_masks(rows, d), d).astype(np.float64)
     if constrained:
         total = game((1 << d) - 1) - v_empty
         return _constrained_fit(matrix, responses, weights, total, ridge)

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .attribution import c_shapley_terms, exact_shapley_weights, l_shapley_terms
 from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
-from .graphs import FeatureGraph, connected_subsets_in, k_neighborhood, members_of
+from .graphs import FeatureGraph, connected_subsets_in, k_neighborhood, members_of, submasks
 
 MAX_DENSE_FEATURES = 16
 MAX_EXHAUSTIVE_FEATURES = 12
@@ -208,13 +208,12 @@ def _pointwise_log_ratio(
     group_b: int,
     conditioning: int,
     condition_on_label: bool,
-    marginals: _Marginals | None,
 ) -> np.ndarray:
     if group_a & group_b:
         raise ValueError("feature groups must be disjoint")
     if conditioning & (group_a | group_b):
         raise ValueError("conditioning set must be disjoint from both groups")
-    m = marginals if marginals is not None else _Marginals(joint)
+    m = _Marginals(joint)
     wl = condition_on_label
     p_abz = m.atoms(group_a | group_b | conditioning, wl)
     p_az = m.atoms(group_a | conditioning, wl)
@@ -237,7 +236,6 @@ def absolute_mutual_information(
     group_b: int,
     conditioning: int = 0,
     condition_on_label: bool = False,
-    _marginals: _Marginals | None = None,
 ) -> float:
     """Expected absolute log density ratio between two feature groups.
 
@@ -249,7 +247,7 @@ def absolute_mutual_information(
     if group_a == 0 or group_b == 0:
         return 0.0
     log_ratio = _pointwise_log_ratio(
-        joint, group_a, group_b, conditioning, condition_on_label, _marginals
+        joint, group_a, group_b, conditioning, condition_on_label
     )
     w = joint.table
     return float(np.sum(np.where(w > 0, w * np.abs(log_ratio), 0.0)))
@@ -266,7 +264,7 @@ def mutual_information(
     if group_a == 0 or group_b == 0:
         return 0.0
     log_ratio = _pointwise_log_ratio(
-        joint, group_a, group_b, conditioning, condition_on_label, None
+        joint, group_a, group_b, conditioning, condition_on_label
     )
     w = joint.table
     return float(np.sum(np.where(w > 0, w * log_ratio, 0.0)))
@@ -289,26 +287,9 @@ class ExactConditionalModel:
         self.num_classes = joint.num_classes
         self._marginals = _Marginals(joint)
 
-    def _atom_of(self, values: np.ndarray) -> int:
-        atom = 0
-        for j, v in enumerate(values):
-            if int(v) not in (0, 1):
-                raise ValueError(f"features must be binary, got {v!r} at position {j}")
-            atom |= int(v) << j
-        return atom
-
-    def conditional(self, values: np.ndarray, subset: int) -> np.ndarray:
-        atom = self._atom_of(np.asarray(values))
-        joint_rows = self._marginals.atoms(subset, True)[atom]
-        mass = joint_rows.sum()
-        if mass <= 0:
-            raise ZeroMassError(
-                f"conditioning event has zero probability: subset {members_of(subset)} "
-                f"with values {[int((atom >> j) & 1) for j in members_of(subset)]}"
-            )
-        return joint_rows / mass
-
-    def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
+    def _atoms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, d) rows ``values`` as 0/1 integers, and the atom of each
+        row: its bits packed into one index of the joint table."""
         values = np.asarray(values)
         d = self.joint.d
         if values.ndim != 2 or values.shape[1] != d:
@@ -319,8 +300,23 @@ class ExactConditionalModel:
         if bad.size:
             r, j = bad[0]
             raise ValueError(f"features must be binary, got {values[r, j]!r} at position {j} of row {r}")
+        return bits, bits @ (1 << np.arange(d, dtype=np.int64))
+
+    def conditional(self, values: np.ndarray, subset: int) -> np.ndarray:
+        bits, atoms = self._atoms(np.asarray(values)[None])
+        joint_rows = self._marginals.atoms(subset, True)[atoms[0]]
+        mass = joint_rows.sum()
+        if mass <= 0:
+            raise ZeroMassError(
+                f"conditioning event has zero probability: subset {members_of(subset)} "
+                f"with values {[int(bits[0, j]) for j in members_of(subset)]}"
+            )
+        return joint_rows / mass
+
+    def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
+        bits, atoms = self._atoms(values)
         # the full-mask marginal is the joint table itself
-        joint_rows = self.joint.table[bits @ (1 << np.arange(d, dtype=np.int64))]
+        joint_rows = self.joint.table[atoms]
         mass = joint_rows.sum(axis=1, keepdims=True)
         zero = np.flatnonzero(mass[:, 0] <= 0)
         if zero.size:
@@ -387,13 +383,6 @@ def _check_exhaustion_budget(d: int) -> None:
         )
 
 
-def _subsets_of(mask: int) -> list[int]:
-    subs = [0]
-    for j in members_of(mask):
-        subs += [s | (1 << j) for s in subs]
-    return subs
-
-
 def _absolute_mi_of_probes(
     m: _Marginals, i: int, probes: list[int], cond: int, with_label: bool
 ) -> np.ndarray:
@@ -427,7 +416,7 @@ def _epsilon_supremum(m: _Marginals, i: int, scans) -> EpsilonCertificate:
     maximum in (scan, probe set, label first) order."""
     best = EpsilonCertificate(0.0, (0, 0), False)
     for cond, space in scans:
-        probes = _subsets_of(space)[1:]
+        probes = submasks(space)[1:]
         if not probes:
             continue
         vals = np.stack([_absolute_mi_of_probes(m, i, probes, cond, wl) for wl in (True, False)], axis=1)
@@ -452,7 +441,7 @@ def epsilon_for_lshapley(
     and without the label in the conditioning."""
     m = _epsilon_marginals(joint, i, s, _marginals)
     outside = ((1 << joint.d) - 1) & ~s
-    return _epsilon_supremum(m, i, ((u, outside) for u in _subsets_of(s & ~(1 << i))))
+    return _epsilon_supremum(m, i, ((u, outside) for u in submasks(s & ~(1 << i))))
 
 
 def epsilon_for_cshapley(

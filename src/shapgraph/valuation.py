@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .graphs import member_matrix, members_of, pack_masks, row_masks, unpack_rows
+from .graphs import members_of, pack_masks, row_masks, unpack_rows
 
 LOG_PROB_FLOOR = 1e-12
 DEFAULT_BATCH_SIZE = 256
@@ -52,8 +52,9 @@ class ModelContract(Protocol):
     rows)`` in place of ``evaluate_batch``, with the instance's (d,)
     values, the (m, d) fill rows and a block of subsets as packed member
     rows (see :func:`~shapgraph.graphs.pack_masks`), and expects the
-    log-probs of the ``len(rows) * m`` rows :func:`masked_rows` builds, in
-    its order, checked as ``evaluate_batch``'s are.
+    log-probs of the ``len(rows) * m`` rows that :func:`masked_rows` builds
+    from the same three arguments, in its order, checked as
+    ``evaluate_batch``'s are.
     ``ExternalModel`` sets it when its host lists ``eval_masked`` in the
     ``hello`` reply; any other model gets rows.  Masks out of range for d features raise
     ``ConfigurationError`` before any model call, on either path.
@@ -87,7 +88,7 @@ class Instance:
 
 def plugin_masked_instance(x: Instance, s: int) -> Instance:
     """Keep positions in the subset ``s``, replace the rest with the reference."""
-    return Instance(masked_rows(x.values, x.reference[None, :], [s])[0], x.reference)
+    return Instance(masked_rows(x.values, x.reference[None, :], pack_masks([s], x.d))[0], x.reference)
 
 
 class SubsetTable:
@@ -345,7 +346,7 @@ class ValueFunction(SetFunction):
             if on_host:
                 block_probs = self._run_block(block, n, self.model.evaluate_masked, values, fill, block)
             else:
-                out = _fill_rows(values, fill, unpack_rows(block, d), self._rows[:n])
+                out = masked_rows(values, fill, block, self._rows[:n])
                 block_probs = self._run_block(block, n, self.model.evaluate_batch, out)
             np.add.reduce(block_probs.reshape(len(block), m, -1), axis=1, out=probs[start : start + len(block)])
         probs /= m  # a sum over the samples divided by m is bitwise their mean
@@ -383,10 +384,11 @@ class ValueFunction(SetFunction):
         return np.where(base > 0, base * logp, 0.0).sum(axis=1)
 
 
-def masked_rows(values: np.ndarray, fill: np.ndarray, masks: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Model input rows for the subsets ``masks``: row ``r * m + j`` holds
-    ``values`` (d,) where ``masks[r]`` keeps a feature and fill row ``j`` of
-    the (m, d) ``fill`` elsewhere.
+def masked_rows(values: np.ndarray, fill: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Model input rows for the subsets of the packed member ``rows`` (see
+    :func:`~shapgraph.graphs.pack_masks`): row ``r * m + j`` holds ``values``
+    (d,) where subset r keeps a feature and fill row ``j`` of the (m, d)
+    ``fill`` elsewhere.
 
     The rows go into ``out`` when it is given, else into a new array of the
     two inputs' common dtype.  The wire host builds ``eval_masked`` rows with
@@ -398,15 +400,10 @@ def masked_rows(values: np.ndarray, fill: np.ndarray, masks: Sequence[int], out:
         )
     m, d = fill.shape
     if out is None:
-        out = np.empty((len(masks) * m, d), dtype=np.result_type(values, fill))
-    return _fill_rows(values, fill, member_matrix(masks, d), out)
-
-
-def _fill_rows(values: np.ndarray, fill: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`masked_rows` of the subsets whose (n, d) membership is ``keep``."""
-    m, d = fill.shape
-    out.reshape(len(keep), m, d)[:] = fill
-    np.copyto(out, values, where=np.repeat(keep, m, axis=0))
+        out = np.empty((len(rows) * m, d), dtype=np.result_type(values, fill))
+    grid = out.reshape(len(rows), m, d)
+    grid[:] = fill
+    np.copyto(grid, values, where=unpack_rows(rows, d)[:, None, :])
     return out
 
 

@@ -173,6 +173,11 @@ class TestLShapley:
         res = l_shapley_all(game, chain_graph(1), 2)
         assert res.scores[0] == pytest.approx(2.0)
 
+    def test_terms_run_from_the_whole_neighbourhood_down(self):
+        # the order every L-Shapley sum adds its terms in, and so its bits
+        masks = [mask for mask, _ in l_shapley_terms(chain_graph(5), 2, 1)]
+        assert masks == [0b1110, 0b1100, 0b0110, 0b0100]
+
 
 class CountingGame(FunctionGame):
     """Deterministic pseudo-random game that counts its batched evaluations."""

@@ -83,8 +83,8 @@ def test_buffered_rows_equal_np_where_rows_block_by_block():
 @pytest.mark.parametrize("g,l_k,c_k", [(chain_graph(60), 2, 3), (grid_graph(6, 7), 1, 2)], ids=["chain60", "grid6x7"])
 def test_mixed_use_of_one_value_function_equals_the_reference_path(g, l_k, c_k):
     # a table valued against the stored rows of an earlier one, membership
-    # tests before and after a read by mask moves the stored values into the
-    # dict, a one-feature run read by mask, and a table valued again
+    # tests before and after a read by mask merges the runs valued so far
+    # into the store, a one-feature run read by mask, and a table valued again
     x = _instance(g.d, seed=19)
     rng = np.random.default_rng(g.d)
     plan_masks = [m for m, _ in c_shapley_terms(g, g.d // 2, c_k)][:5]

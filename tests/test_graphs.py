@@ -17,7 +17,7 @@ from shapgraph import (
     members_of,
     subset_of,
 )
-from shapgraph.graphs import member_matrix
+from shapgraph.graphs import pack_masks, submasks, unpack_rows
 
 from oracles import (
     bfs_distances,
@@ -28,6 +28,8 @@ from oracles import (
 
 
 class TestMemberMatrix:
+    """The boolean membership matrix of masks, ``unpack_rows(pack_masks(masks, d), d)``."""
+
     @staticmethod
     def loop_matrix(masks, d):
         out = np.zeros((len(masks), d), dtype=bool)
@@ -41,14 +43,14 @@ class TestMemberMatrix:
         for d in (1, 7, 8, 9, 63, 64, 65, 400):
             full = (1 << d) - 1
             masks = [0, full] + [int.from_bytes(rng.bytes(d // 8 + 1), "little") & full for _ in range(20)]
-            got = member_matrix(masks, d)
+            got = unpack_rows(pack_masks(masks, d), d)
             assert got.dtype == bool and got.shape == (len(masks), d)
             np.testing.assert_array_equal(got, self.loop_matrix(masks, d))
             narrow = [np.int64(m) for m in masks if m < 1 << 63]
-            np.testing.assert_array_equal(member_matrix(narrow, d), self.loop_matrix(narrow, d))
+            np.testing.assert_array_equal(unpack_rows(pack_masks(narrow, d), d), self.loop_matrix(narrow, d))
 
     def test_no_masks(self):
-        assert member_matrix([], 5).shape == (0, 5)
+        assert unpack_rows(pack_masks([], 5), 5).shape == (0, 5)
 
     @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 10, 16, 64, 65])
     def test_out_of_range_masks_name_the_first(self, d):
@@ -56,11 +58,19 @@ class TestMemberMatrix:
         cases = [(1 << d, f"has bit {d}"), (top + (1 << (d + 5)), f"has bit {d + 5}"), (1 << 200, "has bit 200"), (-1, "is negative")]
         for bad, what in cases:
             with pytest.raises(ConfigurationError, match=f"subset mask {bad:#x} {what}; subsets of {d} features"):
-                member_matrix([0, top, bad, -3], d)
+                unpack_rows(pack_masks([0, top, bad, -3], d), d)
             if -1 <= bad < 1 << 63:
                 with pytest.raises(ConfigurationError, match=f"subset mask {bad:#x}"):
-                    member_matrix(np.array([0, bad], dtype=np.int64), d)
-        assert member_matrix([top], d).all()
+                    unpack_rows(pack_masks(np.array([0, bad], dtype=np.int64), d), d)
+        assert unpack_rows(pack_masks([top], d), d).all()
+
+
+class TestSubmasks:
+    def test_every_subset_in_ascending_order(self):
+        rng = np.random.default_rng(0)
+        assert submasks(0b10110) == [0, 2, 4, 6, 16, 18, 20, 22]
+        for mask in [0, 1, 1 << 5, 0b10110] + rng.integers(0, 1 << 12, 20).tolist():
+            assert submasks(mask) == sorted(s for s in range(mask + 1) if s & ~mask == 0)
 
 
 class TestConstruction:

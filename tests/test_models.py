@@ -672,7 +672,7 @@ class TestExternalModel:
             rng = np.random.default_rng(6)
             values, fill = rng.integers(0, 30, size=10), np.zeros((1, 10), dtype=int)
             masks = rng.integers(0, 1 << 10, size=700).tolist()
-            expected = nb.evaluate_batch(masked_rows(values, fill, masks))
+            expected = nb.evaluate_batch(masked_rows(values, fill, pack_masks(masks, 10)))
             np.testing.assert_array_equal(ext.evaluate_masked(values, fill, pack_masks(masks, 10)), expected)
         finally:
             ext.close()
@@ -697,7 +697,7 @@ class TestExternalModel:
                 ext.evaluate_masked(values, fill, pack_masks(bad, 10))  # request 1 of 3, request 2 in flight
             assert exc.value.batch_indices == list(range(256, 512))
             assert ext._channel is channel
-            expected = nb.evaluate_batch(masked_rows(values, fill, masks))
+            expected = nb.evaluate_batch(masked_rows(values, fill, pack_masks(masks, 10)))
             np.testing.assert_array_equal(ext.evaluate_masked(values, fill, pack_masks(masks, 10)), expected)
         finally:
             ext.close()
@@ -846,5 +846,5 @@ class TestModelServer:
         assert [r["op"] for r in replies] == ["error"] * len(bad) + ["eval"]
         for reply, (_, message) in zip(replies, bad):
             assert message in reply["message"]
-        rows = masked_rows(np.array(good["values"]), np.array(good["fill"]), [0, 15, 5, 10])
+        rows = masked_rows(np.array(good["values"]), np.array(good["fill"]), pack_masks([0, 15, 5, 10], 4))
         assert replies[-1] == {"op": "eval", "id": 9, "log_probs": nb.evaluate_batch(rows).tolist()}

@@ -15,7 +15,7 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
-from shapgraph.graphs import member_matrix
+from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, solve_weighted
 from shapgraph.valuation import additive_game
 
@@ -59,7 +59,7 @@ class TestWeightedLeastSquares:
         matrix = np.array([[(m >> j) & 1 for j in range(d)] for m in rows], dtype=float)
         responses = matrix @ coeffs
         weights = rng.uniform(0.1, 3.0, size=30)
-        np.testing.assert_array_equal(member_matrix(rows, d).astype(np.float64), matrix)
+        np.testing.assert_array_equal(unpack_rows(pack_masks(rows, d), d).astype(np.float64), matrix)
         coefficients = solve_weighted(matrix, responses, weights)
         np.testing.assert_allclose(coefficients, coeffs, atol=1e-9)
 
@@ -88,13 +88,13 @@ class TestWeightedLeastSquares:
         assert np.abs(gram).max() < 1e-8
 
     def test_singular_with_zero_ridge_names_null_space(self):
-        matrix = member_matrix([subset_of([0]), subset_of([0])], 3).astype(np.float64)
+        matrix = unpack_rows(pack_masks([subset_of([0]), subset_of([0])], 3), 3).astype(np.float64)
         with pytest.raises(SingularSystemError) as err:
             solve_weighted(matrix, np.array([1.0, 1.0]), np.ones(2), ridge=0.0)
         assert err.value.null_space_dim == 2
 
     def test_singular_defaults_to_tiny_ridge(self):
-        matrix = member_matrix([subset_of([0]), subset_of([0, 1])], 3).astype(np.float64)
+        matrix = unpack_rows(pack_masks([subset_of([0]), subset_of([0, 1])], 3), 3).astype(np.float64)
         responses, weights = np.array([1.0, 3.0]), np.ones(2)
         coefficients = solve_weighted(matrix, responses, weights)
         # the ridge added is 1e-10 * trace / ncols, and it pins the one null

@@ -183,6 +183,12 @@ class TestExactConditionalModel:
         with pytest.raises(ZeroMassError, match="zero probability"):
             model.conditional(np.array([1, 0]), 0b11)
 
+    def test_value_vector_of_the_wrong_length_raises(self):
+        model = ExactConditionalModel(random_joint(3, 2, 5))
+        for values in (np.array([1, 0]), np.array([1, 0, 1, 1, 1])):
+            with pytest.raises(ValueError, match=r"values must have shape \(n, 3\)"):
+                model.conditional(values, 0b01)
+
     def test_value_function_counts_subsets(self):
         joint = random_joint(3, 2, 8)
         vf = JointValueFunction(joint, np.array([1, 0, 1]))
@@ -382,12 +388,13 @@ def per_mask_absolute_mi(joint, m, a, b, z, with_label):
 
 def per_probe_epsilon(joint, i, scans):
     """The (u, v, label) loop: scans yields (conditioning, probe space)."""
-    from shapgraph.theory import EpsilonCertificate, _subsets_of
+    from shapgraph.graphs import submasks
+    from shapgraph.theory import EpsilonCertificate
 
     m = PerMaskMarginals(joint)
     best = EpsilonCertificate(0.0, (0, 0), False)
     for cond, space in scans:
-        for v in _subsets_of(space):
+        for v in submasks(space):
             if v == 0:
                 continue
             for with_label in (True, False):
@@ -398,10 +405,10 @@ def per_probe_epsilon(joint, i, scans):
 
 
 def per_probe_epsilon_l(joint, g, i, s):
-    from shapgraph.theory import _subsets_of
+    from shapgraph.graphs import submasks
 
     outside = ((1 << joint.d) - 1) & ~s
-    return per_probe_epsilon(joint, i, ((u, outside) for u in _subsets_of(s & ~(1 << i))))
+    return per_probe_epsilon(joint, i, ((u, outside) for u in submasks(s & ~(1 << i))))
 
 
 def per_probe_epsilon_c(joint, g, i, s):

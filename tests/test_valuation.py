@@ -15,9 +15,9 @@ from shapgraph import (
     l_shapley_all,
     synthetic_game,
 )
-from shapgraph.graphs import member_matrix, pack_masks, row_masks
+from shapgraph.graphs import pack_masks, row_masks, unpack_rows
 from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
-from shapgraph.valuation import FunctionGame, SubsetTable, TableGame, additive_game, masked_rows
+from shapgraph.valuation import FunctionGame, SetFunction, SubsetTable, TableGame, additive_game, masked_rows
 
 
 class OneHotModel:
@@ -76,7 +76,7 @@ class MasksOnHost:
 
     def evaluate_masked(self, values, fill, rows):
         self.calls.append(len(rows))
-        return self.model.evaluate_batch(masked_rows(values, fill, row_masks(rows)))
+        return self.model.evaluate_batch(masked_rows(values, fill, rows))
 
 
 def _table(masks, d):
@@ -410,7 +410,7 @@ def per_mask_probs(vf, masks):
     one plug-in row array per mask, stacked and scored in ``batch_size``
     blocks, and one model call per empirical subset."""
     x = vf.instance
-    keep = member_matrix(masks, x.d)
+    keep = unpack_rows(pack_masks(masks, x.d), x.d)
     fill = vf._fill
 
     def run(rows):
@@ -499,17 +499,17 @@ class TestMaskedRows:
         rng = np.random.default_rng(7)
         values, fill = rng.integers(1, 50, size=9), rng.integers(0, 50, size=(3, 9))
         masks = [0, 5, 511, 256, 37]
-        rows = masked_rows(values, fill, masks)
-        keep = member_matrix(masks, 9)
+        rows = masked_rows(values, fill, pack_masks(masks, 9))
+        keep = unpack_rows(pack_masks(masks, 9), 9)
         expected = np.stack([np.where(k, values, f) for k in keep for f in fill])
         np.testing.assert_array_equal(rows, expected)
         assert rows.dtype == np.int64
-        assert masked_rows(values.astype(float), fill, masks).dtype == np.float64
+        assert masked_rows(values.astype(float), fill, pack_masks(masks, 9)).dtype == np.float64
 
     def test_writes_into_the_buffer_given(self):
         values, fill = np.arange(1.0, 5.0), np.zeros((2, 4))
         out = np.full((6, 4), -1.0)
-        got = masked_rows(values, fill, [1, 2], out=out[:4])
+        got = masked_rows(values, fill, pack_masks([1, 2], 4), out=out[:4])
         assert np.shares_memory(got, out)
         np.testing.assert_array_equal(out[:4], [[1, 0, 0, 0]] * 2 + [[0, 2, 0, 0]] * 2)
         np.testing.assert_array_equal(out[4:], -1.0)
@@ -520,7 +520,7 @@ class TestMaskedRows:
     )
     def test_shape_mismatch_is_a_configuration_error(self, values, fill):
         with pytest.raises(ConfigurationError, match="masked rows need"):
-            masked_rows(values, fill, [1])
+            masked_rows(values, fill, pack_masks([1], 4))
 
     @pytest.mark.parametrize("mask", [1 << 10, 1 << 12, 1 << 70, -1])
     def test_out_of_range_mask_raises_and_values_nothing(self, mask):
@@ -638,6 +638,11 @@ class TestSubsetTable:
         expected = synthetic_game(3, seed=1).scores(masks).tobytes()
         for dtype in (np.int64, np.uint8):
             assert synthetic_game(3, seed=1).scores(np.array(masks, dtype=dtype)).tobytes() == expected
+
+    def test_a_game_of_no_features_is_refused(self):
+        for make in (lambda: SetFunction(0), lambda: TableGame(0, np.zeros(1)), lambda: FunctionGame(0, float)):
+            with pytest.raises(ConfigurationError, match="at least one feature, got 0"):
+                make()
 
     def test_table_of_other_features_is_refused(self):
         with pytest.raises(ConfigurationError, match="subsets of 12 features"):

@@ -92,7 +92,7 @@ def exact_shapley_weights(d: int) -> np.ndarray:
     return w
 
 
-def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> AttributionResult:
+def exact_shapley(game: SetFunction) -> AttributionResult:
     """Exact Shapley values by one pass over all 2**d subsets.
 
     Each subset value is scattered to every feature (positively where the
@@ -100,10 +100,10 @@ def exact_shapley(game: SetFunction, limit: int = DEFAULT_EXACT_LIMIT) -> Attrib
     the memoized game is evaluated at most 2**d times in total.
     """
     d = game.d
-    if d > limit:
+    if d > DEFAULT_EXACT_LIMIT:
         raise ConfigurationError(
             f"exact Shapley on {d} features needs 2^{d} evaluations "
-            f"(limit {limit}); use l_shapley / c_shapley / sample_shapley instead"
+            f"(limit {DEFAULT_EXACT_LIMIT}); use l_shapley / c_shapley / sample_shapley instead"
         )
     before = game.eval_count
     values = game.scores(np.arange(1 << d))
@@ -428,9 +428,7 @@ def sample_shapley(
     )
 
 
-def myerson_value(
-    game: SetFunction, g: FeatureGraph, limit: int = DEFAULT_MYERSON_LIMIT
-) -> AttributionResult:
+def myerson_value(game: SetFunction, g: FeatureGraph) -> AttributionResult:
     """Shapley value of the component-additive extension of the game.
 
     The extension sums v(T) - v(empty) over the connected components of each
@@ -440,18 +438,17 @@ def myerson_value(
     base-game queries.
     """
     d = game.d
-    if d > limit:
+    if d > DEFAULT_MYERSON_LIMIT:
         raise ConfigurationError(
             f"Myerson value on {d} features decomposes all 2^{d} subsets "
-            f"(limit {limit}); use c_shapley for an approximation"
+            f"(limit {DEFAULT_MYERSON_LIMIT}); use c_shapley for an approximation"
         )
     before = game.eval_count
     comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
     connected = np.unique(comp[1:])
-    baseline = game(0)
-    vals = game.scores(connected)
+    vals = game.scores(np.concatenate(([0], connected)))  # v(empty), then the connected subsets
     raw = np.zeros(1 << d)
-    raw[connected] = vals - baseline
+    raw[connected] = vals[1:] - vals[0]
     table = _kernels.component_sum_table(comp, raw)
     phi = _kernels.shapley_scatter(table, d, exact_shapley_weights(d))
     return AttributionResult(

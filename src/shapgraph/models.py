@@ -24,6 +24,7 @@ import numpy as np
 from ._kernels import chunk_rows
 from .errors import ConfigurationError, EvaluationError, ProtocolError
 from .theory import DiscreteJoint
+from .valuation import checked_codes
 
 WIRE_VERSION = 1
 WIRE_BATCH_LIMIT = 256
@@ -67,26 +68,16 @@ class NaiveBayesModel:
         return self.log_likelihoods.shape[1]
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
-        tokens = np.asarray(values, dtype=np.int64)
-        # negative ids read as huge unsigned ones, so one pass checks both ends
-        if tokens.size and tokens.view(np.uint64).max() >= self.vocab_size:
-            raise EvaluationError(
-                f"token ids must lie in [0, {self.vocab_size}), got range "
-                f"[{tokens.min()}, {tokens.max()}]"
-            )
+        tokens = checked_codes(values, self.vocab_size, "token ids")
         padded = self._padded_log_likelihoods
-        if tokens.ndim != 2 or tokens.shape[0] < 2:
-            # numpy may sum a single row pairwise; its scores stay as they were
-            scores = self.log_priors[:, None] + padded[:, tokens].sum(axis=2)
-            return _log_softmax(scores.T)
-        # For n >= 2 rows numpy sums the (C, n, d) gather position by
-        # position, 0..d-1.  Padding adds exactly +0.0, which leaves a running
-        # sum unchanged, so adding only the other tokens in the same order
-        # gives the same bits; bincount adds its weights in input order.  Rows
-        # are taken a few at a time, so the padding mask, a byte per token,
-        # stays within one chunk; the gathered arrays hold 8 bytes per
-        # non-padding token, a few per row for the masked rows of L- and
-        # C-Shapley.
+        # numpy sums the full (C, n, d) gather position by position, 0..d-1,
+        # for any number of rows n, one included.  Padding adds exactly +0.0,
+        # which leaves a running sum unchanged, so adding only the other
+        # tokens in the same order gives the same bits; bincount adds its
+        # weights in input order.  Rows are taken a few at a time, so the
+        # padding mask, a byte per token, stays within one chunk; the gathered
+        # arrays hold 8 bytes per non-padding token, a few per row for the
+        # masked rows of L- and C-Shapley.
         n, d = tokens.shape
         step = chunk_rows(d)
         scores = np.empty((n, self.num_classes))
@@ -255,7 +246,7 @@ class MarkovLabelModel:
         return values, labels
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
-        tokens = np.asarray(values, dtype=np.int64)
+        tokens = checked_codes(values, 2, "binary features", self.d)
         n, d = tokens.shape
         logp = np.empty((n, self.num_classes))
         for y in range(self.num_classes):

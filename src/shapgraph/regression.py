@@ -91,15 +91,17 @@ def _fit_rows(
     as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
     v(empty).  Rows carry Shapley kernel weights, or unit weights."""
     d = game.d
-    v_empty = game(0)
-    responses = game.scores(rows) - v_empty
+    # one valuation call: v(empty), the rows, and v(full) when constrained
+    values = game.scores([0, *rows, (1 << d) - 1] if constrained else [0, *rows])
+    v_empty = values[0]
+    responses = values[1 : len(rows) + 1] - v_empty
     if kernel_weights:
         weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
     else:
         weights = np.ones(len(rows))
     matrix = unpack_rows(pack_masks(rows, d), d).astype(np.float64)
     if constrained:
-        total = game((1 << d) - 1) - v_empty
+        total = values[-1] - v_empty
         return _constrained_fit(matrix, responses, weights, total, ridge)
     return solve_weighted(matrix, responses, weights, ridge)
 

@@ -18,6 +18,7 @@ from . import _kernels
 from .attribution import c_shapley_terms, exact_shapley_weights, l_shapley_terms
 from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
 from .graphs import FeatureGraph, connected_subsets_in, k_neighborhood, members_of, submasks
+from .valuation import checked_codes
 
 MAX_DENSE_FEATURES = 16
 MAX_EXHAUSTIVE_FEATURES = 12
@@ -81,6 +82,8 @@ class DiscreteJoint:
         object.__setattr__(self, "table", table)
         if table.shape != (1 << d, C):
             raise ConfigurationError(f"table must have shape {(1 << d, C)}, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ConfigurationError("joint masses must be finite")
         if np.any(table < 0):
             raise ConfigurationError("joint masses must be nonnegative")
         if abs(table.sum() - 1.0) > 1e-12:
@@ -92,7 +95,7 @@ class DiscreteJoint:
 
     def feature_marginal(self) -> np.ndarray:
         """P(x) for every atom."""
-        return self.table.sum(axis=1)
+        return _row_sums(self.table)
 
     def label_marginal(self) -> np.ndarray:
         return self.table.sum(axis=0)
@@ -126,40 +129,37 @@ def _ternary_codes(d: int) -> np.ndarray:
     return tern
 
 
-class _Marginals:
-    """Per-atom marginal probabilities of a joint, for any coordinate mask.
+def _marginal(joint: DiscreteJoint, mask: int, with_label: bool) -> np.ndarray:
+    """P(x restricted to mask, y) at every atom x, of shape (2**d, C), or
+    without the label P(x restricted to mask), of shape (2**d, 1).  Each
+    cell adds its atoms in ascending order from 0.0, as the cells of
+    :class:`_MarginalTable` do, so the two agree bitwise."""
+    # x & mask indexes the restriction of x without packing its bits
+    idx = np.arange(1 << joint.d, dtype=np.int64) & mask
+    columns = joint.table.T if with_label else joint.feature_marginal()[None]
+    marginals = [np.bincount(idx, weights=column, minlength=mask + 1) for column in columns]
+    return np.take(np.stack(marginals, axis=1), idx, axis=0)
 
-    ``atoms(mask, with_label=True)`` returns an array of shape (2**d, C) whose
-    (x, y) entry is P(x restricted to mask, y); without the label the shape is
-    (2**d, 1) holding P(x restricted to mask), broadcastable against the
-    labelled arrays.
 
-    With ``table=True`` every coordinate marginal is built once, in one table
-    per label setting indexed by ternary code: digit j is x_j for a kept
-    coordinate and 2 for a summed-out one.  ``atoms`` is then a gather.  The
-    tables hold 3**d rows, so only callers that need nearly every marginal
-    build them; otherwise each call sums one marginal.  Either way a marginal
-    adds its atoms in ascending atom order starting from 0.0, so both forms
-    agree bitwise.
+class _MarginalTable:
+    """Every coordinate marginal of a joint, built once, for callers that
+    need nearly all of them.
+
+    There is one table per label setting, indexed by ternary code: digit j
+    is x_j for a kept coordinate and 2 for a summed-out one.  ``table(True)``
+    has shape (3**d, C) and ``table(False)`` (3**d, 1); ``codes(mask)`` are
+    the rows of every atom's restriction, so ``table(wl)[codes(mask)]`` is
+    :func:`_marginal` of ``mask``, bitwise.  ``log_table`` is the table's
+    log, floored at ``_TINY`` and built on first use.
     """
 
-    def __init__(self, joint: DiscreteJoint, table: bool = False):
+    def __init__(self, joint: DiscreteJoint):
+        d, C = joint.d, joint.num_classes
         self.joint = joint
-        self._feature = joint.feature_marginal()
-        self._atoms = np.arange(1 << joint.d, dtype=np.int64)
-        self._tern = None
-        self._tables: dict[bool, np.ndarray] = {}
-        self._log_tables: dict[bool, np.ndarray] = {}
-        if table:
-            self._fill_tables()
-
-    def _fill_tables(self) -> None:
-        d, C = self.joint.d, self.joint.num_classes
-        full = (1 << d) - 1
-        tern = _ternary_codes(d)
-        masks = self._atoms
-        summed_out = 2 * tern[full & ~masks]
-        columns = np.concatenate([self.joint.table, self._feature[:, None]], axis=1).T
+        self._atoms = masks = np.arange(1 << d, dtype=np.int64)
+        self._tern = tern = _ternary_codes(d)
+        summed_out = 2 * tern[((1 << d) - 1) & ~masks]
+        columns = np.concatenate([joint.table, joint.feature_marginal()[:, None]], axis=1).T
         tables = np.zeros((C + 1, 3**d))
         # atoms in ascending order, one code per mask for each: add.at applies
         # them in order, so every cell adds its atoms as a bincount would
@@ -169,8 +169,8 @@ class _Marginals:
             codes = (tern[xs[:, None] & masks] + summed_out).reshape(-1)
             for column, src in zip(tables, columns):
                 np.add.at(column, codes, np.repeat(src[xs], 1 << d))
-        self._tern = tern
         self._tables = {True: np.ascontiguousarray(tables[:C].T), False: np.ascontiguousarray(tables[C:].T)}
+        self._log_tables: dict[bool, np.ndarray] = {}
 
     def codes(self, masks) -> np.ndarray:
         """Table rows of every atom, for one mask (2**d,) or many (n, 2**d)."""
@@ -187,47 +187,25 @@ class _Marginals:
             self._log_tables[with_label] = np.log(np.maximum(self._tables[with_label], _TINY))
         return self._log_tables[with_label]
 
-    def atoms(self, mask: int, with_label: bool) -> np.ndarray:
-        if self._tern is not None:
-            return np.take(self._tables[with_label], self.codes(mask), axis=0)
-        # x & mask indexes the restriction of x without packing its bits
-        idx = self._atoms & mask
-        if with_label:
-            table = self.joint.table
-            marg = np.stack(
-                [np.bincount(idx, weights=table[:, c], minlength=mask + 1) for c in range(table.shape[1])],
-                axis=1,
-            )
-            return np.take(marg, idx, axis=0)
-        return np.bincount(idx, weights=self._feature, minlength=mask + 1)[idx][:, None]
 
-
-def _pointwise_log_ratio(
-    joint: DiscreteJoint,
-    group_a: int,
-    group_b: int,
-    conditioning: int,
-    condition_on_label: bool,
-) -> np.ndarray:
+def _expected_log_ratio(
+    joint: DiscreteJoint, group_a: int, group_b: int, conditioning: int, condition_on_label: bool, absolute: bool
+) -> float:
+    """The expectation over the joint of log P(a,b|z) - log P(a|z) - log
+    P(b|z), or of its absolute value; zero-mass atoms contribute nothing."""
+    if group_a == 0 or group_b == 0:
+        return 0.0
     if group_a & group_b:
         raise ValueError("feature groups must be disjoint")
     if conditioning & (group_a | group_b):
         raise ValueError("conditioning set must be disjoint from both groups")
-    m = _Marginals(joint)
-    wl = condition_on_label
-    p_abz = m.atoms(group_a | group_b | conditioning, wl)
-    p_az = m.atoms(group_a | conditioning, wl)
-    p_bz = m.atoms(group_b | conditioning, wl)
-    p_z = m.atoms(conditioning, wl)
-    log_ratio = (
-        np.log(np.maximum(p_abz, _TINY))
-        + np.log(np.maximum(p_z, _TINY))
-        - np.log(np.maximum(p_az, _TINY))
-        - np.log(np.maximum(p_bz, _TINY))
+    log_abz, log_z, log_az, log_bz = (
+        np.log(np.maximum(_marginal(joint, mask, condition_on_label), _TINY))
+        for mask in (group_a | group_b | conditioning, conditioning, group_a | conditioning, group_b | conditioning)
     )
-    if log_ratio.shape[1] == 1:
-        log_ratio = np.broadcast_to(log_ratio, joint.table.shape)
-    return log_ratio
+    log_ratio = log_abz + log_z - log_az - log_bz
+    w = joint.table
+    return float(np.sum(np.where(w > 0, w * (np.abs(log_ratio) if absolute else log_ratio), 0.0)))
 
 
 def absolute_mutual_information(
@@ -244,13 +222,7 @@ def absolute_mutual_information(
     atoms contribute nothing.  Zero if and only if the groups are independent
     given the conditioning, and never below the plain mutual information.
     """
-    if group_a == 0 or group_b == 0:
-        return 0.0
-    log_ratio = _pointwise_log_ratio(
-        joint, group_a, group_b, conditioning, condition_on_label
-    )
-    w = joint.table
-    return float(np.sum(np.where(w > 0, w * np.abs(log_ratio), 0.0)))
+    return _expected_log_ratio(joint, group_a, group_b, conditioning, condition_on_label, absolute=True)
 
 
 def mutual_information(
@@ -261,13 +233,7 @@ def mutual_information(
     condition_on_label: bool = False,
 ) -> float:
     """Plain (signed-log) mutual information; companion to the absolute form."""
-    if group_a == 0 or group_b == 0:
-        return 0.0
-    log_ratio = _pointwise_log_ratio(
-        joint, group_a, group_b, conditioning, condition_on_label
-    )
-    w = joint.table
-    return float(np.sum(np.where(w > 0, w * log_ratio, 0.0)))
+    return _expected_log_ratio(joint, group_a, group_b, conditioning, condition_on_label, absolute=False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +251,17 @@ class ExactConditionalModel:
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
         self.num_classes = joint.num_classes
-        self._marginals = _Marginals(joint)
 
     def _atoms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (n, d) rows ``values`` as 0/1 integers, and the atom of each
-        row: its bits packed into one index of the joint table."""
-        values = np.asarray(values)
-        d = self.joint.d
-        if values.ndim != 2 or values.shape[1] != d:
-            raise ValueError(f"values must have shape (n, {d}), got {values.shape}")
-        with np.errstate(invalid="ignore"):  # NaN casts to a value flagged below
-            bits = values.astype(np.int64)
-        bad = np.argwhere((bits != 0) & (bits != 1))
-        if bad.size:
-            r, j = bad[0]
-            raise ValueError(f"features must be binary, got {values[r, j]!r} at position {j} of row {r}")
-        return bits, bits @ (1 << np.arange(d, dtype=np.int64))
+        """The (n, d) rows ``values`` as 0/1 codes, checked by
+        :func:`~shapgraph.valuation.checked_codes`, and the atom of each row:
+        its bits packed into one index of the joint table."""
+        bits = checked_codes(values, 2, "binary features", self.joint.d)
+        return bits, bits @ (1 << np.arange(self.joint.d, dtype=np.int64))
 
     def conditional(self, values: np.ndarray, subset: int) -> np.ndarray:
         bits, atoms = self._atoms(np.asarray(values)[None])
-        joint_rows = self._marginals.atoms(subset, True)[atoms[0]]
+        joint_rows = _marginal(self.joint, subset, True)[atoms[0]]
         mass = joint_rows.sum()
         if mass <= 0:
             raise ZeroMassError(
@@ -329,7 +286,7 @@ class ExactConditionalModel:
 
 
 def value_matrix(
-    joint: DiscreteJoint, mode: str = "expected_logprob", _marginals: _Marginals | None = None
+    joint: DiscreteJoint, mode: str = "expected_logprob", _marginals: _MarginalTable | None = None
 ) -> np.ndarray:
     """V[mask, atom]: subset score at every atom under exact conditionals.
 
@@ -337,10 +294,10 @@ def value_matrix(
     columns by atom mass, so those entries never contribute.
     """
     d, C = joint.d, joint.num_classes
-    m = _marginals if _marginals is not None else _Marginals(joint, table=True)
-    p_full = m.atoms((1 << d) - 1, True)
+    m = _marginals if _marginals is not None else _MarginalTable(joint)
     px = joint.feature_marginal()
-    base = p_full / np.where(px[:, None] > 0, px[:, None], 1.0)
+    # the full-mask marginal is the joint table itself
+    base = joint.table / np.where(px[:, None] > 0, px[:, None], 1.0)
     # log conditionals of every (mask, restriction) row of the table at once
     joint_rows = m.table(True)
     mass = _row_sums(joint_rows)[:, None]
@@ -384,7 +341,7 @@ def _check_exhaustion_budget(d: int) -> None:
 
 
 def _absolute_mi_of_probes(
-    m: _Marginals, i: int, probes: list[int], cond: int, with_label: bool
+    m: _MarginalTable, i: int, probes: list[int], cond: int, with_label: bool
 ) -> np.ndarray:
     """``absolute_mutual_information(joint, 1 << i, v, cond, with_label)`` for
     every probe set v, bitwise as that function computes it, from the log
@@ -409,7 +366,7 @@ def _absolute_mi_of_probes(
     return out
 
 
-def _epsilon_supremum(m: _Marginals, i: int, scans) -> EpsilonCertificate:
+def _epsilon_supremum(m: _MarginalTable, i: int, scans) -> EpsilonCertificate:
     """Largest absolute mutual information between feature i and a probe set,
     over ``scans`` of (conditioning set, mask whose nonempty subsets are the
     probe sets), each with and without the label.  Ties keep the first
@@ -426,15 +383,15 @@ def _epsilon_supremum(m: _Marginals, i: int, scans) -> EpsilonCertificate:
     return best
 
 
-def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _Marginals | None) -> _Marginals:
+def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _MarginalTable | None) -> _MarginalTable:
     _check_exhaustion_budget(joint.d)
     if not (s >> i) & 1:
         raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
-    return marginals if marginals is not None else _Marginals(joint, table=True)
+    return marginals if marginals is not None else _MarginalTable(joint)
 
 
 def epsilon_for_lshapley(
-    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _Marginals | None = None
+    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _MarginalTable | None = None
 ) -> EpsilonCertificate:
     """Largest absolute (conditional) mutual information between feature i and
     any probe set outside s, conditioning on any subset of s minus i, with
@@ -445,7 +402,7 @@ def epsilon_for_lshapley(
 
 
 def epsilon_for_cshapley(
-    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _Marginals | None = None
+    joint: DiscreteJoint, g: FeatureGraph, i: int, s: int, _marginals: _MarginalTable | None = None
 ) -> EpsilonCertificate:
     """Supremum over connected subsets U of s containing i, probing sets drawn
     from the nodes neither in U nor adjacent to it."""
@@ -505,7 +462,7 @@ def _verify_theorem(
         )
     if s is None:
         s = k_neighborhood(g, i, k)
-    marginals = _Marginals(joint, table=True)
+    marginals = _MarginalTable(joint)
     cert = epsilon_for_lshapley(joint, g, i, s, _marginals=marginals)
     if theorem == 1:
         terms = l_shapley_terms(g, i, k)

@@ -36,7 +36,9 @@ class ModelContract(Protocol):
     (each row's exponentials summing to one, which :func:`model_probs`
     checks).  The input rows are valid only during the call:
     :class:`ValueFunction` refills the same buffer for its next block, so a
-    model that keeps them must copy them.
+    model that keeps them must copy them.  The built-in models that read
+    their rows decode them with :func:`checked_codes`, so a row of the wrong
+    width or with a value outside their codes raises ``EvaluationError``.
 
     A model may also declare ``batch_size``, the number of rows it would
     rather get per call.  A :class:`ValueFunction` then sends blocks of as
@@ -439,6 +441,35 @@ def checked_probs(log_probs, n: int, num_classes: int) -> tuple[np.ndarray, np.n
             f"{ROW_SUM_TOLERANCE} (sums {sums[bad[:4]].tolist()})"
         )
     return log_probs, probs
+
+
+def checked_codes(values, n: int, what: str, d: int | None = None) -> np.ndarray:
+    """Model input rows as int64 codes, checked before use: the input-side
+    partner of :func:`checked_probs`.
+
+    ``values`` must be an (rows, d) array, ``d`` wide when that is given, of
+    integers in [0, n); ``what`` names them.  Rows of floats, such as the
+    model server builds, must hold whole numbers, which also refuses NaN.  A
+    failure raises ``EvaluationError`` naming the shape, or the range, the
+    first bad value and where it is.
+    """
+    values = np.asarray(values)
+    if values.ndim != 2 or d not in (None, values.shape[1]):
+        raise EvaluationError(f"values must have shape (n, {'d' if d is None else d}), got {values.shape}")
+    whole = values.dtype.kind in "biu"
+    if whole:
+        codes = values.astype(np.int64, copy=False)
+    else:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to codes that differ from them
+            codes = values.astype(np.int64)
+    # negative codes read as huge unsigned ones, so one pass checks both ends
+    if codes.size and (codes.view(np.uint64).max() >= n or not (whole or np.array_equal(codes, values))):
+        r, j = np.argwhere((codes.view(np.uint64) >= n) | (codes != values))[0]
+        raise EvaluationError(
+            f"{what} must lie in [0, {n}), got range [{values.min()}, {values.max()}]: "
+            f"{values[r, j].item()!r} at position {j} of row {r}"
+        )
+    return codes
 
 
 def marginal_contribution(vf: SetFunction, s: int, i: int) -> float:

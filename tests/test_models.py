@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestNaiveBayesGather:
         with pytest.raises(EvaluationError):
             nb.evaluate_batch(tokens[1:2])
 
+    def test_fractional_nan_and_one_dimensional_tokens_are_rejected(self):
+        nb = self._model(2)
+        tokens = np.ones((3, 5))
+        tokens[2, 1] = 5.9
+        with pytest.raises(EvaluationError, match=r"token ids must lie in \[0, 200\), got range \[1.0, 5.9\]: 5.9 at position 1 of row 2"):
+            nb.evaluate_batch(tokens)
+        tokens[2, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from casting NaN
+            with pytest.raises(EvaluationError, match="nan at position 1 of row 2"):
+                nb.evaluate_batch(tokens)
+        with pytest.raises(EvaluationError, match=r"values must have shape \(n, d\), got \(5,\)"):
+            nb.evaluate_batch(np.ones(5, dtype=np.int64))
+
     @pytest.mark.parametrize("shape", [(0, 5), (0, 0), (4, 0)])
     def test_empty_input(self, shape):
         nb = self._model(2)
@@ -201,6 +216,21 @@ class TestMarkovLabelModel:
         for r in range(20):
             expected = exact.conditional(values[r], (1 << 5) - 1)
             np.testing.assert_allclose(got[r], expected, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ([0, 1, 0, -1], r"binary features must lie in \[0, 2\), got range \[-1, 1\]: -1 at position 3 of row 1"),
+            ([0, 1, 0, 1.7], r"binary features must lie in \[0, 2\), .*: 1.7 at position 3 of row 1"),
+            ([0, 1, 0, 2], r"binary features must lie in \[0, 2\), got range \[0, 2\]: 2 at position 3 of row 1"),
+            ([0, 1, 0], r"values must have shape \(n, 4\), got \(2, 3\)"),
+        ],
+        ids=["negative", "fractional", "two", "three-wide"],
+    )
+    def test_rows_outside_the_binary_codes_are_rejected(self, bad_row, message):
+        model, _ = markov_label_model(seed=8, d=4, mixing=0.3)
+        with pytest.raises(EvaluationError, match=message):
+            model.evaluate_batch(np.array([[0, 1, 0, 1][: len(bad_row)], bad_row]))
 
     def test_json_round_trip(self):
         model, _ = markov_label_model(seed=8, d=4, mixing=0.3)
@@ -810,16 +840,18 @@ class TestModelServer:
             "not json",
             json.dumps({"op": "eval", "id": 0}),
             json.dumps({"op": "eval", "id": 1, "instances": [[99, 0, 0, 0]]}),
+            json.dumps({"op": "eval", "id": 2, "instances": [[3, 1, 4, 1], [1, 2.5, 0, 0]]}),
             json.dumps({"op": "hello", "version": 1}),
         ]
         writer = io.StringIO()
         serve_stream(nb, io.StringIO("\n".join(requests) + "\n"), writer)
         replies = [json.loads(line) for line in writer.getvalue().splitlines()]
-        assert [r["op"] for r in replies] == ["error", "error", "error", "hello"]
+        assert [r["op"] for r in replies] == ["error", "error", "error", "error", "hello"]
         assert "JSONDecodeError" in replies[0]["message"]
         assert "instances" in replies[1]["message"]
         assert "token ids" in replies[2]["message"]
-        assert replies[3] == {"op": "hello", "num_classes": 2, "ops": ["eval", "eval_masked"]}
+        assert "2.5 at position 1 of row 1" in replies[3]["message"]
+        assert replies[4] == {"op": "hello", "num_classes": 2, "ops": ["eval", "eval_masked"]}
 
     def test_bad_masked_requests_get_error_replies_and_serving_continues(self):
         nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=4, vocab_size=15), 15)

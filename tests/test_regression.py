@@ -10,6 +10,7 @@ from shapgraph import (
     general_graph,
     grid_graph,
     kernelshap,
+    myerson_value,
     regression_c_shapley,
     shapley_kernel_weight,
     subset_of,
@@ -17,7 +18,7 @@ from shapgraph import (
 )
 from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, solve_weighted
-from shapgraph.valuation import additive_game
+from shapgraph.valuation import TableGame, additive_game
 
 from oracles import wls_lstsq_oracle
 
@@ -187,3 +188,36 @@ class TestRegressionCShapley:
         game = synthetic_game(6, seed=11)
         res = regression_c_shapley(game, chain_graph(6), 2, use_kernel_weights=False)
         assert res.scores.shape == (6,)
+
+
+class ValueTableCounter(TableGame):
+    """A seeded table game that counts its ``value_table`` calls."""
+
+    def __init__(self, d: int, seed: int):
+        super().__init__(d, np.random.default_rng(seed).normal(size=1 << d))
+        self.calls = 0
+
+    def value_table(self, table):
+        self.calls += 1
+        return super().value_table(table)
+
+
+class TestOneValuationCall:
+    """v(empty), and v(full) where a fit needs it, are valued in the same
+    call as the estimator's other subsets."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda game: myerson_value(game, chain_graph(6)),
+            lambda game: kernelshap(game, num_samples=12, seed=0),
+            lambda game: kernelshap(game, num_samples=12, seed=0, constrained=True),
+            lambda game: regression_c_shapley(game, chain_graph(6), 3),
+            lambda game: regression_c_shapley(game, grid_graph(2, 3), 2, constrained=True),
+        ],
+        ids=["myerson", "kernelshap", "kernelshap-constrained", "c-shapley-reg", "c-shapley-reg-constrained"],
+    )
+    def test_a_fresh_game_sees_one_value_table_call(self, run):
+        game = ValueTableCounter(6, seed=21)
+        run(game)
+        assert game.calls == 1

@@ -6,7 +6,9 @@ import pytest
 
 from shapgraph import (
     BudgetExceededError,
+    ConfigurationError,
     DiscreteJoint,
+    EvaluationError,
     ExactConditionalModel,
     ZeroMassError,
     absolute_mutual_information,
@@ -23,7 +25,7 @@ from shapgraph import (
 )
 from shapgraph.models import markov_label_model
 from shapgraph import _kernels
-from shapgraph.theory import _Marginals, mutual_information, value_matrix
+from shapgraph.theory import _marginal, _MarginalTable, mutual_information, value_matrix
 
 from oracles import absolute_mi_oracle, conditional_oracle, shapley_subset_oracle
 from reference_path import JointValueFunction
@@ -65,6 +67,11 @@ class TestDiscreteJoint:
             DiscreteJoint(2, 2, table)
         with pytest.raises(ValueError, match="at most"):
             DiscreteJoint(17, 2, np.zeros((1 << 17, 2)))
+        for bad in (np.nan, np.inf):
+            table = np.full((4, 2), 0.125)
+            table[1, 0] = bad
+            with pytest.raises(ConfigurationError, match="finite"):
+                DiscreteJoint(2, 2, table)
 
     def test_random_joint_strictly_positive_and_reproducible(self):
         a = random_joint(5, 3, seed=4)
@@ -77,17 +84,18 @@ class TestMarginals:
     @pytest.mark.parametrize("d", [1, 3, 6, 10])
     def test_atoms_equal_add_at_formula(self, d):
         joint = random_joint(d, 3, seed=d)
-        m = _Marginals(joint)
+        m = _MarginalTable(joint)
         for mask in range(1 << d):
             idx = _kernels.restriction_indices(d, mask)
             size = 1 << bin(mask).count("1")
             with_label = np.zeros((size, 3))
             np.add.at(with_label, idx, joint.table)
-            assert (m.atoms(mask, True) == with_label[idx]).all()
             without = np.zeros(size)
             np.add.at(without, idx, joint.feature_marginal())
-            assert m.atoms(mask, False).shape == (1 << d, 1)
-            assert (m.atoms(mask, False) == without[idx][:, None]).all()
+            for atoms in (lambda wl: _marginal(joint, mask, wl), lambda wl: m.table(wl)[m.codes(mask)]):
+                assert (atoms(True) == with_label[idx]).all()
+                assert atoms(False).shape == (1 << d, 1)
+                assert (atoms(False) == without[idx][:, None]).all()
 
 
 class TestAbsoluteMutualInformation:
@@ -186,7 +194,7 @@ class TestExactConditionalModel:
     def test_value_vector_of_the_wrong_length_raises(self):
         model = ExactConditionalModel(random_joint(3, 2, 5))
         for values in (np.array([1, 0]), np.array([1, 0, 1, 1, 1])):
-            with pytest.raises(ValueError, match=r"values must have shape \(n, 3\)"):
+            with pytest.raises(EvaluationError, match=r"values must have shape \(n, 3\)"):
                 model.conditional(values, 0b01)
 
     def test_value_function_counts_subsets(self):
@@ -470,14 +478,12 @@ class TestBitwiseReferences:
     def test_marginals_equal_per_mask_bincount(self, d, C, kind):
         joint = JOINT_KINDS[kind](d, C, 40 + d)
         ref = PerMaskMarginals(joint)
-        summed = _Marginals(joint)
-        table = _Marginals(joint, table=True)
+        table = _MarginalTable(joint)
         masks = range(1 << d) if d <= 8 else np.random.default_rng(d).integers(0, 1 << d, 64)
         for mask in masks:
             for with_label in (True, False):
                 expected = ref.atoms(int(mask), with_label)
-                for m in (summed, table):
-                    got = m.atoms(int(mask), with_label)
+                for got in (_marginal(joint, int(mask), with_label), table.table(with_label)[table.codes(int(mask))]):
                     assert got.shape == expected.shape
                     assert (got == expected).all(), (mask, with_label)
 
@@ -548,12 +554,14 @@ class TestEvaluateBatchChecks:
 
     def test_non_binary_feature_rejected(self):
         model = ExactConditionalModel(random_joint(3, 2, 0))
-        with pytest.raises(ValueError, match="binary.*position 2 of row 1"):
+        with pytest.raises(EvaluationError, match="binary.*position 2 of row 1"):
             model.evaluate_batch(np.array([[0, 1, 1], [1, 0, 2]]))
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(EvaluationError, match="binary"):
             model.evaluate_batch(np.array([[0.0, np.nan, 1.0]]))
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(EvaluationError, match="shape"):
             model.evaluate_batch(np.array([0, 1, 1]))
+        with pytest.raises(EvaluationError, match=r"binary.*0\.5 at position 1 of row 0"):
+            model.evaluate_batch(np.array([[0.0, 0.5, 1.0]]))
 
 
 class TestWideJointsBuildNoTable:

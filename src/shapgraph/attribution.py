@@ -5,16 +5,19 @@ All estimators consume a memoized :class:`~shapgraph.valuation.SetFunction`,
 so their reported ``model_evaluations`` is the number of distinct subsets the
 run actually forced, with caching shared across features and methods.
 
-L- and C-Shapley plan their terms before they value anything.  Features
-whose neighbourhoods have the same shape share one term template, and the
-templates of every feature make one :class:`PlanTable`: the plan's distinct
-subsets as packed member rows, the two subset indices, weight and feature of
-each term, and the plan step that first holds each subset.  The tables of
-all-features runs live on the graph next to the templates, so explaining
-many instances on one graph plans once; the game values a table in one
-``value_table`` call, and the scores are one scatter over its terms.  A
-one-feature run values its one template's masks with ``scores``, a
-``value_table`` call too, which finds them in the game's one value store.
+Every estimator is a planner and a reducer joined by one :class:`Plan`: the
+planner lists the distinct subsets the run needs as a
+:class:`~shapgraph.valuation.SubsetTable`, and ``Plan.run`` values them in
+one ``value_table`` call and hands their values, in table order, to the
+reducer.  So a run's cost is known before any model call.
+
+L- and C-Shapley plan their terms as templates: features whose
+neighbourhoods have the same shape share one, and the templates of the
+features planned make the plan's table, with the two subset indices,
+weight and feature of each term held by the reducer, and the plan step that
+first holds each subset.  The plans of all-features runs live on the graph
+next to the templates, so explaining many instances on one graph plans
+once.  A one-feature run is a one-step plan, reduced the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -78,6 +81,50 @@ class AttributionResult:
         }
 
 
+@dataclass(eq=False)
+class Plan:
+    """The distinct subsets an estimator run needs, and how their values
+    become scores.
+
+    ``reduce`` turns the values of ``subsets``, in table order, into the
+    scores.  It holds no game and no values, so a plan may be kept and run
+    on many games.  ``first_turn[r]``, where given, is the step, out of
+    ``turns``, that first needs subset r; the run then reports evaluations
+    per step.
+    """
+
+    method: str
+    subsets: SubsetTable
+    reduce: Callable[[np.ndarray], np.ndarray]
+    order_k: int | None = None
+    seed: int | None = None
+    first_turn: np.ndarray | None = None
+    turns: int = 0
+
+    @classmethod
+    def of_masks(cls, method: str, masks, d: int, reduce: Callable[[np.ndarray], np.ndarray], **meta) -> "Plan":
+        """The plan that reduces the values of ``masks``, subsets of d
+        features, in their order and repeats included."""
+        subsets, _, inverse = SubsetTable.distinct(pack_masks(masks, d), d)
+        return cls(method, subsets, lambda values: reduce(values[inverse]), **meta)
+
+    def run(self, game: SetFunction) -> AttributionResult:
+        """Value the subsets in one ``value_table`` call and reduce them.
+
+        ``model_evaluations`` is every subset the call valued, those that
+        ``prepare`` valued included; per step, those fall to the first.
+        """
+        before = game.eval_count
+        values, new = game.value_table(self.subsets)
+        used = game.eval_count - before
+        per_step = None
+        if self.first_turn is not None:
+            counts = np.bincount(self.first_turn[new], minlength=self.turns)
+            counts[0] += used - int(new.sum())
+            per_step = counts.tolist()
+        return AttributionResult(self.method, self.reduce(values), used, self.order_k, self.seed, per_step)
+
+
 def shapley_coefficient(n: int, t: int) -> float:
     """1 / (n * C(n-1, t-1)): the Shapley weight, among n players, of a
     marginal contribution to a coalition of size t that holds the player."""
@@ -92,6 +139,16 @@ def exact_shapley_weights(d: int) -> np.ndarray:
     return w
 
 
+def exact_shapley_plan(d: int) -> Plan:
+    """The plan of exact Shapley values on d features: all 2**d subsets."""
+    if d > DEFAULT_EXACT_LIMIT:
+        raise ConfigurationError(
+            f"exact Shapley on {d} features needs 2^{d} evaluations "
+            f"(limit {DEFAULT_EXACT_LIMIT}); use l_shapley / c_shapley / sample_shapley instead"
+        )
+    return Plan.of_masks("exact", np.arange(1 << d), d, lambda values: _kernels.shapley_scatter(values, d, exact_shapley_weights(d)))
+
+
 def exact_shapley(game: SetFunction) -> AttributionResult:
     """Exact Shapley values by one pass over all 2**d subsets.
 
@@ -99,20 +156,7 @@ def exact_shapley(game: SetFunction) -> AttributionResult:
     feature is a member, negatively where it completes a larger subset), so
     the memoized game is evaluated at most 2**d times in total.
     """
-    d = game.d
-    if d > DEFAULT_EXACT_LIMIT:
-        raise ConfigurationError(
-            f"exact Shapley on {d} features needs 2^{d} evaluations "
-            f"(limit {DEFAULT_EXACT_LIMIT}); use l_shapley / c_shapley / sample_shapley instead"
-        )
-    before = game.eval_count
-    values = game.scores(np.arange(1 << d))
-    phi = _kernels.shapley_scatter(values, d, exact_shapley_weights(d))
-    return AttributionResult(
-        method="exact",
-        scores=phi,
-        model_evaluations=game.eval_count - before,
-    )
+    return exact_shapley_plan(game.d).run(game)
 
 
 def l_shapley_terms(
@@ -193,32 +237,24 @@ def _template(i: int, terms: list[tuple[int, float]], lo: int) -> Template:
     return masks, [weight for _, weight in terms]
 
 
-@dataclass(eq=False)
-class PlanTable:
-    """The terms of a plan over its distinct subsets.
-
-    ``subsets`` holds every S and S minus i of the plan once, in the order
-    they first occur; term t is feature ``features[t]`` with weight
-    ``weights[t]`` and the subsets at ``with_i[t]`` and ``without_i[t]``.
-    ``first_turn[r]`` is the plan step that first holds subset r.
-    """
-
-    subsets: SubsetTable
-    with_i: np.ndarray
-    without_i: np.ndarray
-    weights: np.ndarray
-    features: np.ndarray
-    first_turn: np.ndarray
-    turns: int
-
-
-def _plan_table(steps: list[PlanStep], d: int) -> PlanTable:
-    """The plan table of the plan ``steps`` over d features.
+def local_plan(
+    method: str, g: FeatureGraph, k: int, weighting: str | None, budget: int, features: Iterable[int] | None = None
+) -> Plan:
+    """The plan of the order-k L-Shapley (``method`` "l_shapley") or
+    C-Shapley ("c_shapley") estimates of ``features``, or of every feature
+    when that is None: weighted marginals v(S) - v(S minus i) summed per
+    feature.  The every-feature plan is kept on the graph next to the
+    templates and keyed as they are.
 
     Each template's masks are packed once per bit offset and placed at
     their byte shift, so the plan's masks are never Python integers; the
     distinct rows come from one :meth:`SubsetTable.distinct` over them.
     """
+    key = (method, k, weighting, budget)
+    if features is None and key in g._tables:
+        return g._tables[key]
+    d = g.d
+    steps = list(_plan(method, g, range(d) if features is None else features, k, weighting, budget))
     width = (d + 7) // 8
     placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
     sizes = [len(masks) for _, _, (masks, _) in steps]
@@ -234,64 +270,21 @@ def _plan_table(steps: list[PlanStep], d: int) -> PlanTable:
         packed[at : at + size, byte : byte + rows.shape[1]] = rows
         at += size
     subsets, first, inverse = SubsetTable.distinct(packed, d)
-    return PlanTable(
-        subsets,
-        inverse[0::2].astype(np.int32),
-        inverse[1::2].astype(np.int32),
-        np.array([w for _, _, (_, weights) in steps for w in weights], dtype=np.float64),
-        np.repeat([i for i, _, _ in steps], np.array(sizes) // 2),
-        np.repeat(np.arange(len(steps), dtype=np.int32), sizes)[first],
-        len(steps),
-    )
+    # term t: feature on[t], weight weights[t], subsets with_i[t] and without_i[t]
+    with_i, without_i = inverse[0::2].astype(np.int32), inverse[1::2].astype(np.int32)
+    weights = np.array([w for _, _, (_, ws) in steps for w in ws], dtype=np.float64)
+    on = np.repeat([i for i, _, _ in steps], np.array(sizes) // 2)
 
+    def reduce(values: np.ndarray) -> np.ndarray:  # each feature's sum adds its terms to 0.0 in order
+        scores = np.zeros(d)
+        np.add.at(scores, on, weights * (values[with_i] - values[without_i]))
+        return scores
 
-def _table(method: str, g: FeatureGraph, k: int, weighting: str | None, budget: int) -> PlanTable:
-    """The plan table of every feature, kept on the graph next to the
-    templates and keyed as they are."""
-    key = (method, k, weighting, budget)
-    table = g._tables.get(key)
-    if table is None:
-        table = g._tables[key] = _plan_table(list(_plan(method, g, range(g.d), k, weighting, budget)), g.d)
-    return table
-
-
-def _marginal_sums(game: SetFunction, table: PlanTable) -> tuple[np.ndarray, list[int]]:
-    """Sum weighted marginals v(S) - v(S minus i) per feature over a plan
-    table, with all of its subsets valued in one ``value_table`` call.
-
-    Each feature's sum starts from 0.0 and adds its terms in order.  Returns
-    the scores and, per plan step, the distinct subsets first valued during
-    its turn; what ``prepare`` values falls to the first step.
-    """
-    before = game.eval_count
-    values, new = game.value_table(table.subsets)
-    per_feature = np.bincount(table.first_turn[new], minlength=table.turns)
-    per_feature[0] += game.eval_count - before - int(new.sum())
-    scores = np.zeros(game.d)
-    np.add.at(scores, table.features, table.weights * (values[table.with_i] - values[table.without_i]))
-    return scores, per_feature.tolist()
-
-
-def _one_feature(game: SetFunction, method: str, g: FeatureGraph, i: int, k: int, weighting: str | None, budget: int) -> float:
-    """The weighted marginals of feature i, valued by ``scores`` and summed
-    from 0.0 in term order, as an all-features run sums them."""
-    ((_, lo, (masks, weights)),) = _plan(method, g, [i], k, weighting, budget)
-    values = game.scores([m << lo for m in masks])
-    total = np.zeros(1)
-    np.add.at(total, np.zeros(len(weights), dtype=np.intp), np.asarray(weights) * (values[0::2] - values[1::2]))
-    return float(total[0])
-
-
-def _all_features(game: SetFunction, method: str, k: int, table: PlanTable) -> AttributionResult:
-    before = game.eval_count
-    scores, per_feature = _marginal_sums(game, table)
-    return AttributionResult(
-        method=method,
-        scores=scores,
-        model_evaluations=game.eval_count - before,
-        order_k=k,
-        per_feature_evaluations=per_feature,
-    )
+    first_turn = np.repeat(np.arange(len(steps), dtype=np.int32), sizes)[first]
+    plan = Plan(method, subsets, reduce, order_k=k, first_turn=first_turn, turns=len(steps))
+    if features is None:
+        g._tables[key] = plan
+    return plan
 
 
 def l_shapley(
@@ -307,7 +300,7 @@ def l_shapley(
     containing i, with neighborhood-restricted Shapley coefficients.  For k at
     least the graph diameter this is the exact Shapley value.
     """
-    return _one_feature(game, "l_shapley", g, i, k, None, budget)
+    return float(local_plan("l_shapley", g, k, None, budget, [i]).run(game).scores[i])
 
 
 def l_shapley_all(
@@ -318,7 +311,7 @@ def l_shapley_all(
 ) -> AttributionResult:
     """Local Shapley estimates for every feature, sharing one evaluation cache
     and filling the model batch across features."""
-    return _all_features(game, "l_shapley", k, _table("l_shapley", g, k, None, budget))
+    return local_plan("l_shapley", g, k, None, budget).run(game)
 
 
 def connected_subset_weight(size: int, boundary: int) -> float:
@@ -382,7 +375,7 @@ def c_shapley(
     Sums weighted marginal contributions over the connected subsets of the
     k-neighborhood that contain i.
     """
-    return _one_feature(game, "c_shapley", g, i, k, weighting, budget)
+    return float(local_plan("c_shapley", g, k, weighting, budget, [i]).run(game).scores[i])
 
 
 def c_shapley_all(
@@ -394,7 +387,27 @@ def c_shapley_all(
 ) -> AttributionResult:
     """Connected-subset estimates for every feature, sharing one cache and
     filling the model batch across features."""
-    return _all_features(game, "c_shapley", k, _table("c_shapley", g, k, weighting, budget))
+    return local_plan("c_shapley", g, k, weighting, budget).run(game)
+
+
+def sample_shapley_plan(d: int, num_permutations: int, seed: int) -> Plan:
+    """The plan of a permutation-sampled estimate on d features: the
+    prefixes of ``num_permutations`` orderings drawn from the seed."""
+    if num_permutations < 1:
+        raise ConfigurationError("need at least one permutation")
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(d) for _ in range(num_permutations)]
+    prefixes = []
+    for perm in perms:  # the empty set, then each longer prefix
+        prefixes += accumulate((1 << j for j in perm.tolist()), or_, initial=0)
+
+    def reduce(values: np.ndarray) -> np.ndarray:
+        totals = np.zeros(d)
+        for perm, row in zip(perms, np.diff(values.reshape(num_permutations, d + 1))):
+            totals[perm] += row
+        return totals / num_permutations
+
+    return Plan.of_masks("sample_shapley", prefixes, d, reduce, seed=seed)
 
 
 def sample_shapley(
@@ -407,25 +420,28 @@ def sample_shapley(
     over permutations.  The permutation stream is drawn from the seed before
     any evaluation, so results are reproducible.
     """
-    if num_permutations < 1:
-        raise ConfigurationError("need at least one permutation")
-    d = game.d
-    before = game.eval_count
-    rng = np.random.default_rng(seed)
-    perms = [rng.permutation(d) for _ in range(num_permutations)]
-    prefixes = []
-    for perm in perms:  # the empty set, then each longer prefix
-        prefixes += accumulate((1 << j for j in perm.tolist()), or_, initial=0)
-    marginals = np.diff(game.scores(prefixes).reshape(num_permutations, d + 1))
-    totals = np.zeros(d)
-    for perm, row in zip(perms, marginals):
-        totals[perm] += row
-    return AttributionResult(
-        method="sample_shapley",
-        scores=totals / num_permutations,
-        model_evaluations=game.eval_count - before,
-        seed=seed,
-    )
+    return sample_shapley_plan(game.d, num_permutations, seed).run(game)
+
+
+def myerson_plan(g: FeatureGraph) -> Plan:
+    """The plan of the Myerson value on the graph's d features: v(empty),
+    then every connected subset."""
+    d = g.d
+    if d > DEFAULT_MYERSON_LIMIT:
+        raise ConfigurationError(
+            f"Myerson value on {d} features decomposes all 2^{d} subsets "
+            f"(limit {DEFAULT_MYERSON_LIMIT}); use c_shapley for an approximation"
+        )
+    comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
+    connected = np.unique(comp[1:])
+
+    def reduce(values: np.ndarray) -> np.ndarray:
+        raw = np.zeros(1 << d)
+        raw[connected] = values[1:] - values[0]
+        table = _kernels.component_sum_table(comp, raw)
+        return _kernels.shapley_scatter(table, d, exact_shapley_weights(d))
+
+    return Plan.of_masks("myerson", np.concatenate(([0], connected)), d, reduce)
 
 
 def myerson_value(game: SetFunction, g: FeatureGraph) -> AttributionResult:
@@ -437,22 +453,4 @@ def myerson_value(game: SetFunction, g: FeatureGraph) -> AttributionResult:
     only on connected subsets; reported evaluations are the distinct
     base-game queries.
     """
-    d = game.d
-    if d > DEFAULT_MYERSON_LIMIT:
-        raise ConfigurationError(
-            f"Myerson value on {d} features decomposes all 2^{d} subsets "
-            f"(limit {DEFAULT_MYERSON_LIMIT}); use c_shapley for an approximation"
-        )
-    before = game.eval_count
-    comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
-    connected = np.unique(comp[1:])
-    vals = game.scores(np.concatenate(([0], connected)))  # v(empty), then the connected subsets
-    raw = np.zeros(1 << d)
-    raw[connected] = vals[1:] - vals[0]
-    table = _kernels.component_sum_table(comp, raw)
-    phi = _kernels.shapley_scatter(table, d, exact_shapley_weights(d))
-    return AttributionResult(
-        method="myerson",
-        scores=phi,
-        model_evaluations=game.eval_count - before,
-    )
+    return myerson_plan(g).run(game)

@@ -116,9 +116,8 @@ def cmd_explain(args) -> int:
     model = resolve_model(args.model, instance.d, args.seed)
     graph = parse_graph(args.graph, instance.d)
     vf = ValueFunction(model, instance, estimator=args.estimator, mode=args.mode, pool=pool, seed=args.seed)
-    result = MethodSpec(args.method, args.k).run(
-        vf, graph, args.seed, args.permutations, 4 * instance.d if args.samples is None else args.samples
-    )
+    samples = 4 * instance.d if args.samples is None else args.samples
+    result = MethodSpec(args.method, args.k).plan(instance.d, graph, args.seed, args.permutations, samples).run(vf)
     result.seed = args.seed
     payload = result.to_json()
     if args.out:
@@ -231,7 +230,7 @@ def cmd_bench(args) -> int:
     k = args.k
     graph = parse_graph(args.graph, d)
     # k also serves as the permutation count of "sample"
-    result = MethodSpec(args.method, k).run(_bench_game(d), graph, 0, k, 4 * d)
+    result = MethodSpec(args.method, k).plan(d, graph, 0, k, 4 * d).run(_bench_game(d))
     chain = graph.kind == "chain"
     # cost-model counts; the L- and C-Shapley ones are line-graph statements
     reference = {

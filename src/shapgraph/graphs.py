@@ -105,7 +105,7 @@ class FeatureGraph:
     grid graphs remember nothing beyond their shape, general graphs carry an
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
     ``_templates`` holds the estimators' term templates, one per
-    neighbourhood shape, and ``_tables`` their plan tables, one per method,
+    neighbourhood shape, and ``_tables`` their plans, one per method,
     order, weighting and budget, for as long as the graph lives (see
     :mod:`shapgraph.attribution`).
     """

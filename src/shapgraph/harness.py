@@ -17,32 +17,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .attribution import (
-    c_shapley_all,
-    exact_shapley,
-    l_shapley_all,
-    myerson_value,
-    sample_shapley,
-)
+from .attribution import DEFAULT_SUBSET_BUDGET, Plan, exact_shapley_plan, local_plan, myerson_plan, sample_shapley_plan
 from .errors import BudgetExceededError, ConfigurationError, EvaluationError
-from .graphs import FeatureGraph, subset_of
-from .regression import kernelshap, regression_c_shapley
+from .graphs import DEFAULT_ENUMERATION_BUDGET, FeatureGraph, pack_masks, subset_of
+from .regression import kernelshap_plan, regression_c_shapley_plan
 from .valuation import Instance, ValueFunction, model_probs, plugin_masked_instance
 
 DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0, 0.05, ..., 0.5
 
-# CLI name -> (default order k, run).  A run is called with the keywords game,
-# graph, k, seed, permutations and samples, and returns the estimator's
-# AttributionResult.  It names its estimator through this module's globals at
-# call time, so wrappers installed on those bindings see every call.
+# CLI name -> (default order k, planner).  A planner is called with the
+# keywords d, graph, k, seed, permutations and samples, and returns the
+# estimator's Plan for an instance of d features, which the harness checks
+# against the budget before it runs it.
 METHODS = {
-    "exact": (None, lambda game, **_: exact_shapley(game)),
-    "l-shapley": (1, lambda game, graph, k, **_: l_shapley_all(game, graph, k)),
-    "c-shapley": (1, lambda game, graph, k, **_: c_shapley_all(game, graph, k)),
-    "c-shapley-reg": (4, lambda game, graph, k, **_: regression_c_shapley(game, graph, k)),
-    "sample": (None, lambda game, seed, permutations, **_: sample_shapley(game, permutations, seed)),
-    "kernelshap": (None, lambda game, seed, samples, **_: kernelshap(game, samples, seed)),
-    "myerson": (None, lambda game, graph, **_: myerson_value(game, graph)),
+    "exact": (None, lambda d, **_: exact_shapley_plan(d)),
+    "l-shapley": (1, lambda graph, k, **_: local_plan("l_shapley", graph, k, None, DEFAULT_SUBSET_BUDGET)),
+    "c-shapley": (1, lambda graph, k, **_: local_plan("c_shapley", graph, k, "myerson", DEFAULT_ENUMERATION_BUDGET)),
+    "c-shapley-reg": (4, lambda graph, k, **_: regression_c_shapley_plan(graph, k)),
+    "sample": (None, lambda d, seed, permutations, **_: sample_shapley_plan(d, permutations, seed)),
+    "kernelshap": (None, lambda d, seed, samples, **_: kernelshap_plan(d, samples, seed)),
+    "myerson": (None, lambda graph, **_: myerson_plan(graph)),
 }
 # "random" is the harness's own baseline, not an estimator of a game
 KNOWN_METHODS = (*METHODS, "random")
@@ -67,11 +61,11 @@ class MethodSpec:
             return self.k
         return METHODS.get(self.name, (None,))[0]
 
-    def run(self, game, graph: FeatureGraph, seed: int, permutations: int, samples: int):
-        """The estimator's result on ``game``; ``permutations`` and ``samples``
-        size the two sampling estimators."""
-        run = METHODS[self.name][1]
-        return run(game=game, graph=graph, k=self.order, seed=seed, permutations=permutations, samples=samples)
+    def plan(self, d: int, graph: FeatureGraph, seed: int, permutations: int, samples: int) -> Plan:
+        """The estimator's plan for an instance of d features; ``permutations``
+        and ``samples`` size the two sampling estimators."""
+        planner = METHODS[self.name][1]
+        return planner(d=d, graph=graph, k=self.order, seed=seed, permutations=permutations, samples=samples)
 
     @staticmethod
     def parse(text: str) -> "MethodSpec":
@@ -101,6 +95,39 @@ def mask_top_features(x: Instance, scores: np.ndarray, fraction: float) -> Insta
     return plugin_masked_instance(x, ((1 << x.d) - 1) & ~masked)
 
 
+def planned_evaluations(plan: Plan) -> int:
+    """The evaluations ``plan.run`` makes on a fresh :class:`ValueFunction`:
+    its subsets, plus the full set, which ``prepare`` values first, when it
+    is not among them."""
+    d = plan.subsets.d
+    return len(plan.subsets) + int(not plan.subsets.find(pack_masks([(1 << d) - 1], d))[1][0])
+
+
+def method_plan(spec: MethodSpec, d: int, graph: FeatureGraph, budget: int | None, seed: int) -> Plan | None:
+    """The plan of ``spec`` for an instance of d features, or None for
+    ``random``.  A plan that needs more evaluations than ``budget`` raises
+    :class:`BudgetExceededError` naming the method, before any model call."""
+    if spec.name == "random":
+        return None
+    permutations = max(1, (budget or 4 * d) // (d + 1))
+    samples = max(d, budget - 2 if budget is not None else 4 * d)
+    plan = spec.plan(d, graph, seed, permutations, samples)
+    needed = planned_evaluations(plan)
+    if budget is not None and needed > budget:
+        raise BudgetExceededError(
+            f"method {spec.name!r} needs {needed} evaluations, over its budget of {budget}",
+            count=needed,
+        )
+    return plan
+
+
+def _run_plan(plan: Plan | None, model, instance: Instance, seed: int) -> tuple[np.ndarray, int]:
+    if plan is None:
+        return np.random.default_rng(seed).standard_normal(instance.d), 0
+    result = plan.run(ValueFunction(model, instance, seed=seed))
+    return result.scores, result.model_evaluations
+
+
 def attribution_scores(
     spec: MethodSpec,
     model,
@@ -112,22 +139,9 @@ def attribution_scores(
     """Scores plus the number of distinct subsets the method evaluated.
 
     Methods that cannot respect a given budget raise
-    :class:`BudgetExceededError` naming the method.
+    :class:`BudgetExceededError` naming the method, before any model call.
     """
-    d = instance.d
-    if spec.name == "random":
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(d), 0
-    permutations = max(1, (budget or 4 * d) // (d + 1))
-    samples = max(d, budget - 2 if budget is not None else 4 * d)
-    result = spec.run(ValueFunction(model, instance, seed=seed), graph, seed, permutations, samples)
-    used = result.model_evaluations
-    if budget is not None and used > budget:
-        raise BudgetExceededError(
-            f"method {spec.name!r} used {used} evaluations, over its budget of {budget}",
-            count=used,
-        )
-    return result.scores, used
+    return _run_plan(method_plan(spec, instance.d, graph, budget, seed), model, instance, seed)
 
 
 @dataclass
@@ -192,12 +206,13 @@ def log_odds_curve(
     total_evals = 0
     for idx, x in enumerate(dataset):
         try:
+            inst_seed = _instance_seed(seed, idx)
+            plan = method_plan(spec, x.d, graph, budget, inst_seed)
             base = model_probs(model, x.values[None, :])[0][0]
             predicted = int(np.argmax(base))
             if correct_only and predicted != labels[idx]:
                 continue
-            inst_seed = _instance_seed(seed, idx)
-            scores, used = attribution_scores(spec, model, x, graph, budget, inst_seed)
+            scores, used = _run_plan(plan, model, x, inst_seed)
             total_evals += used
             masked_rows = np.stack(
                 [mask_top_features(x, scores, f).values for f in fr]

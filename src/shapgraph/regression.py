@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .attribution import AttributionResult
+from .attribution import AttributionResult, Plan
 from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
 from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
@@ -84,26 +84,28 @@ def _constrained_fit(
     return beta
 
 
-def _fit_rows(
-    game: SetFunction, rows: list[int], kernel_weights: bool, constrained: bool, ridge: float | None
-) -> np.ndarray:
-    """Value the design rows and fit per-feature coefficients, with v(empty)
+def _fit_plan(
+    method: str, d: int, rows: list[int], kernel_weights: bool, constrained: bool, ridge: float | None, **meta
+) -> Plan:
+    """The plan that values v(empty), the design rows and, when
+    ``constrained``, v(full), and fits per-feature coefficients with v(empty)
     as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
     v(empty).  Rows carry Shapley kernel weights, or unit weights."""
-    d = game.d
-    # one valuation call: v(empty), the rows, and v(full) when constrained
-    values = game.scores([0, *rows, (1 << d) - 1] if constrained else [0, *rows])
-    v_empty = values[0]
-    responses = values[1 : len(rows) + 1] - v_empty
-    if kernel_weights:
-        weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
-    else:
-        weights = np.ones(len(rows))
-    matrix = unpack_rows(pack_masks(rows, d), d).astype(np.float64)
-    if constrained:
-        total = values[-1] - v_empty
-        return _constrained_fit(matrix, responses, weights, total, ridge)
-    return solve_weighted(matrix, responses, weights, ridge)
+
+    def fit(values: np.ndarray) -> np.ndarray:
+        v_empty = values[0]
+        responses = values[1 : len(rows) + 1] - v_empty
+        if kernel_weights:
+            weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
+        else:
+            weights = np.ones(len(rows))
+        matrix = unpack_rows(pack_masks(rows, d), d).astype(np.float64)
+        if constrained:
+            total = values[-1] - v_empty
+            return _constrained_fit(matrix, responses, weights, total, ridge)
+        return solve_weighted(matrix, responses, weights, ridge)
+
+    return Plan.of_masks(method, [0, *rows, (1 << d) - 1] if constrained else [0, *rows], d, fit, **meta)
 
 
 def _stratified_sizes(d: int, num_samples: int) -> list[int]:
@@ -153,6 +155,28 @@ def _sample_masks_of_size(d: int, size: int, count: int, rng: np.random.Generato
     return sorted(seen)
 
 
+def kernelshap_plan(
+    d: int, num_samples: int, seed: int = 0, exhaustive: bool = False, constrained: bool | None = None, ridge: float | None = None
+) -> Plan:
+    """The plan of the kernel-weighted regression on d features (see
+    :func:`kernelshap`)."""
+    if constrained is None:
+        constrained = exhaustive
+    if exhaustive:
+        rows = [m for m in range(1, (1 << d) - 1)]
+    else:
+        if num_samples < d:
+            raise ConfigurationError(
+                f"kernelshap needs at least d={d} samples, got {num_samples}"
+            )
+        rng = np.random.default_rng(seed)
+        rows = []
+        for size, count in zip(range(1, d), _stratified_sizes(d, num_samples)):
+            if count:
+                rows.extend(_sample_masks_of_size(d, size, count, rng))
+    return _fit_plan("kernelshap", d, rows, True, constrained, ridge, seed=None if exhaustive else seed)
+
+
 def kernelshap(
     game: SetFunction,
     num_samples: int,
@@ -170,29 +194,7 @@ def kernelshap(
     design, where the constrained fit reproduces the exact Shapley values,
     and off otherwise.
     """
-    d = game.d
-    if constrained is None:
-        constrained = exhaustive
-    before = game.eval_count
-    if exhaustive:
-        rows = [m for m in range(1, (1 << d) - 1)]
-    else:
-        if num_samples < d:
-            raise ConfigurationError(
-                f"kernelshap needs at least d={d} samples, got {num_samples}"
-            )
-        rng = np.random.default_rng(seed)
-        rows = []
-        for size, count in zip(range(1, d), _stratified_sizes(d, num_samples)):
-            if count:
-                rows.extend(_sample_masks_of_size(d, size, count, rng))
-    beta = _fit_rows(game, rows, True, constrained, ridge)
-    return AttributionResult(
-        method="kernelshap",
-        scores=beta,
-        model_evaluations=game.eval_count - before,
-        seed=None if exhaustive else seed,
-    )
+    return kernelshap_plan(game.d, num_samples, seed, exhaustive, constrained, ridge).run(game)
 
 
 def connected_design_rows(g: FeatureGraph, k: int) -> list[int]:
@@ -228,6 +230,17 @@ def connected_design_rows(g: FeatureGraph, k: int) -> list[int]:
     return rows
 
 
+def regression_c_shapley_plan(
+    g: FeatureGraph, k: int, use_kernel_weights: bool = True, constrained: bool = False, ridge: float | None = None
+) -> Plan:
+    """The plan of the connected-subset regression on the graph's d features
+    (see :func:`regression_c_shapley`)."""
+    if k < 1:
+        raise ConfigurationError(f"order k must be positive, got {k}")
+    rows = connected_design_rows(g, k)
+    return _fit_plan("c_shapley_regression", g.d, rows, use_kernel_weights, constrained, ridge, order_k=k)
+
+
 def regression_c_shapley(
     game: SetFunction,
     g: FeatureGraph,
@@ -242,13 +255,4 @@ def regression_c_shapley(
     order at most k (at most k*d rows) and solves the weighted least-squares
     system for per-feature scores.
     """
-    if k < 1:
-        raise ConfigurationError(f"order k must be positive, got {k}")
-    before = game.eval_count
-    beta = _fit_rows(game, connected_design_rows(g, k), use_kernel_weights, constrained, ridge)
-    return AttributionResult(
-        method="c_shapley_regression",
-        scores=beta,
-        model_evaluations=game.eval_count - before,
-        order_k=k,
-    )
+    return regression_c_shapley_plan(g, k, use_kernel_weights, constrained, ridge).run(game)

@@ -7,8 +7,10 @@ from shapgraph import (
     EvaluationError,
     Instance,
     chain_graph,
+    general_graph,
 )
 from shapgraph.harness import (
+    METHODS,
     EvaluationCurve,
     MethodSpec,
     attribution_scores,
@@ -17,10 +19,13 @@ from shapgraph.harness import (
     load_dataset,
     log_odds_curve,
     mask_top_features,
+    method_plan,
+    planned_evaluations,
     ranked_features,
     save_dataset,
 )
 from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
+from shapgraph.valuation import ValueFunction
 
 
 def nb_and_instances(n=8, doc_len=12, vocab=40):
@@ -113,6 +118,12 @@ class TestLogOddsCurve:
         with pytest.raises(EvaluationError, match=f"instance 0: .*{problem}"):
             log_odds_curve(model, [x], MethodSpec("random"), chain_graph(6), (0.0, 0.5))
 
+    def test_unsupported_graph_names_the_instance(self):
+        nb, instances, _ = nb_and_instances(n=1, doc_len=4)
+        triangle = general_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        with pytest.raises(EvaluationError, match="instance 0: .*chain and grid"):
+            log_odds_curve(nb, instances, MethodSpec("c-shapley-reg"), triangle, (0.0, 0.5))
+
     def test_fraction_grid_validation(self):
         nb, instances, _ = nb_and_instances(n=1)
         with pytest.raises(ConfigurationError, match="start at 0"):
@@ -192,6 +203,50 @@ class TestAttributionScores:
         )
         assert used == 1 << 8
         assert scores.shape == (8,)
+
+
+class CountingModel:
+    """A model that counts the calls made to it."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+        self.num_classes = model.num_classes
+
+    def evaluate_batch(self, values):
+        self.calls += 1
+        return self.model.evaluate_batch(values)
+
+
+class TestPlannedCost:
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_planned_cost_is_what_a_fresh_run_values(self, name):
+        nb, instances, _ = nb_and_instances(n=1, doc_len=12)
+        plan = MethodSpec(name).plan(12, chain_graph(12), 0, 3, 48)
+        vf = ValueFunction(nb, instances[0])
+        result = plan.run(vf)
+        assert planned_evaluations(plan) == vf.eval_count == result.model_evaluations
+
+    def test_over_budget_error_names_the_planned_cost(self):
+        with pytest.raises(BudgetExceededError, match="'l-shapley' needs 593 evaluations, over its budget of 160") as info:
+            method_plan(MethodSpec("l-shapley", 2), 40, chain_graph(40), 160, 0)
+        assert info.value.count == 593
+
+    @pytest.mark.parametrize(
+        "method,error",
+        [
+            ("l-shapley:2", BudgetExceededError),
+            ("c-shapley:3", BudgetExceededError),
+            ("c-shapley-reg:6", BudgetExceededError),
+            ("exact", ConfigurationError),
+            ("myerson", ConfigurationError),
+        ],
+    )
+    def test_refused_methods_make_no_model_call(self, method, error):
+        nb, instances, _ = nb_and_instances(n=1, doc_len=40)
+        model = CountingModel(nb)
+        with pytest.raises(error):
+            compare_methods(model, instances, [method], budget=160)
+        assert model.calls == 0
 
 
 class TestDatasetIO:

@@ -221,3 +221,23 @@ class TestOneValuationCall:
         game = ValueTableCounter(6, seed=21)
         run(game)
         assert game.calls == 1
+
+
+class TestGraphOfAnotherSize:
+    """A graph over more or fewer features than the game's is refused before
+    anything is valued, not truncated or padded with zero scores."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda game: myerson_value(game, chain_graph(8)),
+            lambda game: myerson_value(game, chain_graph(4)),
+            lambda game: regression_c_shapley(game, chain_graph(4), 2),
+        ],
+        ids=["myerson-larger", "myerson-smaller", "c-shapley-reg-smaller"],
+    )
+    def test_refused_before_any_valuation(self, run):
+        game = synthetic_game(6, seed=0)
+        with pytest.raises(ConfigurationError, match="subsets of [48] features, valued by a set function of 6"):
+            run(game)
+        assert game.eval_count == 0

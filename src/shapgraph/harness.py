@@ -37,9 +37,8 @@ METHODS = {
     "sample": (None, lambda d, seed, permutations, **_: sample_shapley_plan(d, permutations, seed)),
     "kernelshap": (None, lambda d, seed, samples, **_: kernelshap_plan(d, samples, seed)),
     "myerson": (None, lambda graph, **_: myerson_plan(graph)),
+    "random": (None, lambda d, seed, **_: random_plan(d, seed)),
 }
-# "random" is the harness's own baseline, not an estimator of a game
-KNOWN_METHODS = (*METHODS, "random")
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,16 @@ class MethodSpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.name not in KNOWN_METHODS:
+        if self.name not in METHODS:
             raise ConfigurationError(
-                f"unknown method {self.name!r}; expected one of {KNOWN_METHODS}"
+                f"unknown method {self.name!r}; expected one of {tuple(METHODS)}"
             )
 
     @property
     def order(self) -> int | None:
         if self.k is not None:
             return self.k
-        return METHODS.get(self.name, (None,))[0]
+        return METHODS[self.name][0]
 
     def plan(self, d: int, graph: FeatureGraph, seed: int, permutations: int, samples: int) -> Plan:
         """The estimator's plan for an instance of d features; ``permutations``
@@ -95,20 +94,25 @@ def mask_top_features(x: Instance, scores: np.ndarray, fraction: float) -> Insta
     return plugin_masked_instance(x, ((1 << x.d) - 1) & ~masked)
 
 
+def random_plan(d: int, seed: int) -> Plan:
+    """The harness's baseline: standard-normal scores drawn from ``seed``,
+    which value no subset."""
+    return Plan.of_masks("random", [], d, lambda _: np.random.default_rng(seed).standard_normal(d), seed=seed)
+
+
 def planned_evaluations(plan: Plan) -> int:
     """The evaluations ``plan.run`` makes on a fresh :class:`ValueFunction`:
-    its subsets, plus the full set, which ``prepare`` values first, when it
-    is not among them."""
-    d = plan.subsets.d
-    return len(plan.subsets) + int(not plan.subsets.find(pack_masks([(1 << d) - 1], d))[1][0])
+    its subsets, plus the full set, which ``prepare`` values first, when
+    there are any and it is not among them."""
+    subsets = plan.subsets
+    full = pack_masks([(1 << subsets.d) - 1], subsets.d)
+    return len(subsets) + int(len(subsets) > 0 and not subsets.find(full)[1][0])
 
 
-def method_plan(spec: MethodSpec, d: int, graph: FeatureGraph, budget: int | None, seed: int) -> Plan | None:
-    """The plan of ``spec`` for an instance of d features, or None for
-    ``random``.  A plan that needs more evaluations than ``budget`` raises
-    :class:`BudgetExceededError` naming the method, before any model call."""
-    if spec.name == "random":
-        return None
+def method_plan(spec: MethodSpec, d: int, graph: FeatureGraph, budget: int | None, seed: int) -> Plan:
+    """The plan of ``spec`` for an instance of d features.  A plan that needs
+    more evaluations than ``budget`` raises :class:`BudgetExceededError`
+    naming the method, before any model call."""
     permutations = max(1, (budget or 4 * d) // (d + 1))
     samples = max(d, budget - 2 if budget is not None else 4 * d)
     plan = spec.plan(d, graph, seed, permutations, samples)
@@ -119,13 +123,6 @@ def method_plan(spec: MethodSpec, d: int, graph: FeatureGraph, budget: int | Non
             count=needed,
         )
     return plan
-
-
-def _run_plan(plan: Plan | None, model, instance: Instance, seed: int) -> tuple[np.ndarray, int]:
-    if plan is None:
-        return np.random.default_rng(seed).standard_normal(instance.d), 0
-    result = plan.run(ValueFunction(model, instance, seed=seed))
-    return result.scores, result.model_evaluations
 
 
 def attribution_scores(
@@ -141,7 +138,8 @@ def attribution_scores(
     Methods that cannot respect a given budget raise
     :class:`BudgetExceededError` naming the method, before any model call.
     """
-    return _run_plan(method_plan(spec, instance.d, graph, budget, seed), model, instance, seed)
+    result = method_plan(spec, instance.d, graph, budget, seed).run(ValueFunction(model, instance, seed=seed))
+    return result.scores, result.model_evaluations
 
 
 @dataclass
@@ -212,10 +210,10 @@ def log_odds_curve(
             predicted = int(np.argmax(base))
             if correct_only and predicted != labels[idx]:
                 continue
-            scores, used = _run_plan(plan, model, x, inst_seed)
-            total_evals += used
+            result = plan.run(ValueFunction(model, x, seed=inst_seed))
+            total_evals += result.model_evaluations
             masked_rows = np.stack(
-                [mask_top_features(x, scores, f).values for f in fr]
+                [mask_top_features(x, result.scores, f).values for f in fr]
             )
             after = model_probs(model, masked_rows)[0][:, predicted]
             totals += after - base[predicted]

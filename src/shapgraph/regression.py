@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .attribution import AttributionResult, Plan
+from .attribution import DEFAULT_EXACT_LIMIT, AttributionResult, Plan
 from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
 from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
@@ -163,6 +163,11 @@ def kernelshap_plan(
     if constrained is None:
         constrained = exhaustive
     if exhaustive:
+        if d > DEFAULT_EXACT_LIMIT:
+            raise ConfigurationError(
+                f"exhaustive kernelshap on {d} features needs 2^{d} evaluations "
+                f"(limit {DEFAULT_EXACT_LIMIT}); sample num_samples subsets instead"
+            )
         rows = [m for m in range(1, (1 << d) - 1)]
     else:
         if num_samples < d:

@@ -95,37 +95,33 @@ def plugin_masked_instance(x: Instance, s: int) -> Instance:
 
 class SubsetTable:
     """Distinct subsets as packed member rows (see :func:`~shapgraph.graphs.pack_masks`),
-    in the order of their first occurrence in the rows they were built from.
+    in ascending order of their bytes, so that :meth:`find` looks rows up
+    by binary search.  :meth:`distinct` builds one from any rows; the
+    constructor takes rows already distinct and in that order.
 
-    ``sorter`` orders the rows by their bytes, so that :meth:`find` looks
-    rows up by binary search.  :meth:`SetFunction.value_table` values a table
-    in one call, and a set function keeps what it valued as tables too: it
-    searches them in a larger table, or a smaller table in them.
+    :meth:`SetFunction.value_table` values a table in one call, and a set
+    function keeps what it valued as tables too: it searches them in a
+    larger table, or a smaller table in them.
     """
 
-    def __init__(self, rows: np.ndarray, sorter: np.ndarray, d: int):
+    def __init__(self, rows: np.ndarray, d: int):
         self.rows = rows
-        self.sorter = sorter
         self.d = d
 
     @classmethod
     def distinct(cls, packed: np.ndarray, d: int) -> tuple["SubsetTable", np.ndarray, np.ndarray]:
         """The table of the distinct rows of ``packed``, subsets of d
-        features; the position in ``packed`` where each first occurs; and
-        the table row of each row of ``packed``."""
+        features; the position in ``packed`` where each table row first
+        occurs; and the table row of each row of ``packed``."""
         keys = _byte_keys(packed)
         perm = keys.argsort(kind="stable")  # as np.unique sorts, without its overhead on small calls
         keys = keys[perm]
         head = np.ones(len(keys), dtype=bool)  # the first of each run of equal keys
         head[1:] = keys[1:] != keys[:-1]
         first = perm[head]
-        order = first.argsort()  # the sorted position of each table row
-        sorter = np.empty_like(order)  # the table row of each sorted position
-        sorter[order] = np.arange(len(order))
         inverse = np.empty_like(perm)
-        inverse[perm] = sorter[head.cumsum() - 1]
-        first = first[order]
-        return cls(packed[first], sorter, d), first, inverse
+        inverse[perm] = head.cumsum() - 1
+        return cls(packed[first], d), first, inverse
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -136,7 +132,7 @@ class SubsetTable:
         if not len(self) or not len(rows):
             return np.empty(0, dtype=np.intp), np.zeros(len(rows), dtype=bool)
         mine, theirs = _byte_keys(self.rows), _byte_keys(rows)
-        at = self.sorter[np.minimum(mine.searchsorted(theirs, sorter=self.sorter), len(self) - 1)]
+        at = np.minimum(mine.searchsorted(theirs), len(self) - 1)
         hit = mine[at] == theirs
         return at[hit], hit
 
@@ -161,14 +157,14 @@ class SetFunction:
     a run, a table valued since the last merge.  ``value_table`` looks a
     table up from the smaller side: the store and runs in a table larger
     than all of them, so a fresh plan is never merged; else the table in the
-    store, once the runs' sorters are merged into its own with no new sort.
+    store, once each run is inserted into it, one insert per run.
     """
 
     def __init__(self, d: int):
         if d < 1:
             raise ConfigurationError(f"a set function needs at least one feature, got {d}")
         self.d = d
-        self._store = (SubsetTable.distinct(np.empty((0, (d + 7) // 8), dtype=np.uint8), d)[0], np.empty(0))
+        self._store = SubsetTable(np.empty((0, (d + 7) // 8), dtype=np.uint8), d), np.empty(0)
         self._pending: list[tuple[SubsetTable, np.ndarray]] = []  # runs valued since the last merge
         self._count = 0  # subsets in the store and the runs
         self._lock = threading.Lock()
@@ -205,13 +201,10 @@ class SetFunction:
         """Merge the pending runs into the store, under the lock."""
         for run, values in self._pending:
             store, known = self._store
-            at = _byte_keys(store.rows).searchsorted(_byte_keys(run.rows)[run.sorter], sorter=store.sorter)
-            at += np.arange(len(run))  # where the run's sorted rows land among the merged ones
-            rest = np.ones(len(store) + len(run), dtype=bool)  # where the store's land
-            rest[at] = False
-            sorter = np.empty(len(rest), dtype=np.intp)
-            sorter[at], sorter[rest] = run.sorter + len(store), store.sorter
-            self._store = SubsetTable(np.concatenate((store.rows, run.rows)), sorter, self.d), np.concatenate((known, values))
+            keys, run_keys = _byte_keys(store.rows), _byte_keys(run.rows)
+            at = keys.searchsorted(run_keys)  # the run is in byte order and apart from the store
+            rows = np.insert(keys, at, run_keys).view(np.uint8).reshape(-1, store.rows.shape[1])
+            self._store = SubsetTable(rows, self.d), np.insert(known, at, values)
         self._pending.clear()
 
     def __contains__(self, mask: int) -> bool:
@@ -254,9 +247,7 @@ class SetFunction:
                 new = ~hit
             missing = new.nonzero()[0]
             if len(missing):
-                run = table
-                if len(missing) < len(table):  # the missing rows, with the order of their bytes
-                    run = SubsetTable(table.rows[missing], missing.searchsorted(table.sorter[new[table.sorter]]), self.d)
+                run = table if len(missing) == len(table) else SubsetTable(table.rows[missing], self.d)
                 values[missing] = fresh = self._evaluate_packed(run.rows)
                 self._keep(run, fresh)
             return values, new
@@ -372,7 +363,7 @@ class ValueFunction(SetFunction):
             rows = pack_masks([(1 << self.d) - 1], self.d)
             probs = self._conditional_probs(rows)
             self._base_probs = probs[0] / probs[0].sum()
-            self._keep(SubsetTable(rows, np.zeros(1, dtype=np.intp), self.d), self._score_from_probs(probs))
+            self._keep(SubsetTable(rows, self.d), self._score_from_probs(probs))
 
     def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
         return self._score_from_probs(self._conditional_probs(rows))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from shapgraph.harness import save_dataset
 from shapgraph.models import two_topic_corpus
 from shapgraph.valuation import Instance
+
+
+with open(Path(__file__).with_name("bench_reports.json")) as fh:
+    BENCH_REPORTS = json.load(fh)
 
 
 def run_cli(*args, cwd=None):
@@ -239,6 +244,7 @@ def _direct_estimators(k, permutations, samples, seed):
     from shapgraph import (
         c_shapley_all, exact_shapley, l_shapley_all, myerson_value, sample_shapley,
     )
+    from shapgraph.attribution import AttributionResult
     from shapgraph.regression import kernelshap, regression_c_shapley
 
     return {
@@ -249,6 +255,7 @@ def _direct_estimators(k, permutations, samples, seed):
         "sample": lambda vf, g: sample_shapley(vf, num_permutations=permutations, seed=seed),
         "kernelshap": lambda vf, g: kernelshap(vf, num_samples=samples, seed=seed),
         "myerson": lambda vf, g: myerson_value(vf, g),
+        "random": lambda vf, g: AttributionResult("random", np.random.default_rng(seed).standard_normal(vf.d), 0),
     }
 
 
@@ -266,7 +273,7 @@ class TestMethodTable:
 
     @pytest.mark.parametrize("flags", sorted(FLAGS))
     @pytest.mark.parametrize("method", ["exact", "l-shapley", "c-shapley", "c-shapley-reg",
-                                        "sample", "kernelshap", "myerson"])
+                                        "sample", "kernelshap", "myerson", "random"])
     def test_explain_matches_direct_call(self, tmp_path, instance_file, method, flags):
         from shapgraph import cli
         from shapgraph.graphs import chain_graph
@@ -290,7 +297,7 @@ class TestMethodTable:
         assert data["elapsed_ms"] is None
 
     @pytest.mark.parametrize("method", ["exact", "l-shapley", "c-shapley", "c-shapley-reg",
-                                        "sample", "kernelshap", "myerson"])
+                                        "sample", "kernelshap", "myerson", "random"])
     def test_bench_covers_every_method(self, method, capsys):
         from shapgraph import cli
 
@@ -298,10 +305,19 @@ class TestMethodTable:
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == method
         totals = {"exact": 256, "l-shapley": 28, "c-shapley": 28, "c-shapley-reg": 9, "sample": 9,
-                  "kernelshap": 33, "myerson": 37}
+                  "kernelshap": 33, "myerson": 37, "random": 0}
         assert report["total_evaluations"] == totals[method]
         if method in ("l-shapley", "c-shapley"):
             assert report["per_feature_max"] == 4
+
+    @pytest.mark.parametrize("entry", BENCH_REPORTS, ids=[" ".join(e["argv"][2::2]) for e in BENCH_REPORTS])
+    def test_bench_prints_the_pinned_report(self, entry, capsys):
+        # every estimator's counts on chains (d 10, 16, 64; k 1, 2, 3) and on
+        # two grids, byte for byte; the configurations that exit 2 are left out
+        from shapgraph import cli
+
+        assert cli.main(entry["argv"]) == 0
+        assert capsys.readouterr().out == entry["stdout"]
 
     def test_bench_grid_has_no_chain_references(self, capsys):
         from shapgraph import cli

@@ -48,30 +48,34 @@ def _reference(model, x, g, method, k, weighting):
         scores, per_feature = ref.l_shapley_all(game, g, k)
     else:
         scores, per_feature = ref.c_shapley_all(game, g, k, weighting)
-    return scores, game.eval_count, per_feature
+    return scores, game, per_feature
 
 
 @pytest.mark.parametrize("name,g,method,k,weighting", CASES, ids=[c[0] for c in CASES])
 def test_scores_and_counts_equal_the_reference_path(name, g, method, k, weighting):
     x = _instance(g.d)
     got = _explain(NB, x, g, method, k, weighting)
-    scores, evals, per_feature = _reference(ref.GatherModel(NB), x, g, method, k, weighting)
+    scores, game, per_feature = _reference(ref.GatherModel(NB), x, g, method, k, weighting)
     np.testing.assert_array_equal(got.scores, scores)
-    assert got.model_evaluations == evals
+    assert got.model_evaluations == game.eval_count
     assert got.per_feature_evaluations == per_feature
 
 
 def test_buffered_rows_equal_np_where_rows_block_by_block():
     # The reference values each flush of pending features in blocks of its
-    # own; the plan table values all new subsets in blocks that run on over
-    # the whole plan.  The rows are the same, in the same order.
+    # own, in the order the features need the subsets; the plan table values
+    # all new subsets in blocks that run on over the whole plan, in the byte
+    # order of their packed rows.  Both value the full set first, and the
+    # rows are the same, one per subset.
     for _, g, method, k, weighting in CASES:
         x = _instance(g.d, seed=18)
         current = ref.RecordingModel(NB)
         _explain(current, x, g, method, k, weighting)
         earlier = ref.RecordingModel(ref.GatherModel(NB))
-        _reference(earlier, x, g, method, k, weighting)
-        got, expected = np.concatenate(current.blocks), np.concatenate(earlier.blocks)
+        masks = list(_reference(earlier, x, g, method, k, weighting)[1].cache)  # in the order valued
+        width = (g.d + 7) // 8
+        order = [0] + sorted(range(1, len(masks)), key=lambda r: masks[r].to_bytes(width, "little"))
+        got, expected = np.concatenate(current.blocks), np.concatenate(earlier.blocks)[order]
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
         # the only one-row block is the unmasked instance, valued first

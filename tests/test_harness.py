@@ -195,6 +195,7 @@ class TestAttributionScores:
         a, _ = attribution_scores(MethodSpec("random"), UniformModel(2), x, chain_graph(5), None, 3)
         b, _ = attribution_scores(MethodSpec("random"), UniformModel(2), x, chain_graph(5), None, 3)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, np.random.default_rng(3).standard_normal(5))
 
     def test_exact_within_reach(self):
         nb, instances, _ = nb_and_instances(n=1, doc_len=8)

@@ -17,7 +17,7 @@ from shapgraph import (
     synthetic_game,
 )
 from shapgraph.graphs import pack_masks, unpack_rows
-from shapgraph.regression import connected_design_rows, solve_weighted
+from shapgraph.regression import connected_design_rows, kernelshap_plan, solve_weighted
 from shapgraph.valuation import TableGame, additive_game
 
 from oracles import wls_lstsq_oracle
@@ -139,6 +139,11 @@ class TestKernelShap:
         # sampled rows + empty set (unconstrained mode has no full-set anchor,
         # unless sampling happened to draw it, which it cannot: sizes < d)
         assert res.model_evaluations == 12 + 1
+
+    def test_exhaustive_design_is_refused_past_the_exact_limit(self):
+        # as exact Shapley is: the design is 2^d - 2 subsets, refused before they are listed
+        with pytest.raises(ConfigurationError, match=r"exhaustive kernelshap on 21 features needs 2\^21 evaluations"):
+            kernelshap_plan(21, 0, exhaustive=True)
 
     def test_large_sample_count_saturates_design(self):
         game = synthetic_game(4, seed=7)

@@ -585,23 +585,21 @@ class TestMasksOnHost:
         # a table's blocks are named from its packed rows, past the first byte too
         host = ShortAfterFirst(UniformModel(2), batch_size=2)
         vf = ValueFunction(host, make_instance(12))
-        table = _table([0b1000_0000_0001, 0b10_0001_0000, 5, 6], 12)
+        table = _table([0b11_0000, 0b1000_0000_0001, 0b110_0000, 0b10_0001_0000], 12)  # byte order leads with the two wide masks
         with pytest.raises(EvaluationError, match=r"subsets \[\(0, 11\), \(4, 9\)\.\.\.\]: expected log-probs of shape \(2, 2\)"):
             vf.value_table(table)
         assert host.calls == [1, 2] and vf.eval_count == 1
 
 
 class TestSubsetTable:
-    def test_distinct_rows_in_first_occurrence_order(self):
+    def test_distinct_rows_in_byte_order(self):
         masks = [6, 1 << 9, 6, 0, 1 << 9, 3, 0]
         table, first, inverse = SubsetTable.distinct(pack_masks(masks, 10), 10)
-        assert row_masks(table.rows) == [6, 1 << 9, 0, 3]
-        assert first.tolist() == [0, 1, 3, 5]
-        assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 2]
-        keys = [bytes(row) for row in table.rows[table.sorter]]
-        assert keys == sorted(keys)
+        assert row_masks(table.rows) == [0, 1 << 9, 3, 6]  # little-endian bytes: 1 << 9 is (0, 2)
+        assert first.tolist() == [3, 1, 5, 0]
+        assert inverse.tolist() == [3, 1, 3, 0, 1, 2, 0]
         at, hit = table.find(pack_masks([3, 7, 6, 1 << 9], 10))
-        assert at.tolist() == [3, 0, 1] and hit.tolist() == [True, False, True, True]
+        assert at.tolist() == [2, 3, 1] and hit.tolist() == [True, False, True, True]
 
     def test_value_table_finds_every_store_and_values_the_rest_once(self):
         game = synthetic_game(10, seed=4)
@@ -610,11 +608,11 @@ class TestSubsetTable:
         game._evaluate_many = lambda masks: calls.append(list(masks)) or evaluate(masks)
         game.scores([3, 5])
         values, new = game.value_table(_table([5, 7, 3, 9, 7], 10))
-        assert values.tolist() == game.table[[5, 7, 3, 9]].tolist()
-        assert new.tolist() == [False, True, False, True] and game.eval_count == 4
+        assert values.tolist() == game.table[[3, 5, 7, 9]].tolist()
+        assert new.tolist() == [False, False, True, True] and game.eval_count == 4
         values, new = game.value_table(_table([9, 11, 3, 12, 13, 14], 10))  # 9 from a table, 3 from scores
-        assert values.tolist() == game.table[[9, 11, 3, 12, 13, 14]].tolist()
-        assert new.tolist() == [False, True, False, True, True, True]
+        assert values.tolist() == game.table[[3, 9, 11, 12, 13, 14]].tolist()
+        assert new.tolist() == [False, False, True, True, True, True]
         assert calls == [[3, 5], [7, 9], [11, 12, 13, 14]] and game.eval_count == 8
         values, new = game.value_table(_table([7, 12, 15], 10))
         assert values.tolist() == game.table[[7, 12, 15]].tolist() and new.tolist() == [False, False, True]
@@ -625,6 +623,35 @@ class TestSubsetTable:
         assert len(calls) == 4 and game.eval_count == 9
         assert game.scores([11, 7, 9, 15]).tolist() == game.table[[11, 7, 9, 15]].tolist()
         assert len(calls) == 4 and game.eval_count == 9
+
+    def test_store_keeps_rows_in_byte_order_through_mixed_calls(self):
+        # small scores calls merge the runs into the store, a large table is
+        # kept as a run of its own, and membership tests merge it in
+        game = synthetic_game(12, seed=5)
+        rng = np.random.default_rng(5)
+        asked = set()
+
+        def check():
+            for table, values in [game._store, *game._pending]:
+                keys = [bytes(row) for row in table.rows]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert values.tolist() == game.table[row_masks(table.rows)].tolist()
+            assert game.eval_count == len(asked)
+
+        for step in range(30):
+            masks = rng.integers(0, 1 << 12, size=rng.integers(1, 6)).tolist()
+            assert game.scores(masks).tolist() == game.table[masks].tolist()
+            asked.update(masks)
+            check()
+            if step == 10:
+                table = _table(rng.choice(1 << 12, size=1000, replace=False).tolist(), 12)
+                assert game.value_table(table)[0].tolist() == game.table[row_masks(table.rows)].tolist()
+                asked.update(row_masks(table.rows))
+                check()
+            if step % 5 == 4:
+                probes = rng.integers(0, 1 << 12, size=3).tolist()
+                assert [mask in game for mask in probes] == [mask in asked for mask in probes]
+                check()
 
     @pytest.mark.parametrize("mask", [1 << 3, 1 << 40, -1])
     def test_plain_set_function_refuses_masks_out_of_range(self, mask):

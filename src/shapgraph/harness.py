@@ -125,23 +125,6 @@ def method_plan(spec: MethodSpec, d: int, graph: FeatureGraph, budget: int | Non
     return plan
 
 
-def attribution_scores(
-    spec: MethodSpec,
-    model,
-    instance: Instance,
-    graph: FeatureGraph,
-    budget: int | None,
-    seed: int,
-) -> tuple[np.ndarray, int]:
-    """Scores plus the number of distinct subsets the method evaluated.
-
-    Methods that cannot respect a given budget raise
-    :class:`BudgetExceededError` naming the method, before any model call.
-    """
-    result = method_plan(spec, instance.d, graph, budget, seed).run(ValueFunction(model, instance, seed=seed))
-    return result.scores, result.model_evaluations
-
-
 @dataclass
 class EvaluationCurve:
     """Mean change of the predicted class's log-probability per masked fraction."""

@@ -90,7 +90,13 @@ def _fit_plan(
     """The plan that values v(empty), the design rows and, when
     ``constrained``, v(full), and fits per-feature coefficients with v(empty)
     as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
-    v(empty).  Rows carry Shapley kernel weights, or unit weights."""
+    v(empty).  Rows carry Shapley kernel weights, or unit weights.  An
+    unconstrained fit of no design rows is refused before any model call."""
+    if not rows and not constrained:
+        raise ConfigurationError(
+            f"{method} on {d} feature(s) has no design rows to fit; only the constrained fit, "
+            f"v(full) - v(empty), is defined"
+        )
 
     def fit(values: np.ndarray) -> np.ndarray:
         v_empty = values[0]

@@ -15,9 +15,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .attribution import c_shapley_terms, exact_shapley_weights, l_shapley_terms
+from .attribution import DEFAULT_SUBSET_BUDGET, exact_shapley_weights, local_plan
 from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
-from .graphs import FeatureGraph, connected_subsets_in, k_neighborhood, members_of, submasks
+from .graphs import (
+    DEFAULT_ENUMERATION_BUDGET,
+    FeatureGraph,
+    connected_subsets_in,
+    k_neighborhood,
+    members_of,
+    row_masks,
+    submasks,
+)
 from .valuation import checked_codes
 
 MAX_DENSE_FEATURES = 16
@@ -188,26 +196,6 @@ class _MarginalTable:
         return self._log_tables[with_label]
 
 
-def _expected_log_ratio(
-    joint: DiscreteJoint, group_a: int, group_b: int, conditioning: int, condition_on_label: bool, absolute: bool
-) -> float:
-    """The expectation over the joint of log P(a,b|z) - log P(a|z) - log
-    P(b|z), or of its absolute value; zero-mass atoms contribute nothing."""
-    if group_a == 0 or group_b == 0:
-        return 0.0
-    if group_a & group_b:
-        raise ValueError("feature groups must be disjoint")
-    if conditioning & (group_a | group_b):
-        raise ValueError("conditioning set must be disjoint from both groups")
-    log_abz, log_z, log_az, log_bz = (
-        np.log(np.maximum(_marginal(joint, mask, condition_on_label), _TINY))
-        for mask in (group_a | group_b | conditioning, conditioning, group_a | conditioning, group_b | conditioning)
-    )
-    log_ratio = log_abz + log_z - log_az - log_bz
-    w = joint.table
-    return float(np.sum(np.where(w > 0, w * (np.abs(log_ratio) if absolute else log_ratio), 0.0)))
-
-
 def absolute_mutual_information(
     joint: DiscreteJoint,
     group_a: int,
@@ -222,18 +210,19 @@ def absolute_mutual_information(
     atoms contribute nothing.  Zero if and only if the groups are independent
     given the conditioning, and never below the plain mutual information.
     """
-    return _expected_log_ratio(joint, group_a, group_b, conditioning, condition_on_label, absolute=True)
-
-
-def mutual_information(
-    joint: DiscreteJoint,
-    group_a: int,
-    group_b: int,
-    conditioning: int = 0,
-    condition_on_label: bool = False,
-) -> float:
-    """Plain (signed-log) mutual information; companion to the absolute form."""
-    return _expected_log_ratio(joint, group_a, group_b, conditioning, condition_on_label, absolute=False)
+    if group_a == 0 or group_b == 0:
+        return 0.0
+    if group_a & group_b:
+        raise ValueError("feature groups must be disjoint")
+    if conditioning & (group_a | group_b):
+        raise ValueError("conditioning set must be disjoint from both groups")
+    log_abz, log_z, log_az, log_bz = (
+        np.log(np.maximum(_marginal(joint, mask, condition_on_label), _TINY))
+        for mask in (group_a | group_b | conditioning, conditioning, group_a | conditioning, group_b | conditioning)
+    )
+    log_ratio = log_abz + log_z - log_az - log_bz
+    w = joint.table
+    return float(np.sum(np.where(w > 0, w * np.abs(log_ratio), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +426,6 @@ class TheoremReport:
         }
 
 
-def _terms_estimate(V: np.ndarray, i: int, terms) -> np.ndarray:
-    est = np.zeros(V.shape[1])
-    for mask, weight in terms:
-        est += weight * (V[mask] - V[mask & ~(1 << i)])
-    return est
-
-
 def _expected_abs_error(joint: DiscreteJoint, est: np.ndarray, exact: np.ndarray):
     px = joint.feature_marginal()
     live = px > 0
@@ -465,16 +447,17 @@ def _verify_theorem(
     marginals = _MarginalTable(joint)
     cert = epsilon_for_lshapley(joint, g, i, s, _marginals=marginals)
     if theorem == 1:
-        terms = l_shapley_terms(g, i, k)
+        plan = local_plan("l_shapley", g, k, None, DEFAULT_SUBSET_BUDGET, [i])
     else:
         cert2 = epsilon_for_cshapley(joint, g, i, s, _marginals=marginals)
         cert = cert2 if cert2.epsilon >= cert.epsilon else cert
-        terms = c_shapley_terms(g, i, k, weighting="myerson")
+        plan = local_plan("c_shapley", g, k, "myerson", DEFAULT_ENUMERATION_BUDGET, [i])
     V = value_matrix(joint, _marginals=marginals)
     del marginals  # free the tables before the scatter's temporaries
     weights = np.asarray(exact_shapley_weights(d), dtype=np.float64)[_kernels.popcounts(d)]
     exact = _kernels.feature_score(V, weights, i)
-    est = _terms_estimate(V, i, terms)
+    # the shipped estimator's reduction, run on every atom's game at once
+    est = plan.reduce(V[row_masks(plan.subsets.rows)])[i]
     err, excluded = _expected_abs_error(joint, est, exact)
     bound = (4.0 if theorem == 1 else 6.0) * cert.epsilon
     return TheoremReport(

@@ -29,6 +29,7 @@ from shapgraph.attribution import (
     l_shapley_terms,
 )
 from shapgraph.cli import build_demo_nb
+from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET
 from shapgraph.models import two_topic_corpus
 from shapgraph.valuation import (
     DEFAULT_BATCH_SIZE,
@@ -111,6 +112,13 @@ class TestExactShapley:
         game = additive_game(np.ones(25))
         with pytest.raises(ValueError, match="l_shapley"):
             exact_shapley(game)
+
+    def test_reducer_takes_many_games(self):
+        plan = attribution.exact_shapley_plan(6)
+        values = np.random.default_rng(6).standard_normal((len(plan.subsets), 5))
+        single = [plan.reduce(values[:, j].copy()) for j in range(5)]
+        # BLAS may sum a matrix product in another order than a vector one
+        np.testing.assert_allclose(plan.reduce(values), np.stack(single, axis=1), rtol=1e-13, atol=1e-15)
 
     def test_eval_count(self):
         game = synthetic_game(6, seed=0)
@@ -599,6 +607,29 @@ class TestTermTemplates:
             res = l_shapley_all(game, g, k)
             for i in range(g.d):
                 assert res.scores[i] == weighted_marginal(game, i, l_shapley_terms(g, i, k))
+
+    def test_plan_build_keeps_masks_off_python_ints(self):
+        import tracemalloc
+
+        g = grid_graph(10, 10)
+        tracemalloc.start()
+        try:
+            attribution.local_plan("c_shapley", g, 2, "myerson", DEFAULT_ENUMERATION_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 9 MB with packed templates placed at their byte shift; packing
+        # the shifted masks as Python ints instead peaked at about 23 MB
+        assert peak < 12_000_000, peak
+
+    @pytest.mark.parametrize("method,weighting,budget", [("l_shapley", None, DEFAULT_SUBSET_BUDGET), ("c_shapley", "myerson", DEFAULT_ENUMERATION_BUDGET)])
+    @pytest.mark.parametrize("graph,k", [("chain12", 1), ("chain12", 2), ("grid3x4", 1)])
+    def test_reducer_of_many_games_stacks_single_reductions(self, graph, k, method, weighting, budget):
+        g = chain_graph(12) if graph == "chain12" else grid_graph(3, 4)
+        plan = attribution.local_plan(method, g, k, weighting, budget)
+        values = np.random.default_rng(k).standard_normal((len(plan.subsets), 5))
+        single = [plan.reduce(values[:, j].copy()) for j in range(5)]
+        np.testing.assert_array_equal(plan.reduce(values), np.stack(single, axis=1))
 
     @pytest.mark.parametrize("method,k,budget", [("c_shapley", 3, 5), ("l_shapley", 3, 8)])
     def test_cached_template_raises_for_a_smaller_budget(self, method, k, budget):

@@ -13,7 +13,6 @@ from shapgraph.harness import (
     METHODS,
     EvaluationCurve,
     MethodSpec,
-    attribution_scores,
     compare_methods,
     curves_to_csv,
     load_dataset,
@@ -192,18 +191,16 @@ class TestCompareMethods:
 class TestAttributionScores:
     def test_random_scores_deterministic_per_seed(self):
         x = Instance(np.arange(5.0), np.zeros(5))
-        a, _ = attribution_scores(MethodSpec("random"), UniformModel(2), x, chain_graph(5), None, 3)
-        b, _ = attribution_scores(MethodSpec("random"), UniformModel(2), x, chain_graph(5), None, 3)
+        a = method_plan(MethodSpec("random"), 5, chain_graph(5), None, 3).run(ValueFunction(UniformModel(2), x, seed=3)).scores
+        b = method_plan(MethodSpec("random"), 5, chain_graph(5), None, 3).run(ValueFunction(UniformModel(2), x, seed=3)).scores
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, np.random.default_rng(3).standard_normal(5))
 
     def test_exact_within_reach(self):
         nb, instances, _ = nb_and_instances(n=1, doc_len=8)
-        scores, used = attribution_scores(
-            MethodSpec("exact"), nb, instances[0], chain_graph(8), None, 0
-        )
-        assert used == 1 << 8
-        assert scores.shape == (8,)
+        result = method_plan(MethodSpec("exact"), 8, chain_graph(8), None, 0).run(ValueFunction(nb, instances[0], seed=0))
+        assert result.model_evaluations == 1 << 8
+        assert result.scores.shape == (8,)
 
 
 class CountingModel:

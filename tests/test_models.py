@@ -880,3 +880,47 @@ class TestModelServer:
             assert message in reply["message"]
         rows = masked_rows(np.array(good["values"]), np.array(good["fill"]), pack_masks([0, 15, 5, 10], 4))
         assert replies[-1] == {"op": "eval", "id": 9, "log_probs": nb.evaluate_batch(rows).tolist()}
+
+    def test_integer_rows_reach_the_model_as_int64(self):
+        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=4, vocab_size=15), 15)
+        seen = []
+
+        class Spy:
+            num_classes = nb.num_classes
+
+            def evaluate_batch(self, values):
+                seen.append(values)
+                return nb.evaluate_batch(values)
+
+        requests = [
+            {"op": "eval", "id": 0, "instances": [[3, 1, 4, 1], [1, 2, 0, 0]]},
+            {"op": "eval_masked", "id": 1, "values": [3, 1, 4, 1], "fill": [[0, 0, 0, 0], [2, 7, 1, 8]], "masks": ["0", "5"]},
+            {"op": "eval", "id": 2, "instances": [[3.0, 1, 4, 1]]},
+        ]
+        writer = io.StringIO()
+        serve_stream(Spy(), io.StringIO("".join(json.dumps(r) + "\n" for r in requests)), writer)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert [r["op"] for r in replies] == ["eval"] * 3
+        assert [rows.dtype for rows in seen] == [np.int64, np.int64, np.float64]
+        assert seen[0].tolist() == [[3, 1, 4, 1], [1, 2, 0, 0]]
+        assert seen[1].tolist() == [[0, 0, 0, 0], [2, 7, 1, 8], [3, 0, 4, 0], [3, 7, 4, 8]]
+        assert replies[2]["log_probs"] == nb.evaluate_batch(np.array([[3, 1, 4, 1]])).tolist()
+
+    def test_strings_nulls_and_booleans_are_not_rows(self):
+        nb = train_naive_bayes(two_topic_corpus(0, 30, doc_len=4, vocab_size=15), 15)
+        masked = {"op": "eval_masked", "id": 1, "values": [3, 1, 4, 1], "fill": [[0, 0, 0, 0]], "masks": ["5"]}
+        bad = [
+            ({"op": "eval", "id": 0, "instances": [["3", "4", "1", "1"]]}, "instances"),
+            ({"op": "eval", "id": 0, "instances": [[3, None, 1, 1]]}, "instances"),
+            ({"op": "eval", "id": 0, "instances": [[True, False, True, True]]}, "instances"),
+            (dict(masked, values=["3", "1", "4", "1"]), "values"),
+            (dict(masked, values=[3, 1, None, 1]), "values"),
+            (dict(masked, fill=[["0", "0", "0", "0"]]), "fill"),
+            (dict(masked, fill=[[0, None, 0, 0]]), "fill"),
+        ]
+        writer = io.StringIO()
+        serve_stream(nb, io.StringIO("".join(json.dumps(r) + "\n" for r, _ in bad)), writer)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert [r["op"] for r in replies] == ["error"] * len(bad)
+        for reply, (_, field) in zip(replies, bad):
+            assert reply["message"].startswith(f"ValueError: {field} must hold numbers only"), reply

@@ -18,7 +18,8 @@ from shapgraph import (
 )
 from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, kernelshap_plan, solve_weighted
-from shapgraph.valuation import TableGame, additive_game
+from shapgraph.models import UniformModel
+from shapgraph.valuation import Instance, TableGame, ValueFunction, additive_game
 
 from oracles import wls_lstsq_oracle
 
@@ -193,6 +194,46 @@ class TestRegressionCShapley:
         game = synthetic_game(6, seed=11)
         res = regression_c_shapley(game, chain_graph(6), 2, use_kernel_weights=False)
         assert res.scores.shape == (6,)
+
+
+class CountingModel(UniformModel):
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def evaluate_batch(self, values):
+        self.calls += 1
+        return super().evaluate_batch(values)
+
+
+class TestOneFeatureDesign:
+    """At d=1 an unconstrained fit has no design rows: it is refused before
+    any model call, while the constrained fit gives v(full) - v(empty)."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda game: kernelshap(game, num_samples=1, seed=0),
+            lambda game: regression_c_shapley(game, chain_graph(1), 2),
+            lambda game: regression_c_shapley(game, grid_graph(1, 1), 1),
+        ],
+        ids=["kernelshap", "c-shapley-reg-chain", "c-shapley-reg-grid"],
+    )
+    def test_unconstrained_empty_design_calls_no_model(self, run):
+        model = CountingModel()
+        with pytest.raises(ConfigurationError, match="no design rows"):
+            run(ValueFunction(model, Instance(np.array([1.0]), np.zeros(1))))
+        assert model.calls == 0
+
+    def test_constrained_fit_is_the_full_gain(self):
+        for run in (
+            lambda game: kernelshap(game, num_samples=0, exhaustive=True),
+            lambda game: regression_c_shapley(game, chain_graph(1), 2, constrained=True),
+            lambda game: regression_c_shapley(game, grid_graph(1, 1), 1, constrained=True),
+        ):
+            result = run(TableGame(1, np.array([0.25, -1.5])))
+            assert result.scores.tolist() == [-1.75]
+            assert result.model_evaluations == 2
 
 
 class ValueTableCounter(TableGame):

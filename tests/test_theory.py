@@ -25,7 +25,7 @@ from shapgraph import (
 )
 from shapgraph.models import markov_label_model
 from shapgraph import _kernels
-from shapgraph.theory import _marginal, _MarginalTable, mutual_information, value_matrix
+from shapgraph.theory import _TINY, _marginal, _MarginalTable, value_matrix
 
 from oracles import absolute_mi_oracle, conditional_oracle, shapley_subset_oracle
 from reference_path import JointValueFunction
@@ -96,6 +96,18 @@ class TestMarginals:
                 assert (atoms(True) == with_label[idx]).all()
                 assert atoms(False).shape == (1 << d, 1)
                 assert (atoms(False) == without[idx][:, None]).all()
+
+
+def mutual_information(joint, group_a, group_b, conditioning=0, condition_on_label=False):
+    """Plain mutual information of two disjoint, nonempty feature groups:
+    the expected signed log ratio whose absolute value
+    ``absolute_mutual_information`` takes."""
+    log_abz, log_z, log_az, log_bz = (
+        np.log(np.maximum(_marginal(joint, mask, condition_on_label), _TINY))
+        for mask in (group_a | group_b | conditioning, conditioning, group_a | conditioning, group_b | conditioning)
+    )
+    w = joint.table
+    return float(np.sum(np.where(w > 0, w * (log_abz + log_z - log_az - log_bz), 0.0)))
 
 
 class TestAbsoluteMutualInformation:
@@ -527,20 +539,31 @@ class TestBitwiseReferences:
         assert (floats == got).all()
 
     def test_theorem_reports_equal_per_mask_pipeline(self):
-        from shapgraph.attribution import exact_shapley_weights, l_shapley_terms
-        from shapgraph.theory import _expected_abs_error, _terms_estimate
+        from shapgraph.attribution import c_shapley_terms, exact_shapley_weights, l_shapley_terms
+        from shapgraph.theory import _expected_abs_error
 
         g = chain_graph(7)
-        i, k = 3, 1
+        i = 3
         for seed in range(3):
             joint = random_joint(7, 2, 95 + seed)
-            report = verify_theorem1(joint, g, i, k)
-            cert = per_probe_epsilon_l(joint, g, i, k_neighborhood(g, i, k))
             V = per_mask_value_matrix(joint, "expected_logprob")
             exact = _kernels.shapley_scatter(V, 7, exact_shapley_weights(7))[i]
-            err, excluded = _expected_abs_error(joint, _terms_estimate(V, i, l_shapley_terms(g, i, k)), exact)
-            assert report.certificate == cert
-            assert (report.expected_error, report.bound, report.excluded_mass) == (err, 4.0 * cert.epsilon, excluded)
+            for theorem, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                verify = verify_theorem1 if theorem == 1 else verify_theorem2
+                s = k_neighborhood(g, i, k)
+                report = verify(joint, g, i, k)
+                cert = per_probe_epsilon_l(joint, g, i, s)
+                terms = l_shapley_terms(g, i, k)
+                if theorem == 2:  # the C certificate wins ties
+                    cert = max(per_probe_epsilon_c(joint, g, i, s), cert, key=lambda c: c.epsilon)
+                    terms = c_shapley_terms(g, i, k, "myerson")
+                est = np.zeros(V.shape[1])
+                for mask, weight in terms:
+                    est += weight * (V[mask] - V[mask & ~(1 << i)])
+                err, excluded = _expected_abs_error(joint, est, exact)
+                bound = (4.0 if theorem == 1 else 6.0) * cert.epsilon
+                assert report.certificate == cert
+                assert (report.expected_error, report.bound, report.excluded_mass) == (err, bound, excluded)
 
 
 class TestEvaluateBatchChecks:

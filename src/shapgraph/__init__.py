@@ -24,7 +24,6 @@ from .errors import (
     EvaluationError,
     ProtocolError,
     ShapgraphError,
-    SingularSystemError,
     UnsupportedTopologyError,
     ZeroMassError,
 )

@@ -17,14 +17,6 @@ class ConfigurationError(ShapgraphError, ValueError):
     """Invalid or inconsistent configuration of an operation."""
 
 
-class SingularSystemError(ShapgraphError):
-    """A least-squares normal system is rank deficient and no ridge was allowed."""
-
-    def __init__(self, message: str, null_space_dim: int):
-        super().__init__(message)
-        self.null_space_dim = null_space_dim
-
-
 class UnsupportedTopologyError(ShapgraphError, ValueError):
     """An operation only defined for chain or grid graphs got another kind."""
 

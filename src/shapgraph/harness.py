@@ -2,12 +2,13 @@
 how the predicted class's log-probability drops.
 
 Attribution cost is accounted in distinct value-function subsets per
-instance; the curve's own bookkeeping (the unmasked prediction and the masked
-re-evaluations) is direct model access and does not count against budgets.
+instance; the curve's own bookkeeping (one call on the masked rows, the first
+of them unmasked) is direct model access and does not count against budgets.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from .attribution import DEFAULT_SUBSET_BUDGET, Plan, exact_shapley_plan, local_plan, myerson_plan, sample_shapley_plan
 from .errors import BudgetExceededError, ConfigurationError, EvaluationError
-from .graphs import DEFAULT_ENUMERATION_BUDGET, FeatureGraph, pack_masks, subset_of
+from .graphs import DEFAULT_ENUMERATION_BUDGET, FeatureGraph, chain_graph, pack_masks, subset_of
 from .regression import kernelshap_plan, regression_c_shapley_plan
 from .valuation import Instance, ValueFunction, model_probs, plugin_masked_instance
 
@@ -171,6 +172,9 @@ def log_odds_curve(
     Per instance the predicted class is frozen at the unmasked prediction;
     the curve records log P(class | masked) - log P(class | unmasked),
     averaged over instances, for each fraction of top-ranked features masked.
+    The unmasked prediction is the first row of the one model call on the
+    masked rows, since the grid starts at fraction 0; ``correct_only`` makes
+    one more unmasked call per instance, to skip it before the plan runs.
     """
     if not dataset:
         raise ConfigurationError("dataset is empty")
@@ -189,17 +193,17 @@ def log_odds_curve(
         try:
             inst_seed = _instance_seed(seed, idx)
             plan = method_plan(spec, x.d, graph, budget, inst_seed)
-            base = model_probs(model, x.values[None, :])[0][0]
-            predicted = int(np.argmax(base))
-            if correct_only and predicted != labels[idx]:
+            if correct_only and np.argmax(model_probs(model, x.values[None, :])[0][0]) != labels[idx]:
                 continue
             result = plan.run(ValueFunction(model, x, seed=inst_seed))
             total_evals += result.model_evaluations
             masked_rows = np.stack(
                 [mask_top_features(x, result.scores, f).values for f in fr]
             )
-            after = model_probs(model, masked_rows)[0][:, predicted]
-            totals += after - base[predicted]
+            # fraction 0 masks nothing, so row 0 is the unmasked prediction
+            log_probs = model_probs(model, masked_rows)[0]
+            predicted = int(np.argmax(log_probs[0]))
+            totals += log_probs[:, predicted] - log_probs[0, predicted]
             used_instances += 1
         except (BudgetExceededError, ConfigurationError):
             raise
@@ -216,6 +220,13 @@ def log_odds_curve(
         model_evaluations=total_evals,
         order_k=spec.order,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _default_graph(d: int) -> FeatureGraph:
+    """The chain over d features, kept for the next call at the same d, so
+    that the plans cached on it are reused."""
+    return chain_graph(d)
 
 
 def compare_methods(
@@ -241,9 +252,7 @@ def compare_methods(
     if budget < d:
         raise ConfigurationError(f"budget {budget} is below the feature count {d}")
     if graph is None:
-        from .graphs import chain_graph
-
-        graph = chain_graph(d)
+        graph = _default_graph(d)
     specs = [MethodSpec.parse(m) if isinstance(m, str) else m for m in methods]
     names = [spec.name for spec in specs]
     if len(set(names)) < len(names):  # the count table and the CSV rows are keyed by name

@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from .graphs import pack_masks
-from .models import load_model_json
+from .models import load_model_json, wire_numbers
 from .valuation import masked_rows
 
 
@@ -30,30 +30,17 @@ def _reply(model, request: dict) -> dict:
     if op == "hello":
         return {"op": "hello", "num_classes": model.num_classes, "ops": OPS}
     if op == "eval":
-        rows = _numbers(request, "instances")
+        rows = wire_numbers(request, "instances")
     elif op == "eval_masked":
         # the rows an eval request of the same rows would carry
-        values = _numbers(request, "values")
+        values = wire_numbers(request, "values")
         masks = _hex_masks(request["masks"])
         # values.size is d for a vector; any other shape fails in masked_rows
-        rows = masked_rows(values, _numbers(request, "fill"), pack_masks(masks, values.size))
+        rows = masked_rows(values, wire_numbers(request, "fill"), pack_masks(masks, values.size))
     else:
         return {"op": "error", "message": f"unknown op {op!r}"}
     log_probs = np.asarray(model.evaluate_batch(rows), dtype=np.float64)
     return {"op": "eval", "id": request["id"], "log_probs": log_probs.tolist()}
-
-
-def _numbers(request: dict, field: str) -> np.ndarray:
-    """The array of a request field: int64 when the JSON holds only
-    integers, float64 when it holds other numbers.  Strings, nulls and
-    arrays of booleans alone are refused, naming the field."""
-    try:
-        values = np.asarray(request[field])
-    except ValueError as exc:  # ragged rows
-        raise ValueError(f"{field}: {exc}") from None
-    if values.dtype.kind not in "if":
-        raise ValueError(f"{field} must hold numbers only, got an array of {values.dtype}")
-    return values.astype(np.int64 if values.dtype.kind == "i" else np.float64, copy=False)
 
 
 def _hex_masks(texts: list) -> list[int]:

@@ -624,9 +624,11 @@ class ExternalModel:
         if reply.get("op") != "eval" or reply.get("id") != request.id:
             raise ProtocolError(f"response does not match request {request.id}: {_excerpt(line)}")
         try:
-            log_probs = np.asarray(reply.get("log_probs"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"unreadable log-probs in reply {request.id}: {exc}") from exc
+            log_probs = wire_numbers(reply, "log_probs").astype(np.float64, copy=False)
+        except (KeyError, ValueError) as exc:
+            raise ProtocolError(
+                f"unreadable log-probs ({type(exc).__name__}: {exc}) in reply {request.id}: {_excerpt(line)}"
+            ) from exc
         expected = (request.rows, self.num_classes)
         if log_probs.shape != expected:
             raise ProtocolError(f"expected {expected} log-probs, got {log_probs.shape}")
@@ -683,6 +685,20 @@ def _wire_values(values: np.ndarray) -> np.ndarray:
             batch_indices=bad.tolist(),
         )
     return values
+
+
+def wire_numbers(message: dict, field: str) -> np.ndarray:
+    """The array of a wire message's field: int64 when the JSON holds only
+    integers, float64 when it holds other numbers (``-Infinity`` and ``NaN``
+    included).  Strings, nulls and arrays of booleans alone raise
+    ``ValueError`` naming the field; a missing field raises ``KeyError``."""
+    try:
+        values = np.asarray(message[field])
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"{field}: {exc}") from None
+    if values.dtype.kind not in "if":
+        raise ValueError(f"{field} must hold numbers only, got an array of {values.dtype}")
+    return values.astype(np.int64 if values.dtype.kind == "i" else np.float64, copy=False)
 
 
 class _Request:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .attribution import DEFAULT_EXACT_LIMIT, AttributionResult, Plan
-from .errors import ConfigurationError, SingularSystemError, UnsupportedTopologyError
+from .errors import ConfigurationError, UnsupportedTopologyError
 from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
 
@@ -33,83 +33,61 @@ def shapley_kernel_weight(d: int, subset_size: int) -> float:
     return math.exp(math.log(d - 1) - log_binom - math.log(n) - math.log(d - n))
 
 
-def solve_weighted(
-    matrix: np.ndarray,
-    responses: np.ndarray,
-    weights: np.ndarray,
-    ridge: float | None = None,
-) -> np.ndarray:
+def solve_weighted(matrix: np.ndarray, responses: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The coefficients beta minimizing sum_r w_r (F_r - x_r beta)^2, from the
     weighted normal equations.
 
     When the normal matrix is rank deficient, a ridge of
-    ``1e-10 * trace / ncols`` is added (or the caller's explicit positive
-    ridge); an explicit ridge of exactly 0 raises
-    :class:`SingularSystemError` naming the null-space dimension.
+    ``1e-10 * trace / ncols`` is added, which pins each null direction at 0.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.size == 0:
         raise ConfigurationError("design must be nonempty")
     normal = matrix.T @ (weights[:, None] * matrix)
     target = matrix.T @ (weights * responses)
-    null_dim = matrix.shape[1] - int(np.linalg.matrix_rank(normal))
-    if null_dim > 0:
-        if ridge is not None and ridge == 0.0:
-            raise SingularSystemError(
-                f"normal matrix is rank deficient (null space dimension {null_dim}) "
-                "and ridge regularization is disabled",
-                null_space_dim=null_dim,
-            )
-        ridge = ridge if ridge is not None else 1e-10 * np.trace(normal) / matrix.shape[1]
+    if np.linalg.matrix_rank(normal) < matrix.shape[1]:
+        ridge = 1e-10 * np.trace(normal) / matrix.shape[1]
         normal = normal + ridge * np.eye(matrix.shape[1])
     return np.linalg.solve(normal, target)
 
 
-def _constrained_fit(
-    matrix: np.ndarray,
-    responses: np.ndarray,
-    weights: np.ndarray,
-    total: float,
-    ridge: float | None,
-) -> np.ndarray:
+def _constrained_fit(matrix: np.ndarray, responses: np.ndarray, weights: np.ndarray, total: float) -> np.ndarray:
     # Eliminate the last coefficient with sum(beta) = total, then back-solve.
     z = matrix[:, :-1] - matrix[:, -1:]
     h = responses - matrix[:, -1] * total
     if matrix.shape[1] == 1:
         return np.array([total])
-    coef = solve_weighted(z, h, weights, ridge)
+    coef = solve_weighted(z, h, weights)
     beta = np.empty(matrix.shape[1])
     beta[:-1] = coef
     beta[-1] = total - coef.sum()
     return beta
 
 
-def _fit_plan(
-    method: str, d: int, rows: list[int], kernel_weights: bool, constrained: bool, ridge: float | None, **meta
-) -> Plan:
+def _fit_plan(method: str, d: int, rows: list[int], constrained: bool, **meta) -> Plan:
     """The plan that values v(empty), the design rows and, when
     ``constrained``, v(full), and fits per-feature coefficients with v(empty)
     as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
-    v(empty).  Rows carry Shapley kernel weights, or unit weights.  An
+    v(empty).  Each row carries the Shapley kernel weight of its size.  An
     unconstrained fit of no design rows is refused before any model call."""
     if not rows and not constrained:
         raise ConfigurationError(
             f"{method} on {d} feature(s) has no design rows to fit; only the constrained fit, "
             f"v(full) - v(empty), is defined"
         )
+    # weight_of_size[n] for n = 0..d; sizes 0 and d are never design rows
+    weight_of_size = np.array([0.0, *(shapley_kernel_weight(d, n) for n in range(1, d)), 0.0])
 
     def fit(values: np.ndarray) -> np.ndarray:
         v_empty = values[0]
         responses = values[1 : len(rows) + 1] - v_empty
-        if kernel_weights:
-            weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
-        else:
-            weights = np.ones(len(rows))
-        matrix = unpack_rows(pack_masks(rows, d), d).astype(np.float64)
+        members = unpack_rows(pack_masks(rows, d), d)
+        weights = weight_of_size[members.sum(axis=1)]
+        matrix = members.astype(np.float64)
         if constrained:
             total = values[-1] - v_empty
-            return _constrained_fit(matrix, responses, weights, total, ridge)
-        return solve_weighted(matrix, responses, weights, ridge)
+            return _constrained_fit(matrix, responses, weights, total)
+        return solve_weighted(matrix, responses, weights)
 
     return Plan.of_masks(method, [0, *rows, (1 << d) - 1] if constrained else [0, *rows], d, fit, **meta)
 
@@ -161,9 +139,7 @@ def _sample_masks_of_size(d: int, size: int, count: int, rng: np.random.Generato
     return sorted(seen)
 
 
-def kernelshap_plan(
-    d: int, num_samples: int, seed: int = 0, exhaustive: bool = False, constrained: bool | None = None, ridge: float | None = None
-) -> Plan:
+def kernelshap_plan(d: int, num_samples: int, seed: int = 0, exhaustive: bool = False, constrained: bool | None = None) -> Plan:
     """The plan of the kernel-weighted regression on d features (see
     :func:`kernelshap`)."""
     if constrained is None:
@@ -185,7 +161,7 @@ def kernelshap_plan(
         for size, count in zip(range(1, d), _stratified_sizes(d, num_samples)):
             if count:
                 rows.extend(_sample_masks_of_size(d, size, count, rng))
-    return _fit_plan("kernelshap", d, rows, True, constrained, ridge, seed=None if exhaustive else seed)
+    return _fit_plan("kernelshap", d, rows, constrained, seed=None if exhaustive else seed)
 
 
 def kernelshap(
@@ -194,7 +170,6 @@ def kernelshap(
     seed: int = 0,
     exhaustive: bool = False,
     constrained: bool | None = None,
-    ridge: float | None = None,
 ) -> AttributionResult:
     """Kernel-weighted regression estimate of the Shapley values.
 
@@ -205,65 +180,50 @@ def kernelshap(
     design, where the constrained fit reproduces the exact Shapley values,
     and off otherwise.
     """
-    return kernelshap_plan(game.d, num_samples, seed, exhaustive, constrained, ridge).run(game)
+    return kernelshap_plan(game.d, num_samples, seed, exhaustive, constrained).run(game)
 
 
 def connected_design_rows(g: FeatureGraph, k: int) -> list[int]:
-    """Design rows for the connected-subset regression.
+    """Design rows for the connected-subset regression, by size, then row,
+    then column.
 
     Chains contribute every interval of length at most k; grids contribute
-    every axis-aligned n-by-n patch with n at most k.  The full feature set is
-    never a row (its kernel weight is undefined).
+    every axis-aligned n-by-n patch with n at most k, the patch at the
+    corner shifted to each place.  The full feature set is never a row (its
+    kernel weight is undefined).
     """
     d = g.d
-    rows: list[int] = []
     if g.kind == "chain":
-        for length in range(1, min(k, d - 1) + 1):
-            base = (1 << length) - 1
-            for start in range(d - length + 1):
-                rows.append(base << start)
-    elif g.kind == "grid":
-        R, C = g.rows, g.cols
-        for n in range(1, min(k, R, C) + 1):
-            if n == R and n == C:
-                continue  # the full grid is not a usable row
-            for r in range(R - n + 1):
-                for c in range(C - n + 1):
-                    mask = 0
-                    for dr in range(n):
-                        for dc in range(n):
-                            mask |= 1 << ((r + dr) * C + (c + dc))
-                    rows.append(mask)
-    else:
+        return [((1 << n) - 1) << start for n in range(1, min(k, d - 1) + 1) for start in range(d - n + 1)]
+    if g.kind != "grid":
         raise UnsupportedTopologyError(
             f"connected-subset regression supports chain and grid graphs, got {g.kind!r}"
         )
+    R, C = g.rows, g.cols
+    rows: list[int] = []
+    for n in range(1, min(k, R, C) + 1):
+        if n == R and n == C:
+            continue  # the full grid is not a usable row
+        # n ones in each of the first n rows: ((1 << n) - 1) times the sum of 1 << (r * C) for r < n
+        patch = ((1 << n) - 1) * (((1 << (n * C)) - 1) // ((1 << C) - 1))
+        rows.extend(patch << (r * C + c) for r in range(R - n + 1) for c in range(C - n + 1))
     return rows
 
 
-def regression_c_shapley_plan(
-    g: FeatureGraph, k: int, use_kernel_weights: bool = True, constrained: bool = False, ridge: float | None = None
-) -> Plan:
+def regression_c_shapley_plan(g: FeatureGraph, k: int, constrained: bool = False) -> Plan:
     """The plan of the connected-subset regression on the graph's d features
     (see :func:`regression_c_shapley`)."""
     if k < 1:
         raise ConfigurationError(f"order k must be positive, got {k}")
     rows = connected_design_rows(g, k)
-    return _fit_plan("c_shapley_regression", g.d, rows, use_kernel_weights, constrained, ridge, order_k=k)
+    return _fit_plan("c_shapley_regression", g.d, rows, constrained, order_k=k)
 
 
-def regression_c_shapley(
-    game: SetFunction,
-    g: FeatureGraph,
-    k: int,
-    use_kernel_weights: bool = True,
-    constrained: bool = False,
-    ridge: float | None = None,
-) -> AttributionResult:
+def regression_c_shapley(game: SetFunction, g: FeatureGraph, k: int, constrained: bool = False) -> AttributionResult:
     """Regression estimate over connected subsets only.
 
     Evaluates the game on every interval (chain) or square patch (grid) of
     order at most k (at most k*d rows) and solves the weighted least-squares
     system for per-feature scores.
     """
-    return regression_c_shapley_plan(g, k, use_kernel_weights, constrained, ridge).run(game)
+    return regression_c_shapley_plan(g, k, constrained).run(game)

@@ -399,6 +399,23 @@ for line in sys.stdin:
 """
 
 
+_FIXED_LOG_PROBS_HOST = """
+import json, sys
+
+row = sys.argv[1]  # the JSON text of one reply row; "missing" leaves log_probs out
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["op"] == "hello":
+        print(json.dumps({"op": "hello", "num_classes": 2}), flush=True)
+    elif request["op"] == "eval":
+        rows = ", ".join([row] * len(request["instances"]))
+        body = "" if row == "missing" else f', "log_probs": [{rows}]'
+        print(f'{{"op": "eval", "id": {request["id"]}{body}}}', flush=True)
+    else:
+        break
+"""
+
+
 _HELLO_HOST = """
 import sys, time
 
@@ -815,6 +832,35 @@ class TestExternalModel:
         with pytest.raises(ProtocolError, match="bad handshake reply"):
             external_model(ExternalModelEndpoint("subprocess", cmd, timeout=5.0))
         assert len(channels) == 1 and channels[0].proc.poll() is not None
+
+    @pytest.mark.parametrize(
+        "row",
+        ['["-0.6931471805599453", "-0.6931471805599453"]', "[true, false]", "[null, null]", "[-0.69, null]", "missing"],
+        ids=["strings", "booleans", "nulls", "a-null", "missing"],
+    )
+    def test_log_probs_that_are_not_numbers_are_protocol_error(self, tmp_path, monkeypatch, row):
+        channels = _record_channels(monkeypatch)
+        host = tmp_path / "host.py"
+        host.write_text(_FIXED_LOG_PROBS_HOST)
+        ext = external_model(ExternalModelEndpoint("subprocess", f"{sys.executable} {host} '{row}'", timeout=5.0))
+        try:
+            with pytest.raises(ProtocolError, match=r"unreadable log-probs \((ValueError: log_probs|KeyError: 'log_probs')"):
+                ext.evaluate_batch(np.zeros((2, 3)))
+        finally:
+            ext.close()
+        assert len(channels) == 1 and channels[0].proc.wait(timeout=5) is not None
+
+    def test_minus_infinity_log_probs_are_read(self, tmp_path, monkeypatch):
+        channels = _record_channels(monkeypatch)
+        host = tmp_path / "host.py"
+        host.write_text(_FIXED_LOG_PROBS_HOST)
+        ext = external_model(ExternalModelEndpoint("subprocess", f"{sys.executable} {host} '[-Infinity, 0]'", timeout=5.0))
+        try:
+            out = ext.evaluate_batch(np.zeros((2, 3)))
+        finally:
+            ext.close()
+        assert out.dtype == np.float64 and out.tolist() == [[-np.inf, 0.0]] * 2
+        assert len(channels) == 1 and channels[0].proc.wait(timeout=5) is not None
 
     def test_host_error_message_reaches_the_caller(self, tmp_path):
         _, path = _nb_fixture(tmp_path)

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from shapgraph import (
     ConfigurationError,
-    SingularSystemError,
     UnsupportedTopologyError,
     chain_graph,
     exact_shapley,
@@ -16,10 +17,11 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
+from shapgraph import regression
 from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, kernelshap_plan, solve_weighted
 from shapgraph.models import UniformModel
-from shapgraph.valuation import Instance, TableGame, ValueFunction, additive_game
+from shapgraph.valuation import FunctionGame, Instance, TableGame, ValueFunction, additive_game
 
 from oracles import wls_lstsq_oracle
 
@@ -89,20 +91,15 @@ class TestWeightedLeastSquares:
         gram = matrix.T @ (weights * residual)
         assert np.abs(gram).max() < 1e-8
 
-    def test_singular_with_zero_ridge_names_null_space(self):
-        matrix = unpack_rows(pack_masks([subset_of([0]), subset_of([0])], 3), 3).astype(np.float64)
-        with pytest.raises(SingularSystemError) as err:
-            solve_weighted(matrix, np.array([1.0, 1.0]), np.ones(2), ridge=0.0)
-        assert err.value.null_space_dim == 2
-
     def test_singular_defaults_to_tiny_ridge(self):
         matrix = unpack_rows(pack_masks([subset_of([0]), subset_of([0, 1])], 3), 3).astype(np.float64)
         responses, weights = np.array([1.0, 3.0]), np.ones(2)
         coefficients = solve_weighted(matrix, responses, weights)
         # the ridge added is 1e-10 * trace / ncols, and it pins the one null
         # direction, feature 2, at 0
-        tiny = 1e-10 * np.trace(matrix.T @ matrix) / 3
-        np.testing.assert_array_equal(coefficients, solve_weighted(matrix, responses, weights, ridge=tiny))
+        normal, target = matrix.T @ matrix, matrix.T @ responses
+        tiny = 1e-10 * np.trace(normal) / 3
+        np.testing.assert_array_equal(coefficients, np.linalg.solve(normal + tiny * np.eye(3), target))
         np.testing.assert_allclose(coefficients, [1.0, 2.0, 0.0], atol=1e-6)
 
     def test_empty_design_rejected(self):
@@ -190,10 +187,87 @@ class TestRegressionCShapley:
         with pytest.raises(UnsupportedTopologyError):
             regression_c_shapley(synthetic_game(3, seed=0), g, 1)
 
-    def test_uniform_weights_flag(self):
-        game = synthetic_game(6, seed=11)
-        res = regression_c_shapley(game, chain_graph(6), 2, use_kernel_weights=False)
-        assert res.scores.shape == (6,)
+    @pytest.mark.parametrize(
+        "graph",
+        [chain_graph(d) for d in range(1, 14)] + [grid_graph(r, c) for r in range(1, 6) for c in range(1, 7)],
+        ids=lambda g: f"{g.kind}{g.d}" if g.kind == "chain" else f"grid{g.rows}x{g.cols}",
+    )
+    def test_rows_match_a_cell_by_cell_listing(self, graph):
+        # intervals or square patches by size, then top row, then left column
+        for k in range(1, 7):
+            expected = []
+            if graph.kind == "chain":
+                for n in range(1, min(k, graph.d - 1) + 1):
+                    for start in range(graph.d - n + 1):
+                        expected.append(subset_of(range(start, start + n)))
+            else:
+                R, C = graph.rows, graph.cols
+                for n in range(1, min(k, R, C) + 1):
+                    for r in range(R - n + 1):
+                        for c in range(C - n + 1):
+                            cells = [(r + dr) * C + c + dc for dr in range(n) for dc in range(n)]
+                            if len(cells) < R * C:
+                                expected.append(subset_of(cells))
+            assert connected_design_rows(graph, k) == expected
+
+
+def _wavy_game(d: int) -> FunctionGame:
+    return FunctionGame(d, lambda m: math.sin(0.618 * m) * (1 + m.bit_count()))
+
+
+class TestKernelWeightsPerRow:
+    """Each design row weighs the Shapley kernel weight of its size, to the
+    bit, as in a fit that calls ``shapley_kernel_weight`` row by row."""
+
+    @staticmethod
+    def reference_fit(game, rows, constrained):
+        d = game.d
+        v_empty = game(0)
+        responses = game.scores(rows) - v_empty
+        weights = np.array([shapley_kernel_weight(d, m.bit_count()) for m in rows])
+        matrix = np.array([[(m >> j) & 1 for j in range(d)] for m in rows], dtype=np.float64)
+        if not constrained:
+            return solve_weighted(matrix, responses, weights)
+        total = game((1 << d) - 1) - v_empty
+        coef = solve_weighted(matrix[:, :-1] - matrix[:, -1:], responses - matrix[:, -1] * total, weights)
+        return np.append(coef, total - coef.sum())
+
+    @pytest.mark.parametrize(
+        "d, run",
+        [
+            pytest.param(6, lambda game: kernelshap(game, num_samples=18, seed=1), id="kernelshap-d6"),
+            pytest.param(40, lambda game: kernelshap(game, num_samples=130, seed=2), id="kernelshap-d40"),
+            pytest.param(
+                12, lambda game: kernelshap(game, num_samples=40, seed=3, constrained=True), id="kernelshap-constrained-d12"
+            ),
+            pytest.param(8, lambda game: kernelshap(game, num_samples=0, exhaustive=True), id="kernelshap-exhaustive-d8"),
+            pytest.param(40, lambda game: regression_c_shapley(game, chain_graph(40), 4), id="c-shapley-reg-chain40"),
+            pytest.param(
+                12,
+                lambda game: regression_c_shapley(game, chain_graph(12), 3, constrained=True),
+                id="c-shapley-reg-constrained-chain12",
+            ),
+            pytest.param(20, lambda game: regression_c_shapley(game, grid_graph(4, 5), 3), id="c-shapley-reg-grid4x5"),
+            pytest.param(
+                20,
+                lambda game: regression_c_shapley(game, grid_graph(4, 5), 2, constrained=True),
+                id="c-shapley-reg-constrained-grid4x5",
+            ),
+        ],
+    )
+    def test_scores_equal_a_row_by_row_weighted_fit(self, d, run, monkeypatch):
+        designs = []
+        fit_plan = regression._fit_plan
+
+        def spy(method, d, rows, constrained, **meta):
+            designs.append((rows, constrained))
+            return fit_plan(method, d, rows, constrained, **meta)
+
+        monkeypatch.setattr(regression, "_fit_plan", spy)
+        result = run(_wavy_game(d))
+        (rows, constrained), = designs
+        assert len(rows) > d
+        np.testing.assert_array_equal(result.scores, self.reference_fit(_wavy_game(d), rows, constrained))
 
 
 class CountingModel(UniformModel):

@@ -30,10 +30,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, graphs
 from .errors import BudgetExceededError, ConfigurationError
 from .graphs import (
-    DEFAULT_ENUMERATION_BUDGET,
     FeatureGraph,
     connected_subsets_containing,
     iter_bits,
@@ -43,9 +42,7 @@ from .graphs import (
 )
 from .valuation import SetFunction, SubsetTable
 
-DEFAULT_EXACT_LIMIT = 20
 DEFAULT_MYERSON_LIMIT = 15
-DEFAULT_SUBSET_BUDGET = 1 << 20
 
 C_SHAPLEY_WEIGHTINGS = ("myerson", "interior")
 
@@ -143,10 +140,10 @@ def exact_shapley_weights(d: int) -> np.ndarray:
 
 def exact_shapley_plan(d: int) -> Plan:
     """The plan of exact Shapley values on d features: all 2**d subsets."""
-    if d > DEFAULT_EXACT_LIMIT:
+    if 1 << d > graphs.ENUMERATION_LIMIT:
         raise ConfigurationError(
-            f"exact Shapley on {d} features needs 2^{d} evaluations "
-            f"(limit {DEFAULT_EXACT_LIMIT}); use l_shapley / c_shapley / sample_shapley instead"
+            f"exact Shapley on {d} features needs 2^{d} evaluations, over the limit of "
+            f"{graphs.ENUMERATION_LIMIT}; use l_shapley / c_shapley / sample_shapley instead"
         )
     return Plan.of_masks("exact", np.arange(1 << d), d, lambda values: _kernels.shapley_scatter(values, d, exact_shapley_weights(d)))
 
@@ -161,29 +158,26 @@ def exact_shapley(game: SetFunction) -> AttributionResult:
     return exact_shapley_plan(game.d).run(game)
 
 
-def l_shapley_terms(
-    g: FeatureGraph, i: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> list[tuple[int, float]]:
+def l_shapley_terms(g: FeatureGraph, i: int, k: int) -> list[tuple[int, float]]:
     """(subset, weight) pairs of the order-k local estimate for feature i.
 
     The weights are the exact-Shapley coefficients restricted to the
     k-neighborhood: ``shapley_coefficient(|N|, |T|)`` for each T containing i.
     The terms run in descending order of T, the whole neighbourhood first.
+    More than ``graphs.ENUMERATION_LIMIT`` of them raise
+    :class:`BudgetExceededError` before any is listed.
     """
     nbhd = k_neighborhood(g, i, k)
     n = nbhd.bit_count()
-    _check_local_budget(i, n, budget)
-    rest = reversed(submasks(nbhd & ~(1 << i)))
-    return [(sub | (1 << i), shapley_coefficient(n, sub.bit_count() + 1)) for sub in rest]
-
-
-def _check_local_budget(i: int, n: int, budget: int) -> None:
-    if 1 << (n - 1) > budget:
+    limit = graphs.ENUMERATION_LIMIT
+    if 1 << (n - 1) > limit:
         raise BudgetExceededError(
             f"local estimate at node {i} would enumerate 2^{n - 1} subsets of its "
-            f"{n}-node neighborhood, beyond the budget of {budget}",
-            count=budget,
+            f"{n}-node neighborhood, beyond the limit of {limit}",
+            count=limit,
         )
+    rest = reversed(submasks(nbhd & ~(1 << i)))
+    return [(sub | (1 << i), shapley_coefficient(n, sub.bit_count() + 1)) for sub in rest]
 
 
 # A template is the terms of one feature with S and S minus i interleaved,
@@ -192,14 +186,7 @@ Template = tuple[list[int], list[float]]
 PlanStep = tuple[int, int, Template]  # (feature, shift, template)
 
 
-def _plan(
-    method: str,
-    g: FeatureGraph,
-    features: Iterable[int],
-    k: int,
-    weighting: str | None,
-    budget: int,
-) -> Iterator[PlanStep]:
+def _plan(method: str, g: FeatureGraph, features: Iterable[int], k: int, weighting: str | None) -> Iterator[PlanStep]:
     """The terms of each feature as a template shared by every feature whose
     neighbourhood has the same shape, with the shift that places it.
 
@@ -209,24 +196,24 @@ def _plan(
     plus, for C-Shapley, each member's neighbours in ``nbhd`` shifted by
     ``lo``; shifting the template's masks left by ``lo`` gives the terms
     ``l_shapley_terms`` / ``c_shapley_terms`` would give, in the same order.
-    Templates live as long as the graph, keyed also by method, k, weighting
-    and budget, so a smaller budget enumerates afresh and raises.
+    Templates live as long as the graph, keyed also by method, k and
+    weighting.
     """
     templates = g._templates
     adjacency = g.adjacency
     for i in features:
         nbhd = k_neighborhood(g, i, k)
         lo = (nbhd & -nbhd).bit_length() - 1
-        key = (method, k, weighting, budget, i - lo, nbhd >> lo)
+        key = (method, k, weighting, i - lo, nbhd >> lo)
         if method == "c_shapley":
             key += (tuple((adjacency[j] & nbhd) >> lo for j in iter_bits(nbhd)),)
         template = templates.get(key)
         if template is None:
             # called through the module so that tracing sees the enumeration
             if method == "c_shapley":
-                terms = c_shapley_terms(g, i, k, weighting, budget)
+                terms = c_shapley_terms(g, i, k, weighting)
             else:
-                terms = l_shapley_terms(g, i, k, budget)
+                terms = l_shapley_terms(g, i, k)
             template = templates[key] = _template(i, terms, lo)
         yield i, lo, template
 
@@ -240,7 +227,7 @@ def _template(i: int, terms: list[tuple[int, float]], lo: int) -> Template:
 
 
 def local_plan(
-    method: str, g: FeatureGraph, k: int, weighting: str | None, budget: int, features: Iterable[int] | None = None
+    method: str, g: FeatureGraph, k: int, weighting: str | None, features: Iterable[int] | None = None
 ) -> Plan:
     """The plan of the order-k L-Shapley (``method`` "l_shapley") or
     C-Shapley ("c_shapley") estimates of ``features``, or of every feature
@@ -255,11 +242,11 @@ def local_plan(
     a 10x10 grid at k=2 peaks at about 9 MB of traced allocations this way,
     and at about 23 MB when the shifted masks are packed as Python ints.
     """
-    key = (method, k, weighting, budget)
+    key = (method, k, weighting)
     if features is None and key in g._tables:
         return g._tables[key]
     d = g.d
-    steps = list(_plan(method, g, range(d) if features is None else features, k, weighting, budget))
+    steps = list(_plan(method, g, range(d) if features is None else features, k, weighting))
     width = (d + 7) // 8
     placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
     sizes = [len(masks) for _, _, (masks, _) in steps]
@@ -292,31 +279,20 @@ def local_plan(
     return plan
 
 
-def l_shapley(
-    game: SetFunction,
-    g: FeatureGraph,
-    i: int,
-    k: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> float:
+def l_shapley(game: SetFunction, g: FeatureGraph, i: int, k: int) -> float:
     """Order-k local Shapley estimate for feature i.
 
     Averages marginal contributions over every subset of the k-neighborhood
     containing i, with neighborhood-restricted Shapley coefficients.  For k at
     least the graph diameter this is the exact Shapley value.
     """
-    return float(local_plan("l_shapley", g, k, None, budget, [i]).run(game).scores[i])
+    return float(local_plan("l_shapley", g, k, None, [i]).run(game).scores[i])
 
 
-def l_shapley_all(
-    game: SetFunction,
-    g: FeatureGraph,
-    k: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> AttributionResult:
+def l_shapley_all(game: SetFunction, g: FeatureGraph, k: int) -> AttributionResult:
     """Local Shapley estimates for every feature, sharing one evaluation cache
     and filling the model batch across features."""
-    return local_plan("l_shapley", g, k, None, budget).run(game)
+    return local_plan("l_shapley", g, k, None).run(game)
 
 
 def connected_subset_weight(size: int, boundary: int) -> float:
@@ -338,13 +314,7 @@ def interior_subset_weight(size: int) -> float:
     return shapley_coefficient(size + 2, size)
 
 
-def c_shapley_terms(
-    g: FeatureGraph,
-    i: int,
-    k: int,
-    weighting: str = "myerson",
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[tuple[int, float]]:
+def c_shapley_terms(g: FeatureGraph, i: int, k: int, weighting: str = "myerson") -> list[tuple[int, float]]:
     """(subset, weight) pairs of the order-k connected estimate for feature i.
 
     ``weighting="myerson"`` accounts for each subset's actual boundary inside
@@ -356,7 +326,7 @@ def c_shapley_terms(
         raise ValueError(f"weighting must be one of {C_SHAPLEY_WEIGHTINGS}, got {weighting!r}")
     nbhd = k_neighborhood(g, i, k)
     terms = []
-    for mask in connected_subsets_containing(g, i, k, budget=budget):
+    for mask in connected_subsets_containing(g, i, k):
         size = mask.bit_count()
         if weighting == "myerson":
             blocked = (g.boundary(mask) & nbhd).bit_count()
@@ -367,32 +337,19 @@ def c_shapley_terms(
     return terms
 
 
-def c_shapley(
-    game: SetFunction,
-    g: FeatureGraph,
-    i: int,
-    k: int,
-    weighting: str = "myerson",
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def c_shapley(game: SetFunction, g: FeatureGraph, i: int, k: int, weighting: str = "myerson") -> float:
     """Order-k connected-subset Shapley estimate for feature i.
 
     Sums weighted marginal contributions over the connected subsets of the
     k-neighborhood that contain i.
     """
-    return float(local_plan("c_shapley", g, k, weighting, budget, [i]).run(game).scores[i])
+    return float(local_plan("c_shapley", g, k, weighting, [i]).run(game).scores[i])
 
 
-def c_shapley_all(
-    game: SetFunction,
-    g: FeatureGraph,
-    k: int,
-    weighting: str = "myerson",
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> AttributionResult:
+def c_shapley_all(game: SetFunction, g: FeatureGraph, k: int, weighting: str = "myerson") -> AttributionResult:
     """Connected-subset estimates for every feature, sharing one cache and
     filling the model batch across features."""
-    return local_plan("c_shapley", g, k, weighting, budget).run(game)
+    return local_plan("c_shapley", g, k, weighting).run(game)
 
 
 def sample_shapley_plan(d: int, num_permutations: int, seed: int) -> Plan:

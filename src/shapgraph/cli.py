@@ -268,7 +268,7 @@ def main(argv=None) -> int:
                    help="builtin:nb | builtin:markov | external:cmd CMD | external:tcp HOST:PORT")
     p.add_argument("--graph", default="chain", help="chain | grid RxC")
     p.add_argument("--method", required=True, choices=list(METHODS))
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=None, help="locality order (default: the method's own)")
     p.add_argument("--input", required=True, help="JSON file with values and reference")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 
-DEFAULT_ENUMERATION_BUDGET = 10**6
+# The most subsets any one listing may hold: the subsets of an L-Shapley
+# neighbourhood or of all d features, or a C-Shapley feature's connected
+# subsets.  Read at call time, so one setting governs every estimator.
+ENUMERATION_LIMIT = 1 << 20
 
 
 def subset_of(indices: Iterable[int]) -> int:
@@ -106,7 +109,7 @@ class FeatureGraph:
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
     ``_templates`` holds the estimators' term templates, one per
     neighbourhood shape, and ``_tables`` their plans, one per method,
-    order, weighting and budget, for as long as the graph lives (see
+    order and weighting, for as long as the graph lives (see
     :mod:`shapgraph.attribution`).
     """
 
@@ -223,31 +226,27 @@ def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:
     return reached
 
 
-def connected_subsets_in(
-    g: FeatureGraph,
-    i: int,
-    universe: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[int]:
+def connected_subsets_in(g: FeatureGraph, i: int, universe: int) -> list[int]:
     """All connected subsets containing i inside an arbitrary node universe.
 
     Subsets are returned in canonical order: by size, then by bitmask value.
     Duplicate-free by construction: a node may only enter a subset through the
     branch where it first became reachable, so no seen-set is needed.
 
-    Raises :class:`BudgetExceededError` once more than ``budget`` subsets
-    would be emitted.
+    Raises :class:`BudgetExceededError` once more than
+    :data:`ENUMERATION_LIMIT` subsets would be emitted.
     """
     if not (universe >> i) & 1:
         raise ValueError(f"node {i} is not inside the given universe")
     out: list[int] = []
+    limit = ENUMERATION_LIMIT
 
     def extend(sub: int, candidates: list[int], banned: int) -> None:
-        if len(out) >= budget:
+        if len(out) >= limit:
             raise BudgetExceededError(
-                f"connected-subset enumeration for node {i} exceeded its budget: "
-                f"{budget} subsets emitted with more remaining",
-                count=budget,
+                f"connected-subset enumeration for node {i} exceeded its limit: "
+                f"{limit} subsets emitted with more remaining",
+                count=limit,
             )
         out.append(sub)
         for pos, w in enumerate(candidates):
@@ -261,17 +260,12 @@ def connected_subsets_in(
     return out
 
 
-def connected_subsets_containing(
-    g: FeatureGraph,
-    i: int,
-    k: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[int]:
+def connected_subsets_containing(g: FeatureGraph, i: int, k: int) -> list[int]:
     """All connected subsets U with i in U, U inside the k-neighborhood of i.
 
-    See :func:`connected_subsets_in` for ordering and budget semantics.
+    See :func:`connected_subsets_in` for ordering and the limit.
     """
-    return connected_subsets_in(g, i, k_neighborhood(g, i, k), budget)
+    return connected_subsets_in(g, i, k_neighborhood(g, i, k))
 
 
 def connected_components(g: FeatureGraph, s: int) -> list[int]:

@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attribution import DEFAULT_SUBSET_BUDGET, Plan, exact_shapley_plan, local_plan, myerson_plan, sample_shapley_plan
+from .attribution import Plan, exact_shapley_plan, local_plan, myerson_plan, sample_shapley_plan
 from .errors import BudgetExceededError, ConfigurationError, EvaluationError
-from .graphs import DEFAULT_ENUMERATION_BUDGET, FeatureGraph, chain_graph, pack_masks, subset_of
+from .graphs import FeatureGraph, chain_graph, pack_masks, subset_of
 from .regression import kernelshap_plan, regression_c_shapley_plan
 from .valuation import Instance, ValueFunction, model_probs, plugin_masked_instance
 
@@ -32,8 +32,8 @@ DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0, 0.05, ...
 # against the budget before it runs it.
 METHODS = {
     "exact": (None, lambda d, **_: exact_shapley_plan(d)),
-    "l-shapley": (1, lambda graph, k, **_: local_plan("l_shapley", graph, k, None, DEFAULT_SUBSET_BUDGET)),
-    "c-shapley": (1, lambda graph, k, **_: local_plan("c_shapley", graph, k, "myerson", DEFAULT_ENUMERATION_BUDGET)),
+    "l-shapley": (1, lambda graph, k, **_: local_plan("l_shapley", graph, k, None)),
+    "c-shapley": (1, lambda graph, k, **_: local_plan("c_shapley", graph, k, "myerson")),
     "c-shapley-reg": (4, lambda graph, k, **_: regression_c_shapley_plan(graph, k)),
     "sample": (None, lambda d, seed, permutations, **_: sample_shapley_plan(d, permutations, seed)),
     "kernelshap": (None, lambda d, seed, samples, **_: kernelshap_plan(d, samples, seed)),

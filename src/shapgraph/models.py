@@ -17,6 +17,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -440,6 +441,8 @@ def _stop_process(proc: subprocess.Popen) -> None:
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
 
 
 class ExternalModel:
@@ -690,14 +693,23 @@ def _wire_values(values: np.ndarray) -> np.ndarray:
 def wire_numbers(message: dict, field: str) -> np.ndarray:
     """The array of a wire message's field: int64 when the JSON holds only
     integers, float64 when it holds other numbers (``-Infinity`` and ``NaN``
-    included).  Strings, nulls and arrays of booleans alone raise
+    included).  Strings, nulls and booleans, at any position, raise
     ``ValueError`` naming the field; a missing field raises ``KeyError``."""
+    data = message[field]
     try:
-        values = np.asarray(message[field])
+        values = np.asarray(data)
     except ValueError as exc:  # ragged rows
         raise ValueError(f"{field}: {exc}") from None
     if values.dtype.kind not in "if":
         raise ValueError(f"{field} must hold numbers only, got an array of {values.dtype}")
+    # numpy reads true and false among numbers as 1 and 0, so where it read
+    # a 0 or a 1 the JSON is searched for a boolean
+    if ((values == 0) | (values == 1)).any():
+        items = [data]
+        for _ in range(values.ndim):
+            items = chain.from_iterable(items)
+        if bool in set(map(type, items)):
+            raise ValueError(f"{field} must hold numbers only, got a boolean")
     return values.astype(np.int64 if values.dtype.kind == "i" else np.float64, copy=False)
 
 

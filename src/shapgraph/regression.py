@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from .attribution import DEFAULT_EXACT_LIMIT, AttributionResult, Plan
+from . import graphs
+from .attribution import AttributionResult, Plan
 from .errors import ConfigurationError, UnsupportedTopologyError
 from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
@@ -145,10 +146,10 @@ def kernelshap_plan(d: int, num_samples: int, seed: int = 0, exhaustive: bool = 
     if constrained is None:
         constrained = exhaustive
     if exhaustive:
-        if d > DEFAULT_EXACT_LIMIT:
+        if (1 << d) - 2 > graphs.ENUMERATION_LIMIT:
             raise ConfigurationError(
-                f"exhaustive kernelshap on {d} features needs 2^{d} evaluations "
-                f"(limit {DEFAULT_EXACT_LIMIT}); sample num_samples subsets instead"
+                f"exhaustive kernelshap on {d} features needs 2^{d} evaluations bar two, over the limit of "
+                f"{graphs.ENUMERATION_LIMIT}; sample num_samples subsets instead"
             )
         rows = [m for m in range(1, (1 << d) - 1)]
     else:

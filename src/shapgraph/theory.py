@@ -15,10 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .attribution import DEFAULT_SUBSET_BUDGET, exact_shapley_weights, local_plan
+from .attribution import exact_shapley_weights, local_plan
 from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
 from .graphs import (
-    DEFAULT_ENUMERATION_BUDGET,
     FeatureGraph,
     connected_subsets_in,
     k_neighborhood,
@@ -26,7 +25,7 @@ from .graphs import (
     row_masks,
     submasks,
 )
-from .valuation import checked_codes
+from .valuation import VALUE_MODES, checked_codes
 
 MAX_DENSE_FEATURES = 16
 MAX_EXHAUSTIVE_FEATURES = 12
@@ -280,8 +279,11 @@ def value_matrix(
     """V[mask, atom]: subset score at every atom under exact conditionals.
 
     Columns for zero-mass atoms are filled with zeros; every consumer weighs
-    columns by atom mass, so those entries never contribute.
+    columns by atom mass, so those entries never contribute.  A mode outside
+    ``VALUE_MODES`` raises ``ConfigurationError``.
     """
+    if mode not in VALUE_MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}")
     d, C = joint.d, joint.num_classes
     m = _marginals if _marginals is not None else _MarginalTable(joint)
     px = joint.feature_marginal()
@@ -318,15 +320,6 @@ class EpsilonCertificate:
     epsilon: float
     witness: tuple[int, int]  # (conditioning subset U, probe subset V)
     conditioned_on_y: bool
-
-
-def _check_exhaustion_budget(d: int) -> None:
-    if d > MAX_EXHAUSTIVE_FEATURES:
-        raise BudgetExceededError(
-            f"exhaustive supremum over feature subsets is limited to "
-            f"{MAX_EXHAUSTIVE_FEATURES} features, got {d}",
-            count=1 << d,
-        )
 
 
 def _absolute_mi_of_probes(
@@ -373,7 +366,12 @@ def _epsilon_supremum(m: _MarginalTable, i: int, scans) -> EpsilonCertificate:
 
 
 def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _MarginalTable | None) -> _MarginalTable:
-    _check_exhaustion_budget(joint.d)
+    if joint.d > MAX_EXHAUSTIVE_FEATURES:
+        raise BudgetExceededError(
+            f"exhaustive supremum over feature subsets is limited to "
+            f"{MAX_EXHAUSTIVE_FEATURES} features, got {joint.d}",
+            count=1 << joint.d,
+        )
     if not (s >> i) & 1:
         raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
     return marginals if marginals is not None else _MarginalTable(joint)
@@ -447,11 +445,11 @@ def _verify_theorem(
     marginals = _MarginalTable(joint)
     cert = epsilon_for_lshapley(joint, g, i, s, _marginals=marginals)
     if theorem == 1:
-        plan = local_plan("l_shapley", g, k, None, DEFAULT_SUBSET_BUDGET, [i])
+        plan = local_plan("l_shapley", g, k, None, [i])
     else:
         cert2 = epsilon_for_cshapley(joint, g, i, s, _marginals=marginals)
         cert = cert2 if cert2.epsilon >= cert.epsilon else cert
-        plan = local_plan("c_shapley", g, k, "myerson", DEFAULT_ENUMERATION_BUDGET, [i])
+        plan = local_plan("c_shapley", g, k, "myerson", [i])
     V = value_matrix(joint, _marginals=marginals)
     del marginals  # free the tables before the scatter's temporaries
     weights = np.asarray(exact_shapley_weights(d), dtype=np.float64)[_kernels.popcounts(d)]

@@ -26,6 +26,8 @@ DEFAULT_EMPIRICAL_SAMPLES = 32
 # How far a model's probability rows may miss 1.  Not tighter: a float32
 # softmax over C classes is off by up to about C * 2**-24 per row.
 ROW_SUM_TOLERANCE = 1e-4
+# The subset scores a value function or a dense value matrix may take.
+VALUE_MODES = ("expected_logprob", "predicted_class_logprob")
 
 
 class ModelContract(Protocol):
@@ -281,7 +283,7 @@ class ValueFunction(SetFunction):
         super().__init__(instance.d)
         if estimator not in ("plugin", "empirical"):
             raise ConfigurationError(f"unknown estimator {estimator!r}")
-        if mode not in ("expected_logprob", "predicted_class_logprob"):
+        if mode not in VALUE_MODES:
             raise ConfigurationError(f"unknown mode {mode!r}")
         self.model = model
         self.instance = instance

@@ -13,9 +13,9 @@ dense joint under exact conditionals.
 
 import numpy as np
 
-from shapgraph.attribution import DEFAULT_SUBSET_BUDGET, c_shapley_terms, l_shapley_terms
+from shapgraph.attribution import c_shapley_terms, l_shapley_terms
 from shapgraph.errors import ConfigurationError
-from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET, connected_components
+from shapgraph.graphs import connected_components
 from shapgraph.theory import _TINY, ExactConditionalModel
 from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR, SetFunction, synthetic_game
 
@@ -152,12 +152,12 @@ def marginal_sums(game, plan):
     return scores, per_feature
 
 
-def l_shapley_all(game, g, k, budget=DEFAULT_SUBSET_BUDGET):
-    return marginal_sums(game, ((i, l_shapley_terms(g, i, k, budget)) for i in range(g.d)))
+def l_shapley_all(game, g, k):
+    return marginal_sums(game, ((i, l_shapley_terms(g, i, k)) for i in range(g.d)))
 
 
-def c_shapley_all(game, g, k, weighting="myerson", budget=DEFAULT_ENUMERATION_BUDGET):
-    return marginal_sums(game, ((i, c_shapley_terms(g, i, k, weighting, budget)) for i in range(g.d)))
+def c_shapley_all(game, g, k, weighting="myerson"):
+    return marginal_sums(game, ((i, c_shapley_terms(g, i, k, weighting)) for i in range(g.d)))
 
 
 def weighted_marginal(values, i, terms):

@@ -5,6 +5,7 @@ import pytest
 
 from shapgraph import (
     BudgetExceededError,
+    ConfigurationError,
     c_shapley,
     c_shapley_all,
     chain_graph,
@@ -19,9 +20,8 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
-from shapgraph import attribution
+from shapgraph import attribution, graphs, regression
 from shapgraph.attribution import (
-    DEFAULT_SUBSET_BUDGET,
     c_shapley_terms,
     connected_subset_weight,
     exact_shapley_weights,
@@ -29,7 +29,6 @@ from shapgraph.attribution import (
     l_shapley_terms,
 )
 from shapgraph.cli import build_demo_nb
-from shapgraph.graphs import DEFAULT_ENUMERATION_BUDGET
 from shapgraph.models import two_topic_corpus
 from shapgraph.valuation import (
     DEFAULT_BATCH_SIZE,
@@ -171,10 +170,14 @@ class TestLShapley:
         assert res.model_evaluations <= (1 << 2) * 10 + 4  # boundary slack
 
     def test_budget_error(self):
+        # k=4 from the centre of a 5x5 grid holds all 25 nodes: 2^24 subsets,
+        # refused before any is listed
         game = additive_game(np.ones(25))
         g = grid_graph(5, 5)
-        with pytest.raises(BudgetExceededError):
-            l_shapley(game, g, 12, 2, budget=100)
+        with pytest.raises(BudgetExceededError, match="2\\^24 subsets") as err:
+            l_shapley(game, g, 12, 4)
+        assert err.value.count == graphs.ENUMERATION_LIMIT
+        assert game.eval_count == 0
 
     def test_d1(self):
         game = synthetic_game(1, table=np.array([1.0, 3.0]))
@@ -273,11 +276,13 @@ class TestBatchedPlan:
         assert wide.calls <= -(-2 * terms // 1024) + 1 < narrow.calls
 
     @pytest.mark.parametrize("all_fn,terms_fn", [(l_shapley_all, l_shapley_terms), (c_shapley_all, c_shapley_terms)])
-    def test_over_budget_raises_before_any_model_call(self, all_fn, terms_fn):
-        # a chain of 40 whose last node also holds 12 leaves: only that hub's
-        # neighbourhood is over the budget, and the features before it ask
-        # for more subsets than a model batch holds
-        d, k, budget = 52, 1, 1000
+    def test_over_budget_raises_before_any_model_call(self, all_fn, terms_fn, monkeypatch):
+        # a chain of 40 whose last node also holds 12 leaves: under a limit of
+        # 1000, only that hub's 2^13 subsets are over it, and the features
+        # before it ask for more subsets than a model batch holds.  The graph
+        # is fresh, so no template of it was cached under the real limit.
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 1000)
+        d, k = 52, 1
         g = general_graph(d, [(j, j + 1) for j in range(39)] + [(39, 40 + j) for j in range(12)])
         assert sum(2 * len(terms_fn(g, i, k)) for i in range(39)) > DEFAULT_BATCH_SIZE
 
@@ -293,8 +298,9 @@ class TestBatchedPlan:
 
         model = Recording(build_demo_nb())
         vf = ValueFunction(model, Instance(two_topic_corpus(3, 1, doc_len=d)[0][0], np.zeros(d, dtype=int)))
-        with pytest.raises(BudgetExceededError, match="node 39"):
-            all_fn(vf, g, k, budget=budget)
+        with pytest.raises(BudgetExceededError, match="node 39") as err:
+            all_fn(vf, g, k)
+        assert err.value.count == graphs.ENUMERATION_LIMIT == 1000
         assert model.calls == 0 and vf.eval_count == 0
 
     def test_warm_cache_charges_only_new_subsets(self):
@@ -540,11 +546,10 @@ def _placed_terms(step):
     return i, [(m << lo, w) for m, w in zip(masks[0::2], weights)], [m << lo for m in masks[1::2]]
 
 
-def _terms(method, g, i, k, weighting, budget=None):
-    kwargs = {} if budget is None else {"budget": budget}
+def _terms(method, g, i, k, weighting):
     if method == "c_shapley":
-        return c_shapley_terms(g, i, k, weighting, **kwargs)
-    return l_shapley_terms(g, i, k, **kwargs)
+        return c_shapley_terms(g, i, k, weighting)
+    return l_shapley_terms(g, i, k)
 
 
 # features 2 and 5 share (i - lo, nbhd >> lo) at k=2, but 2 hangs off the
@@ -573,7 +578,7 @@ class TestTermTemplates:
         for k in ks:
             if name == "grid10x10" and method == "l_shapley" and k == 2:
                 continue  # 2^12 subsets per feature: slow to list, and no new shape
-            steps = list(attribution._plan(method, g, range(g.d), k, weighting, DEFAULT_SUBSET_BUDGET))
+            steps = list(attribution._plan(method, g, range(g.d), k, weighting))
             assert [step[0] for step in steps] == list(range(g.d))
             for step in steps:
                 i, terms, without_i = _placed_terms(step)
@@ -591,7 +596,7 @@ class TestTermTemplates:
             shifted = [[(m >> lo, w) for m, w in c_shapley_terms(g, i, k, weighting)] for i, lo in ((2, 0), (5, 3))]
             assert shifted[0] != shifted[1]  # a key without the subgraph would mix them up
             for i in (2, 5):
-                step = next(attribution._plan("c_shapley", g, [i], k, weighting, DEFAULT_SUBSET_BUDGET))
+                step = next(attribution._plan("c_shapley", g, [i], k, weighting))
                 assert _placed_terms(step)[1] == c_shapley_terms(g, i, k, weighting)
 
     def test_one_graph_across_weightings_and_orders(self):
@@ -614,7 +619,7 @@ class TestTermTemplates:
         g = grid_graph(10, 10)
         tracemalloc.start()
         try:
-            attribution.local_plan("c_shapley", g, 2, "myerson", DEFAULT_ENUMERATION_BUDGET)
+            attribution.local_plan("c_shapley", g, 2, "myerson")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -622,32 +627,44 @@ class TestTermTemplates:
         # the shifted masks as Python ints instead peaked at about 23 MB
         assert peak < 12_000_000, peak
 
-    @pytest.mark.parametrize("method,weighting,budget", [("l_shapley", None, DEFAULT_SUBSET_BUDGET), ("c_shapley", "myerson", DEFAULT_ENUMERATION_BUDGET)])
+    @pytest.mark.parametrize("method,weighting", [("l_shapley", None), ("c_shapley", "myerson")])
     @pytest.mark.parametrize("graph,k", [("chain12", 1), ("chain12", 2), ("grid3x4", 1)])
-    def test_reducer_of_many_games_stacks_single_reductions(self, graph, k, method, weighting, budget):
+    def test_reducer_of_many_games_stacks_single_reductions(self, graph, k, method, weighting):
         g = chain_graph(12) if graph == "chain12" else grid_graph(3, 4)
-        plan = attribution.local_plan(method, g, k, weighting, budget)
+        plan = attribution.local_plan(method, g, k, weighting)
         values = np.random.default_rng(k).standard_normal((len(plan.subsets), 5))
         single = [plan.reduce(values[:, j].copy()) for j in range(5)]
         np.testing.assert_array_equal(plan.reduce(values), np.stack(single, axis=1))
 
-    @pytest.mark.parametrize("method,k,budget", [("c_shapley", 3, 5), ("l_shapley", 3, 8)])
-    def test_cached_template_raises_for_a_smaller_budget(self, method, k, budget):
-        # at k=3 on a chain, feature 0 fits the budget and feature 1 does not
-        g = chain_graph(12)
-        run_all = c_shapley_all if method == "c_shapley" else l_shapley_all
-        run_one = c_shapley if method == "c_shapley" else l_shapley
-        run_all(synthetic_game(12, seed=1), g, k)  # every template is cached now
-        with pytest.raises(BudgetExceededError) as direct:
-            _terms(method, g, 1, k, "myerson", budget)
-        for call in (
-            lambda: run_all(synthetic_game(12, seed=1), g, k, budget=budget),
-            lambda: run_one(synthetic_game(12, seed=1), g, 1, k, budget=budget),
-        ):
-            with pytest.raises(BudgetExceededError) as cached:
-                call()
-            assert str(cached.value) == str(direct.value)
-            assert cached.value.count == direct.value.count
-        assert run_one(synthetic_game(12, seed=1), g, 0, k, budget=budget) == run_one(
-            synthetic_game(12, seed=1), g, 0, k
-        )
+
+class TestEnumerationLimit:
+    """``graphs.ENUMERATION_LIMIT`` caps exact Shapley and exhaustive
+    KernelSHAP as it caps L- and C-Shapley (see
+    ``test_over_budget_raises_before_any_model_call``)."""
+
+    @pytest.mark.parametrize(
+        "plan,cost",
+        [
+            (attribution.exact_shapley_plan, lambda d: 1 << d),
+            (lambda d: regression.kernelshap_plan(d, 0, exhaustive=True), lambda d: (1 << d) - 2),
+        ],
+        ids=["exact", "kernelshap-exhaustive"],
+    )
+    def test_dense_plans_refuse_past_the_limit(self, plan, cost, monkeypatch):
+        for d in (3, 4, 5):
+            monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", cost(d))
+            plan(d)  # at the limit, planned
+            monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", cost(d) - 1)
+            with pytest.raises(ConfigurationError, match=f"on {d} features"):
+                plan(d)
+
+    def test_dense_plans_refuse_d21_before_listing(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("subsets were listed")
+
+        monkeypatch.setattr(attribution.Plan, "of_masks", listed)
+        monkeypatch.setattr(regression, "_fit_plan", listed)
+        with pytest.raises(ConfigurationError, match="needs 2\\^21 evaluations"):
+            attribution.exact_shapley_plan(21)
+        with pytest.raises(ConfigurationError, match="needs 2\\^21 evaluations"):
+            regression.kernelshap_plan(21, 0, exhaustive=True)

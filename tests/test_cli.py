@@ -214,6 +214,16 @@ class TestBench:
 
 
 class TestDeterminism:
+    def test_explain_without_k_uses_the_method_order(self, tmp_path, instance_file):
+        # c-shapley-reg's own order is 4, as evaluate gives it
+        outs = [tmp_path / "default.json", tmp_path / "k4.json"]
+        for out, flags in zip(outs, ([], ["--k", "4"])):
+            proc = run_cli("explain", "--model", "builtin:nb", "--method", "c-shapley-reg", *flags,
+                           "--input", str(instance_file), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["k"] == 4
+
     def test_explain_byte_identical(self, tmp_path, instance_file):
         outs = []
         for name in ("a.json", "b.json"):
@@ -240,7 +250,8 @@ class TestDeterminism:
 
 
 def _direct_estimators(k, permutations, samples, seed):
-    """Each method's estimator called by hand, independently of the method table."""
+    """Each method's estimator called by hand, independently of the method
+    table; k None is each method's own default order."""
     from shapgraph import (
         c_shapley_all, exact_shapley, l_shapley_all, myerson_value, sample_shapley,
     )
@@ -249,9 +260,9 @@ def _direct_estimators(k, permutations, samples, seed):
 
     return {
         "exact": lambda vf, g: exact_shapley(vf),
-        "l-shapley": lambda vf, g: l_shapley_all(vf, g, k),
-        "c-shapley": lambda vf, g: c_shapley_all(vf, g, k),
-        "c-shapley-reg": lambda vf, g: regression_c_shapley(vf, g, k),
+        "l-shapley": lambda vf, g: l_shapley_all(vf, g, 1 if k is None else k),
+        "c-shapley": lambda vf, g: c_shapley_all(vf, g, 1 if k is None else k),
+        "c-shapley-reg": lambda vf, g: regression_c_shapley(vf, g, 4 if k is None else k),
         "sample": lambda vf, g: sample_shapley(vf, num_permutations=permutations, seed=seed),
         "kernelshap": lambda vf, g: kernelshap(vf, num_samples=samples, seed=seed),
         "myerson": lambda vf, g: myerson_value(vf, g),
@@ -262,7 +273,7 @@ def _direct_estimators(k, permutations, samples, seed):
 class TestMethodTable:
     FLAGS = {
         # flags -> (k, permutations, samples) the estimator should receive at d=12
-        "defaults": ([], (1, 10, 48)),
+        "defaults": ([], (None, 10, 48)),
         "explicit": (["--k", "2", "--permutations", "3", "--samples", "30"], (2, 3, 30)),
     }
 

@@ -17,6 +17,7 @@ from shapgraph import (
     members_of,
     subset_of,
 )
+from shapgraph import graphs
 from shapgraph.graphs import pack_masks, submasks, unpack_rows
 
 from oracles import (
@@ -251,9 +252,10 @@ class TestConnectedSubsets:
         assert disconnected not in subsets
         assert connected in subsets
 
-    def test_budget_error_names_count(self):
+    def test_budget_error_names_count(self, monkeypatch):
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 10)
         with pytest.raises(BudgetExceededError) as err:
-            connected_subsets_containing(grid_graph(4, 4), 5, 3, budget=10)
+            connected_subsets_containing(grid_graph(4, 4), 5, 3)
         assert err.value.count == 10
         assert "10" in str(err.value)
 

@@ -8,6 +8,7 @@ from shapgraph import (
     Instance,
     chain_graph,
     general_graph,
+    grid_graph,
 )
 from shapgraph import attribution, harness
 from shapgraph.harness import (
@@ -224,6 +225,14 @@ class TestPlannedCost:
         vf = ValueFunction(nb, instances[0])
         result = plan.run(vf)
         assert planned_evaluations(plan) == vf.eval_count == result.model_evaluations
+
+    @pytest.mark.parametrize("name,method,weighting", [("l-shapley", "l_shapley", None), ("c-shapley", "c_shapley", "myerson")])
+    def test_harness_plan_is_the_cached_local_plan(self, name, method, weighting):
+        # one cache key: the harness and a direct call plan once between them
+        g = grid_graph(3, 4)
+        plan = MethodSpec(name, 2).plan(12, g, 0, 3, 48)
+        assert attribution.local_plan(method, g, 2, weighting) is plan
+        assert MethodSpec(name, 2).plan(12, g, 5, 1, 20) is plan
 
     def test_over_budget_error_names_the_planned_cost(self):
         with pytest.raises(BudgetExceededError, match="'l-shapley' needs 593 evaluations, over its budget of 160") as info:

@@ -835,8 +835,9 @@ class TestExternalModel:
 
     @pytest.mark.parametrize(
         "row",
-        ['["-0.6931471805599453", "-0.6931471805599453"]', "[true, false]", "[null, null]", "[-0.69, null]", "missing"],
-        ids=["strings", "booleans", "nulls", "a-null", "missing"],
+        ['["-0.6931471805599453", "-0.6931471805599453"]', "[true, false]", "[true, -0.5]", "[-1, false]",
+         "[null, null]", "[-0.69, null]", "missing"],
+        ids=["strings", "booleans", "a-boolean-among-floats", "a-boolean-among-ints", "nulls", "a-null", "missing"],
     )
     def test_log_probs_that_are_not_numbers_are_protocol_error(self, tmp_path, monkeypatch, row):
         channels = _record_channels(monkeypatch)
@@ -959,10 +960,15 @@ class TestModelServer:
             ({"op": "eval", "id": 0, "instances": [["3", "4", "1", "1"]]}, "instances"),
             ({"op": "eval", "id": 0, "instances": [[3, None, 1, 1]]}, "instances"),
             ({"op": "eval", "id": 0, "instances": [[True, False, True, True]]}, "instances"),
+            # numpy would read these booleans among numbers as 1 and 0
+            ({"op": "eval", "id": 0, "instances": [[3, True, 4, 1]]}, "instances"),
+            ({"op": "eval", "id": 0, "instances": [[3, 1, 4, 1], [1.5, 0, 0, False]]}, "instances"),
             (dict(masked, values=["3", "1", "4", "1"]), "values"),
             (dict(masked, values=[3, 1, None, 1]), "values"),
+            (dict(masked, values=[3, 1, False, 1]), "values"),
             (dict(masked, fill=[["0", "0", "0", "0"]]), "fill"),
             (dict(masked, fill=[[0, None, 0, 0]]), "fill"),
+            (dict(masked, fill=[[0, 0, 0, 0], [0, True, 0, 0]]), "fill"),
         ]
         writer = io.StringIO()
         serve_stream(nb, io.StringIO("".join(json.dumps(r) + "\n" for r, _ in bad)), writer)

@@ -358,6 +358,11 @@ class TestValueMatrixPredictedMode:
             for mask in range(16):
                 assert V[mask, atom] == pytest.approx(vf(mask), abs=1e-12)
 
+    def test_unknown_mode_is_refused(self):
+        # a near miss of "predicted_class_logprob" is not read as the other mode
+        with pytest.raises(ConfigurationError, match="'predicted-class'"):
+            value_matrix(random_joint(3, 2, 0), mode="predicted-class")
+
 
 # ---------------------------------------------------------------------------
 # Bitwise references: the per-mask code the ternary marginal table replaced.

@@ -15,13 +15,19 @@ L- and C-Shapley plan their terms as templates: features whose
 neighbourhoods have the same shape share one, and the templates of the
 features planned make the plan's table, with the two subset indices,
 weight and feature of each term held by the reducer, and the plan step that
-first holds each subset.  The plans of all-features runs live on the graph
-next to the templates, so explaining many instances on one graph plans
-once.  A one-feature run is a one-step plan, reduced the same way.
+first holds each subset.  A one-feature run is a one-step plan, reduced the
+same way.
+
+A plan that depends only on the graph or on d is built once and shared by
+every instance: the all-features L-/C-Shapley, Myerson and regression
+C-Shapley plans are kept on the graph (:func:`kept_plan`), and the exact plan
+of the last d planned is kept here.  The seeded planners build a fresh plan
+on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -138,14 +144,33 @@ def exact_shapley_weights(d: int) -> np.ndarray:
     return w
 
 
+def kept_plan(g: FeatureGraph, key: tuple, build: Callable[[], Plan]) -> Plan:
+    """The plan kept on the graph under ``key``, (method, order, variant),
+    built by ``build`` on first use and kept for as long as the graph lives.
+    Planners check their limits before the lookup, so a lowered limit still
+    refuses a kept plan."""
+    plan = g._tables.get(key)
+    if plan is None:
+        plan = g._tables[key] = build()
+    return plan
+
+
 def exact_shapley_plan(d: int) -> Plan:
-    """The plan of exact Shapley values on d features: all 2**d subsets."""
+    """The plan of exact Shapley values on d features: all 2**d subsets.
+    The plan of the last d planned is kept for the next call."""
     if 1 << d > graphs.ENUMERATION_LIMIT:
         raise ConfigurationError(
             f"exact Shapley on {d} features needs 2^{d} evaluations, over the limit of "
             f"{graphs.ENUMERATION_LIMIT}; use l_shapley / c_shapley / sample_shapley instead"
         )
-    return Plan.of_masks("exact", np.arange(1 << d), d, lambda values: _kernels.shapley_scatter(values, d, exact_shapley_weights(d)))
+    return _exact_plan(d)
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_plan(d: int) -> Plan:
+    # one plan at the 2^20 limit holds about 11 MB, so only the last d is kept
+    weights = exact_shapley_weights(d)
+    return Plan.of_masks("exact", np.arange(1 << d), d, lambda values: _kernels.shapley_scatter(values, d, weights))
 
 
 def exact_shapley(game: SetFunction) -> AttributionResult:
@@ -232,8 +257,8 @@ def local_plan(
     """The plan of the order-k L-Shapley (``method`` "l_shapley") or
     C-Shapley ("c_shapley") estimates of ``features``, or of every feature
     when that is None: weighted marginals v(S) - v(S minus i) summed per
-    feature.  The every-feature plan is kept on the graph next to the
-    templates and keyed as they are.
+    feature.  The every-feature plan is kept on the graph (see
+    :func:`kept_plan`) under (method, k, weighting).
 
     Each template's masks are packed once per bit offset and placed at
     their byte shift, so the plan's masks are never Python integers; the
@@ -242,11 +267,10 @@ def local_plan(
     a 10x10 grid at k=2 peaks at about 9 MB of traced allocations this way,
     and at about 23 MB when the shifted masks are packed as Python ints.
     """
-    key = (method, k, weighting)
-    if features is None and key in g._tables:
-        return g._tables[key]
+    if features is None:
+        return kept_plan(g, (method, k, weighting), lambda: local_plan(method, g, k, weighting, range(g.d)))
     d = g.d
-    steps = list(_plan(method, g, range(d) if features is None else features, k, weighting))
+    steps = list(_plan(method, g, features, k, weighting))
     width = (d + 7) // 8
     placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
     sizes = [len(masks) for _, _, (masks, _) in steps]
@@ -273,10 +297,7 @@ def local_plan(
         return scores
 
     first_turn = np.repeat(np.arange(len(steps), dtype=np.int32), sizes)[first]
-    plan = Plan(method, subsets, reduce, order_k=k, first_turn=first_turn, turns=len(steps))
-    if features is None:
-        g._tables[key] = plan
-    return plan
+    return Plan(method, subsets, reduce, order_k=k, first_turn=first_turn, turns=len(steps))
 
 
 def l_shapley(game: SetFunction, g: FeatureGraph, i: int, k: int) -> float:
@@ -387,21 +408,28 @@ def sample_shapley(
 
 def myerson_plan(g: FeatureGraph) -> Plan:
     """The plan of the Myerson value on the graph's d features: v(empty),
-    then every connected subset."""
+    then every connected subset.  It is kept on the graph (see
+    :func:`kept_plan`)."""
     d = g.d
     if d > DEFAULT_MYERSON_LIMIT:
         raise ConfigurationError(
             f"Myerson value on {d} features decomposes all 2^{d} subsets "
             f"(limit {DEFAULT_MYERSON_LIMIT}); use c_shapley for an approximation"
         )
+    return kept_plan(g, ("myerson", None, None), lambda: _myerson_plan(g))
+
+
+def _myerson_plan(g: FeatureGraph) -> Plan:
+    d = g.d
     comp = _kernels.lowbit_component_masks(np.asarray(g.adjacency, dtype=np.int64), d)
     connected = np.unique(comp[1:])
+    weights = exact_shapley_weights(d)
 
     def reduce(values: np.ndarray) -> np.ndarray:
         raw = np.zeros(1 << d)
         raw[connected] = values[1:] - values[0]
         table = _kernels.component_sum_table(comp, raw)
-        return _kernels.shapley_scatter(table, d, exact_shapley_weights(d))
+        return _kernels.shapley_scatter(table, d, weights)
 
     return Plan.of_masks("myerson", np.concatenate(([0], connected)), d, reduce)
 

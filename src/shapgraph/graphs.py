@@ -107,10 +107,11 @@ class FeatureGraph:
     ``kind`` is one of ``"chain"``, ``"grid"`` or ``"general"``; chain and
     grid graphs remember nothing beyond their shape, general graphs carry an
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
-    ``_templates`` holds the estimators' term templates, one per
-    neighbourhood shape, and ``_tables`` their plans, one per method,
-    order and weighting, for as long as the graph lives (see
-    :mod:`shapgraph.attribution`).
+    ``_templates`` holds the L-/C-Shapley term templates, one per
+    neighbourhood shape, and ``_tables`` every plan that depends only on the
+    graph (the all-features L-/C-Shapley, Myerson and regression C-Shapley
+    plans), keyed by (method, order, variant), for as long as the graph
+    lives (see :func:`shapgraph.attribution.kept_plan`).
     """
 
     num_nodes: int

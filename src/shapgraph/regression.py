@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from . import graphs
-from .attribution import AttributionResult, Plan
+from .attribution import AttributionResult, Plan, kept_plan
 from .errors import ConfigurationError, UnsupportedTopologyError
 from .graphs import FeatureGraph, pack_masks, subset_of, unpack_rows
 from .valuation import SetFunction
@@ -52,25 +52,13 @@ def solve_weighted(matrix: np.ndarray, responses: np.ndarray, weights: np.ndarra
     return np.linalg.solve(normal, target)
 
 
-def _constrained_fit(matrix: np.ndarray, responses: np.ndarray, weights: np.ndarray, total: float) -> np.ndarray:
-    # Eliminate the last coefficient with sum(beta) = total, then back-solve.
-    z = matrix[:, :-1] - matrix[:, -1:]
-    h = responses - matrix[:, -1] * total
-    if matrix.shape[1] == 1:
-        return np.array([total])
-    coef = solve_weighted(z, h, weights)
-    beta = np.empty(matrix.shape[1])
-    beta[:-1] = coef
-    beta[-1] = total - coef.sum()
-    return beta
-
-
 def _fit_plan(method: str, d: int, rows: list[int], constrained: bool, **meta) -> Plan:
     """The plan that values v(empty), the design rows and, when
     ``constrained``, v(full), and fits per-feature coefficients with v(empty)
     as the fixed intercept; ``constrained`` enforces sum(beta) = v(full) -
     v(empty).  Each row carries the Shapley kernel weight of its size.  An
-    unconstrained fit of no design rows is refused before any model call."""
+    unconstrained fit of no design rows is refused before any model call.
+    The design matrix and its weights are built here, once per plan."""
     if not rows and not constrained:
         raise ConfigurationError(
             f"{method} on {d} feature(s) has no design rows to fit; only the constrained fit, "
@@ -78,17 +66,22 @@ def _fit_plan(method: str, d: int, rows: list[int], constrained: bool, **meta) -
         )
     # weight_of_size[n] for n = 0..d; sizes 0 and d are never design rows
     weight_of_size = np.array([0.0, *(shapley_kernel_weight(d, n) for n in range(1, d)), 0.0])
+    members = unpack_rows(pack_masks(rows, d), d)
+    weights = weight_of_size[members.sum(axis=1)]
+    matrix = members.astype(np.float64)
+    if constrained:  # eliminate the last coefficient with sum(beta) = total, then back-solve
+        matrix, last = matrix[:, :-1] - matrix[:, -1:], matrix[:, -1]
 
     def fit(values: np.ndarray) -> np.ndarray:
         v_empty = values[0]
         responses = values[1 : len(rows) + 1] - v_empty
-        members = unpack_rows(pack_masks(rows, d), d)
-        weights = weight_of_size[members.sum(axis=1)]
-        matrix = members.astype(np.float64)
-        if constrained:
-            total = values[-1] - v_empty
-            return _constrained_fit(matrix, responses, weights, total)
-        return solve_weighted(matrix, responses, weights)
+        if not constrained:
+            return solve_weighted(matrix, responses, weights)
+        total = values[-1] - v_empty
+        if d == 1:
+            return np.array([total])
+        coef = solve_weighted(matrix, responses - last * total, weights)
+        return np.append(coef, total - coef.sum())
 
     return Plan.of_masks(method, [0, *rows, (1 << d) - 1] if constrained else [0, *rows], d, fit, **meta)
 
@@ -213,11 +206,14 @@ def connected_design_rows(g: FeatureGraph, k: int) -> list[int]:
 
 def regression_c_shapley_plan(g: FeatureGraph, k: int, constrained: bool = False) -> Plan:
     """The plan of the connected-subset regression on the graph's d features
-    (see :func:`regression_c_shapley`)."""
+    (see :func:`regression_c_shapley`), kept on the graph (see
+    :func:`~shapgraph.attribution.kept_plan`)."""
     if k < 1:
         raise ConfigurationError(f"order k must be positive, got {k}")
-    rows = connected_design_rows(g, k)
-    return _fit_plan("c_shapley_regression", g.d, rows, constrained, order_k=k)
+    method = "c_shapley_regression"
+    return kept_plan(
+        g, (method, k, constrained), lambda: _fit_plan(method, g.d, connected_design_rows(g, k), constrained, order_k=k)
+    )
 
 
 def regression_c_shapley(game: SetFunction, g: FeatureGraph, k: int, constrained: bool = False) -> AttributionResult:

@@ -20,7 +20,7 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
-from shapgraph import attribution, graphs, regression
+from shapgraph import attribution, graphs, harness, regression
 from shapgraph.attribution import (
     c_shapley_terms,
     connected_subset_weight,
@@ -668,3 +668,58 @@ class TestEnumerationLimit:
             attribution.exact_shapley_plan(21)
         with pytest.raises(ConfigurationError, match="needs 2\\^21 evaluations"):
             regression.kernelshap_plan(21, 0, exhaustive=True)
+
+
+def _nb_games(d: int, n: int) -> list[ValueFunction]:
+    nb = build_demo_nb()
+    return [ValueFunction(nb, Instance(doc, np.zeros(d, dtype=int))) for doc, _ in two_topic_corpus(11, n, doc_len=d)]
+
+
+class TestPlanCache:
+    """The exact plan of the last d and the Myerson plan of each graph are
+    built once; the seeded planners plan afresh on every call."""
+
+    def test_exact_plan_is_kept_for_the_last_d(self):
+        plan = attribution.exact_shapley_plan(6)
+        assert attribution.exact_shapley_plan(6) is plan
+        attribution.exact_shapley_plan(5)
+        assert attribution.exact_shapley_plan(6) is not plan
+
+    def test_myerson_plan_is_kept_on_the_graph(self):
+        g = grid_graph(2, 3)
+        plan = attribution.myerson_plan(g)
+        assert attribution.myerson_plan(g) is plan
+        assert attribution.myerson_plan(grid_graph(2, 3)) is not plan
+
+    def test_seeded_planners_plan_afresh(self):
+        assert attribution.sample_shapley_plan(6, 3, 0) is not attribution.sample_shapley_plan(6, 3, 0)
+        assert harness.random_plan(6, 0) is not harness.random_plan(6, 0)
+
+    def test_a_lowered_limit_refuses_a_kept_plan(self, monkeypatch):
+        attribution.exact_shapley_plan(5)
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", (1 << 5) - 1)
+        with pytest.raises(ConfigurationError, match="on 5 features"):
+            attribution.exact_shapley_plan(5)
+        g = chain_graph(6)
+        attribution.myerson_plan(g)
+        monkeypatch.setattr(attribution, "DEFAULT_MYERSON_LIMIT", 5)
+        with pytest.raises(ConfigurationError, match="on 6 features"):
+            attribution.myerson_plan(g)
+
+    @pytest.mark.parametrize("method", ["exact", "myerson"])
+    def test_a_shared_plan_scores_as_a_fresh_one(self, method):
+        # instance b after instance a on one kept plan, and b alone on a cold cache
+        d = 9
+
+        def plan(g):
+            return attribution.exact_shapley_plan(d) if method == "exact" else attribution.myerson_plan(g)
+
+        attribution._exact_plan.cache_clear()
+        cold = plan(grid_graph(3, 3)).run(_nb_games(d, 2)[1])
+        attribution._exact_plan.cache_clear()
+        a, b = _nb_games(d, 2)
+        g = grid_graph(3, 3)
+        plan(g).run(a)
+        warm = plan(g).run(b)
+        assert warm.scores.tobytes() == cold.scores.tobytes()
+        assert warm.model_evaluations == cold.model_evaluations

@@ -20,7 +20,8 @@ from shapgraph import (
 from shapgraph import regression
 from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, kernelshap_plan, solve_weighted
-from shapgraph.models import UniformModel
+from shapgraph.cli import build_demo_nb
+from shapgraph.models import UniformModel, two_topic_corpus
 from shapgraph.valuation import FunctionGame, Instance, TableGame, ValueFunction, additive_game
 
 from oracles import wls_lstsq_oracle
@@ -361,3 +362,43 @@ class TestGraphOfAnotherSize:
         with pytest.raises(ConfigurationError, match="subsets of [48] features, valued by a set function of 6"):
             run(game)
         assert game.eval_count == 0
+
+
+class TestPlanCache:
+    """The connected-subset regression plan is kept on its graph, one per
+    order and constraint; KernelSHAP plans afresh on every call."""
+
+    def test_connected_plan_is_kept_on_the_graph(self):
+        g = chain_graph(12)
+        plan = regression.regression_c_shapley_plan(g, 4)
+        assert regression.regression_c_shapley_plan(g, 4) is plan
+        assert regression.regression_c_shapley_plan(g, 4, constrained=True) is not plan
+        assert regression.regression_c_shapley_plan(g, 3) is not plan
+        assert regression.regression_c_shapley_plan(chain_graph(12), 4) is not plan
+
+    def test_kernelshap_plans_afresh(self):
+        assert kernelshap_plan(8, 20, 0) is not kernelshap_plan(8, 20, 0)
+        assert kernelshap_plan(6, 0, exhaustive=True) is not kernelshap_plan(6, 0, exhaustive=True)
+
+    def test_a_bad_order_is_refused_with_a_kept_plan(self):
+        g = chain_graph(12)
+        regression.regression_c_shapley_plan(g, 1)
+        with pytest.raises(ConfigurationError, match="order k must be positive"):
+            regression.regression_c_shapley_plan(g, 0)
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["unconstrained", "constrained"])
+    @pytest.mark.parametrize("graph", ["chain40", "grid4x5"])
+    def test_a_shared_plan_scores_as_a_fresh_one(self, graph, constrained):
+        # instance b after instance a on one kept plan, and b alone on a cold cache
+        def make_graph():
+            return chain_graph(40) if graph == "chain40" else grid_graph(4, 5)
+
+        d = make_graph().d
+        nb = build_demo_nb()
+        a, b = (Instance(doc, np.zeros(d, dtype=int)) for doc, _ in two_topic_corpus(12, 2, doc_len=d))
+        cold = regression_c_shapley(ValueFunction(nb, b), make_graph(), 3, constrained)
+        g = make_graph()
+        regression_c_shapley(ValueFunction(nb, a), g, 3, constrained)
+        warm = regression_c_shapley(ValueFunction(nb, b), g, 3, constrained)
+        assert warm.scores.tobytes() == cold.scores.tobytes()
+        assert warm.model_evaluations == cold.model_evaluations

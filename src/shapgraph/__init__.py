@@ -30,7 +30,6 @@ from .errors import (
 from .graphs import (
     FeatureGraph,
     chain_graph,
-    connected_components,
     connected_subsets_containing,
     diameter,
     general_graph,
@@ -84,7 +83,6 @@ from .valuation import (
     TableGame,
     ValueFunction,
     additive_game,
-    marginal_contribution,
     plugin_masked_instance,
     synthetic_game,
 )

@@ -11,12 +11,11 @@ planner lists the distinct subsets the run needs as a
 one ``value_table`` call and hands their values, in table order, to the
 reducer.  So a run's cost is known before any model call.
 
-L- and C-Shapley plan their terms as templates: features whose
-neighbourhoods have the same shape share one, and the templates of the
-features planned make the plan's table, with the two subset indices,
-weight and feature of each term held by the reducer, and the plan step that
-first holds each subset.  A one-feature run is a one-step plan, reduced the
-same way.
+L- and C-Shapley list each planned feature's terms from its own
+neighbourhood; together they make the plan's table, with the two subset
+indices, weight and feature of each term held by the reducer, and the plan
+step that first holds each subset.  A one-feature run is a one-step plan,
+reduced the same way.
 
 A plan that depends only on the graph or on d is built once and shared by
 every instance: the all-features L-/C-Shapley, Myerson and regression
@@ -32,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .errors import BudgetExceededError, ConfigurationError
 from .graphs import (
     FeatureGraph,
     connected_subsets_containing,
-    iter_bits,
     k_neighborhood,
     pack_masks,
     submasks,
@@ -205,52 +203,6 @@ def l_shapley_terms(g: FeatureGraph, i: int, k: int) -> list[tuple[int, float]]:
     return [(sub | (1 << i), shapley_coefficient(n, sub.bit_count() + 1)) for sub in rest]
 
 
-# A template is the terms of one feature with S and S minus i interleaved,
-# shifted right by the lowest bit of the feature's neighbourhood.
-Template = tuple[list[int], list[float]]
-PlanStep = tuple[int, int, Template]  # (feature, shift, template)
-
-
-def _plan(method: str, g: FeatureGraph, features: Iterable[int], k: int, weighting: str | None) -> Iterator[PlanStep]:
-    """The terms of each feature as a template shared by every feature whose
-    neighbourhood has the same shape, with the shift that places it.
-
-    A feature's terms depend only on its neighbourhood ``nbhd`` and its
-    position in it, and for C-Shapley on the subgraph induced on ``nbhd``.
-    With ``lo`` the lowest bit of ``nbhd``, the key is ``(i - lo, nbhd >> lo)``
-    plus, for C-Shapley, each member's neighbours in ``nbhd`` shifted by
-    ``lo``; shifting the template's masks left by ``lo`` gives the terms
-    ``l_shapley_terms`` / ``c_shapley_terms`` would give, in the same order.
-    Templates live as long as the graph, keyed also by method, k and
-    weighting.
-    """
-    templates = g._templates
-    adjacency = g.adjacency
-    for i in features:
-        nbhd = k_neighborhood(g, i, k)
-        lo = (nbhd & -nbhd).bit_length() - 1
-        key = (method, k, weighting, i - lo, nbhd >> lo)
-        if method == "c_shapley":
-            key += (tuple((adjacency[j] & nbhd) >> lo for j in iter_bits(nbhd)),)
-        template = templates.get(key)
-        if template is None:
-            # called through the module so that tracing sees the enumeration
-            if method == "c_shapley":
-                terms = c_shapley_terms(g, i, k, weighting)
-            else:
-                terms = l_shapley_terms(g, i, k)
-            template = templates[key] = _template(i, terms, lo)
-        yield i, lo, template
-
-
-def _template(i: int, terms: list[tuple[int, float]], lo: int) -> Template:
-    bit = 1 << i
-    masks: list[int] = []
-    for mask, _ in terms:
-        masks += (mask >> lo, (mask & ~bit) >> lo)
-    return masks, [weight for _, weight in terms]
-
-
 def local_plan(
     method: str, g: FeatureGraph, k: int, weighting: str | None, features: Iterable[int] | None = None
 ) -> Plan:
@@ -260,44 +212,41 @@ def local_plan(
     feature.  The every-feature plan is kept on the graph (see
     :func:`kept_plan`) under (method, k, weighting).
 
-    Each template's masks are packed once per bit offset and placed at
-    their byte shift, so the plan's masks are never Python integers; the
-    distinct rows come from one :meth:`SubsetTable.distinct` over them.
-    The placement is a memory measure: the all-features C-Shapley plan of
-    a 10x10 grid at k=2 peaks at about 9 MB of traced allocations this way,
-    and at about 23 MB when the shifted masks are packed as Python ints.
+    Each feature's terms are packed, S and S minus i interleaved, into one
+    block of member rows, so the plan's masks are never all Python integers
+    at once; the blocks are freed before one :meth:`SubsetTable.distinct`
+    over their rows.  The all-features C-Shapley plan of a 10x10 grid at
+    k=2 peaks at about 8 MB of traced allocations this way.
     """
     if features is None:
         return kept_plan(g, (method, k, weighting), lambda: local_plan(method, g, k, weighting, range(g.d)))
     d = g.d
-    steps = list(_plan(method, g, features, k, weighting))
-    width = (d + 7) // 8
-    placed: dict[tuple[int, int], np.ndarray] = {}  # (template id, bit offset) -> packed rows
-    sizes = [len(masks) for _, _, (masks, _) in steps]
-    packed = np.zeros((sum(sizes), width), dtype=np.uint8)
-    at = 0
-    for (_, lo, template), size in zip(steps, sizes):
-        byte, bit = divmod(lo, 8)
-        rows = placed.get((id(template), bit))
-        if rows is None:
-            masks = template[0]
-            span = max(masks).bit_length() + bit
-            rows = placed[id(template), bit] = pack_masks([m << bit for m in masks], span)
-        packed[at : at + size, byte : byte + rows.shape[1]] = rows
-        at += size
+    features = list(features)
+    blocks, weight_blocks = [], []
+    for i in features:
+        # called through the module so that tracing sees the enumeration
+        terms = c_shapley_terms(g, i, k, weighting) if method == "c_shapley" else l_shapley_terms(g, i, k)
+        bit = 1 << i
+        masks: list[int] = []
+        for mask, _ in terms:
+            masks += (mask, mask & ~bit)
+        blocks.append(pack_masks(masks, d))
+        weight_blocks.append(np.array([weight for _, weight in terms], dtype=np.float64))
+    packed = np.concatenate(blocks)
+    del blocks  # freed before the table is built, which lowers the build's peak
     subsets, first, inverse = SubsetTable.distinct(packed, d)
+    sizes = [len(w) for w in weight_blocks]
     # term t: feature on[t], weight weights[t], subsets with_i[t] and without_i[t]
+    on, weights = np.repeat(features, sizes), np.concatenate(weight_blocks)
     with_i, without_i = inverse[0::2].astype(np.int32), inverse[1::2].astype(np.int32)
-    weights = np.array([w for _, _, (_, ws) in steps for w in ws], dtype=np.float64)
-    on = np.repeat([i for i, _, _ in steps], np.array(sizes) // 2)
 
     def reduce(values: np.ndarray) -> np.ndarray:  # each feature's sum adds its terms to 0.0 in order
         scores = np.zeros((d,) + values.shape[1:])
         np.add.at(scores, on, (weights * (values[with_i] - values[without_i]).T).T)
         return scores
 
-    first_turn = np.repeat(np.arange(len(steps), dtype=np.int32), sizes)[first]
-    return Plan(method, subsets, reduce, order_k=k, first_turn=first_turn, turns=len(steps))
+    first_turn = np.repeat(np.arange(len(features), dtype=np.int32), 2 * np.array(sizes))[first]
+    return Plan(method, subsets, reduce, order_k=k, first_turn=first_turn, turns=len(features))
 
 
 def l_shapley(game: SetFunction, g: FeatureGraph, i: int, k: int) -> float:

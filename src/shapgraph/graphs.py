@@ -107,11 +107,10 @@ class FeatureGraph:
     ``kind`` is one of ``"chain"``, ``"grid"`` or ``"general"``; chain and
     grid graphs remember nothing beyond their shape, general graphs carry an
     explicit edge list.  ``adjacency[j]`` is the bitmask of neighbours of j.
-    ``_templates`` holds the L-/C-Shapley term templates, one per
-    neighbourhood shape, and ``_tables`` every plan that depends only on the
-    graph (the all-features L-/C-Shapley, Myerson and regression C-Shapley
-    plans), keyed by (method, order, variant), for as long as the graph
-    lives (see :func:`shapgraph.attribution.kept_plan`).
+    ``_tables`` holds every plan that depends only on the graph (the
+    all-features L-/C-Shapley, Myerson and regression C-Shapley plans),
+    keyed by (method, order, variant), for as long as the graph lives (see
+    :func:`shapgraph.attribution.kept_plan`).
     """
 
     num_nodes: int
@@ -120,7 +119,6 @@ class FeatureGraph:
     rows: int | None = None
     cols: int | None = None
     adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,8 +239,13 @@ def connected_subsets_in(g: FeatureGraph, i: int, universe: int) -> list[int]:
         raise ValueError(f"node {i} is not inside the given universe")
     out: list[int] = []
     limit = ENUMERATION_LIMIT
-
-    def extend(sub: int, candidates: list[int], banned: int) -> None:
+    # (subset, nodes that may extend it, nodes no descendant may add); a
+    # stack rather than a recursive closure, which would keep ``out`` in a
+    # reference cycle until the next garbage collection
+    seed = g.adjacency[i] & universe
+    stack = [(1 << i, list(iter_bits(seed)), (1 << i) | seed)]
+    while stack:
+        sub, candidates, banned = stack.pop()
         if len(out) >= limit:
             raise BudgetExceededError(
                 f"connected-subset enumeration for node {i} exceeded its limit: "
@@ -252,11 +255,7 @@ def connected_subsets_in(g: FeatureGraph, i: int, universe: int) -> list[int]:
         out.append(sub)
         for pos, w in enumerate(candidates):
             fresh = g.adjacency[w] & universe & ~banned
-            nxt = candidates[pos + 1 :] + list(iter_bits(fresh))
-            extend(sub | (1 << w), nxt, banned | fresh)
-
-    seed_candidates = list(iter_bits(g.adjacency[i] & universe))
-    extend(1 << i, seed_candidates, (1 << i) | (g.adjacency[i] & universe))
+            stack.append((sub | (1 << w), candidates[pos + 1 :] + list(iter_bits(fresh)), banned | fresh))
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
@@ -268,16 +267,3 @@ def connected_subsets_containing(g: FeatureGraph, i: int, k: int) -> list[int]:
     """
     return connected_subsets_in(g, i, k_neighborhood(g, i, k))
 
-
-def connected_components(g: FeatureGraph, s: int) -> list[int]:
-    """Maximal connected pieces of the subset ``s`` under the induced subgraph.
-
-    Returned in increasing order of their smallest member; the pieces are
-    disjoint and their union is ``s``.
-    """
-    comps = []
-    while s:
-        *_, comp = reach(g, s & -s, s)
-        comps.append(comp)
-        s &= ~comp
-    return comps

@@ -175,9 +175,13 @@ def log_odds_curve(
     The unmasked prediction is the first row of the one model call on the
     masked rows, since the grid starts at fraction 0; ``correct_only`` makes
     one more unmasked call per instance, to skip it before the plan runs.
+    An instance whose length is not the graph's is refused before any plan.
     """
     if not dataset:
         raise ConfigurationError("dataset is empty")
+    for idx, x in enumerate(dataset):
+        if x.d != graph.d:
+            raise ConfigurationError(f"instance {idx} has {x.d} features but the graph has {graph.d} nodes")
     if correct_only:
         for idx in range(len(dataset)):
             label = labels[idx] if labels is not None and idx < len(labels) else None

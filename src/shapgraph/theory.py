@@ -230,11 +230,8 @@ def absolute_mutual_information(
 
 
 class ExactConditionalModel:
-    """Classifier backed by exact marginalization of a dense joint.
-
-    ``conditional(values, subset)`` returns P(Y | X_S = x_S) by summing the
-    table; the empty subset yields the label marginal.
-    """
+    """Classifier backed by a dense joint: ``evaluate_batch`` returns
+    log P(Y | X = x) of each row, read off the joint's table."""
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
@@ -246,17 +243,6 @@ class ExactConditionalModel:
         its bits packed into one index of the joint table."""
         bits = checked_codes(values, 2, "binary features", self.joint.d)
         return bits, bits @ (1 << np.arange(self.joint.d, dtype=np.int64))
-
-    def conditional(self, values: np.ndarray, subset: int) -> np.ndarray:
-        bits, atoms = self._atoms(np.asarray(values)[None])
-        joint_rows = _marginal(self.joint, subset, True)[atoms[0]]
-        mass = joint_rows.sum()
-        if mass <= 0:
-            raise ZeroMassError(
-                f"conditioning event has zero probability: subset {members_of(subset)} "
-                f"with values {[int(bits[0, j]) for j in members_of(subset)]}"
-            )
-        return joint_rows / mass
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         bits, atoms = self._atoms(values)

@@ -465,14 +465,6 @@ def checked_codes(values, n: int, what: str, d: int | None = None) -> np.ndarray
     return codes
 
 
-def marginal_contribution(vf: SetFunction, s: int, i: int) -> float:
-    """v(s) - v(s minus {i}); the change from removing feature i."""
-    if not (s >> i) & 1:
-        raise ValueError(f"feature {i} is not a member of subset {members_of(s)}")
-    vals = vf.scores([s, s & ~(1 << i)])
-    return float(vals[0] - vals[1])
-
-
 class TableGame(SetFunction):
     """Set function backed by an explicit table over all 2**d subsets."""
 

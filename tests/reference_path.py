@@ -1,4 +1,4 @@
-"""The L-/C-Shapley explanation path as it was written before term templates,
+"""The L-/C-Shapley explanation path as it was written before packed plans,
 the reused row buffer and the sparse naive-Bayes gather.
 
 Every step here is the earlier code, kept so that tests can require the
@@ -6,18 +6,55 @@ current path to give the same bits: per-feature term lists, one
 ``np.where`` array of rows per block, the naive-Bayes ``(C, n, d)`` gather,
 and the per-mask loops of the memoized value and of the batched plan.
 
-It also holds the set functions that only tests use: the component-additive
-extension of a game over a graph, and the score of a subset at one atom of a
-dense joint under exact conditionals.
+It also holds what only tests use: the connected components of a subset,
+a marginal contribution, the exact conditional of a dense joint, the
+component-additive extension of a game over a graph, and the score of a
+subset at one atom of a dense joint under exact conditionals.
 """
 
 import numpy as np
 
 from shapgraph.attribution import c_shapley_terms, l_shapley_terms
-from shapgraph.errors import ConfigurationError
-from shapgraph.graphs import connected_components
-from shapgraph.theory import _TINY, ExactConditionalModel
+from shapgraph.errors import ConfigurationError, ZeroMassError
+from shapgraph.graphs import members_of, reach
+from shapgraph.theory import _TINY, ExactConditionalModel, _marginal
 from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR, SetFunction, synthetic_game
+
+
+def connected_components(g, s):
+    """Maximal connected pieces of the subset ``s`` under the induced subgraph.
+
+    Returned in increasing order of their smallest member; the pieces are
+    disjoint and their union is ``s``.
+    """
+    comps = []
+    while s:
+        *_, comp = reach(g, s & -s, s)
+        comps.append(comp)
+        s &= ~comp
+    return comps
+
+
+def marginal_contribution(vf, s, i):
+    """v(s) - v(s minus {i}); the change from removing feature i."""
+    if not (s >> i) & 1:
+        raise ValueError(f"feature {i} is not a member of subset {members_of(s)}")
+    vals = vf.scores([s, s & ~(1 << i)])
+    return float(vals[0] - vals[1])
+
+
+def conditional(model, values, subset):
+    """P(Y | X_S = x_S) under an :class:`ExactConditionalModel`, by summing
+    its joint's table; the empty subset yields the label marginal."""
+    bits, atoms = model._atoms(np.asarray(values)[None])
+    joint_rows = _marginal(model.joint, subset, True)[atoms[0]]
+    mass = joint_rows.sum()
+    if mass <= 0:
+        raise ZeroMassError(
+            f"conditioning event has zero probability: subset {members_of(subset)} "
+            f"with values {[int(bits[0, j]) for j in members_of(subset)]}"
+        )
+    return joint_rows / mass
 
 
 def gather_log_probs(nb, tokens):
@@ -213,14 +250,14 @@ class JointValueFunction(SetFunction):
         self.model = ExactConditionalModel(joint)
         self.mode = mode
         self._values = np.asarray(values)
-        base = self.model.conditional(self._values, (1 << joint.d) - 1)
+        base = conditional(self.model, self._values, (1 << joint.d) - 1)
         self._base = base
         self._pred = int(np.argmax(base))
 
     def _evaluate_many(self, masks):
         out = []
         for m in masks:
-            cond = self.model.conditional(self._values, m)
+            cond = conditional(self.model, self._values, m)
             logp = np.log(np.maximum(cond, _TINY))
             if self.mode == "predicted_class_logprob":
                 out.append(float(logp[self._pred]))

@@ -12,7 +12,6 @@ from shapgraph import (
     exact_shapley,
     general_graph,
     grid_graph,
-    k_neighborhood,
     l_shapley,
     l_shapley_all,
     myerson_value,
@@ -280,7 +279,7 @@ class TestBatchedPlan:
         # a chain of 40 whose last node also holds 12 leaves: under a limit of
         # 1000, only that hub's 2^13 subsets are over it, and the features
         # before it ask for more subsets than a model batch holds.  The graph
-        # is fresh, so no template of it was cached under the real limit.
+        # is fresh, so no plan of it was kept under the real limit.
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 1000)
         d, k = 52, 1
         g = general_graph(d, [(j, j + 1) for j in range(39)] + [(39, 40 + j) for j in range(12)])
@@ -540,22 +539,16 @@ class TestShiftInvarianceAcrossMethods:
             np.testing.assert_array_equal(a, b)
 
 
-def _placed_terms(step):
-    """A plan step's terms and S-minus-i masks, shifted into place."""
-    i, lo, (masks, weights) = step
-    return i, [(m << lo, w) for m, w in zip(masks[0::2], weights)], [m << lo for m in masks[1::2]]
-
-
 def _terms(method, g, i, k, weighting):
     if method == "c_shapley":
         return c_shapley_terms(g, i, k, weighting)
     return l_shapley_terms(g, i, k)
 
 
-# features 2 and 5 share (i - lo, nbhd >> lo) at k=2, but 2 hangs off the
-# middle of its neighbourhood's path and 5 off its end
+# features 2 and 5 have neighbourhoods of one shape at k=2, but 2 hangs off
+# the middle of its neighbourhood's path and 5 off its end
 SHARED_LOCAL_KEY = general_graph(6, [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5)])
-TEMPLATE_GRAPHS = {
+LOCAL_GRAPHS = {
     "chain1": (chain_graph(1), range(4)),
     "chain2": (chain_graph(2), range(4)),
     "chain7": (chain_graph(7), range(4)),
@@ -568,50 +561,20 @@ TEMPLATE_GRAPHS = {
 
 
 class TestTermTemplates:
-    """The plan's shared templates, shifted into place, are exactly the
-    per-feature term lists, in the same order."""
+    """The all-features plans sum exactly each feature's own terms, in
+    their order, and keep the plans of one graph apart."""
 
-    @pytest.mark.parametrize("method,weighting", [("l_shapley", None), ("c_shapley", "myerson"), ("c_shapley", "interior")])
-    @pytest.mark.parametrize("name", list(TEMPLATE_GRAPHS))
-    def test_plan_equals_per_feature_terms(self, name, method, weighting):
-        g, ks = TEMPLATE_GRAPHS[name]
-        for k in ks:
-            if name == "grid10x10" and method == "l_shapley" and k == 2:
-                continue  # 2^12 subsets per feature: slow to list, and no new shape
-            steps = list(attribution._plan(method, g, range(g.d), k, weighting))
-            assert [step[0] for step in steps] == list(range(g.d))
-            for step in steps:
-                i, terms, without_i = _placed_terms(step)
-                expected = _terms(method, g, i, k, weighting)
-                assert terms == expected
-                assert without_i == [m & ~(1 << i) for m, _ in expected]
-
-    def test_shared_local_key_with_different_subgraphs(self):
-        g, k = SHARED_LOCAL_KEY, 2
-        for i in (2, 5):
-            nbhd = k_neighborhood(g, i, k)
-            lo = (nbhd & -nbhd).bit_length() - 1
-            assert (i - lo, nbhd >> lo) == (2, 0b111)
-        for weighting in ("myerson", "interior"):
-            shifted = [[(m >> lo, w) for m, w in c_shapley_terms(g, i, k, weighting)] for i, lo in ((2, 0), (5, 3))]
-            assert shifted[0] != shifted[1]  # a key without the subgraph would mix them up
-            for i in (2, 5):
-                step = next(attribution._plan("c_shapley", g, [i], k, weighting))
-                assert _placed_terms(step)[1] == c_shapley_terms(g, i, k, weighting)
-
-    def test_one_graph_across_weightings_and_orders(self):
-        g = grid_graph(3, 4)
-        for k, weighting in ((2, "myerson"), (2, "interior"), (3, "interior"), (3, "myerson"), (2, "myerson")):
-            game = synthetic_game(g.d, seed=10)
-            res = c_shapley_all(game, g, k, weighting=weighting)
-            for i in range(g.d):
-                expected = weighted_marginal(game, i, c_shapley_terms(g, i, k, weighting))
-                assert res.scores[i] == expected
-        for k in (1, 2, 1):
-            game = synthetic_game(g.d, seed=11)
-            res = l_shapley_all(game, g, k)
-            for i in range(g.d):
-                assert res.scores[i] == weighted_marginal(game, i, l_shapley_terms(g, i, k))
+    @pytest.mark.parametrize("name", list(LOCAL_GRAPHS))
+    def test_one_graph_across_weightings_and_orders(self, name):
+        g, ks = LOCAL_GRAPHS[name]
+        for method, weighting in (("c_shapley", "myerson"), ("c_shapley", "interior"), ("l_shapley", None)):
+            for k in ks:
+                if name == "grid10x10" and method == "l_shapley" and k == 2:
+                    continue  # 2^12 subsets per feature: slow to list term by term
+                game = FunctionGame(g.d, lambda m: math.sin(m % 1_000_003) + 0.125 * m.bit_count())
+                res = attribution.local_plan(method, g, k, weighting).run(game)
+                for i in range(g.d):
+                    assert res.scores[i] == weighted_marginal(game, i, _terms(method, g, i, k, weighting))
 
     def test_plan_build_keeps_masks_off_python_ints(self):
         import tracemalloc
@@ -623,8 +586,8 @@ class TestTermTemplates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 9 MB with packed templates placed at their byte shift; packing
-        # the shifted masks as Python ints instead peaked at about 23 MB
+        # about 8 MB with each feature's terms packed on their own; packing
+        # every feature's masks as Python ints first peaked at about 23 MB
         assert peak < 12_000_000, peak
 
     @pytest.mark.parametrize("method,weighting", [("l_shapley", None), ("c_shapley", "myerson")])

@@ -183,6 +183,21 @@ class TestEvaluate:
         assert err.startswith("error: ") and named in err
 
 
+    @pytest.mark.parametrize("methods", ["random,exact", "l-shapley"])
+    def test_rows_of_different_lengths_are_refused(self, tmp_path, dataset_file, capsys, methods):
+        from shapgraph import cli
+
+        dataset = tmp_path / "mixed.jsonl"
+        first, second, *_ = (json.loads(line) for line in dataset_file.read_text().splitlines())
+        second = {**second, "values": second["values"][:11], "reference": second["reference"][:11]}
+        dataset.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        out = tmp_path / "out.csv"
+        argv = ["evaluate", "--dataset", str(dataset), "--methods", methods, "--budget", "4096", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: instance 1 has 11 features but the graph has 12 nodes\n"
+        assert not out.exists()
+
+
 class TestLemmaCheck:
     def test_small_sweep_passes(self):
         proc = run_cli("lemma-check", "--max-n", "5", "--max-s", "5")

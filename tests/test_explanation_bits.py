@@ -2,9 +2,9 @@
 
 The reference (``reference_path.py``) enumerates every feature's terms, builds
 each block of rows with ``np.where`` and scores them with the full naive-Bayes
-gather.  The current path shares one term template per neighbourhood shape,
-values each plan's distinct subsets as one table, fills one reused row
-buffer and gathers only non-padding tokens.
+gather.  The current path packs each feature's terms as member rows, values
+each plan's distinct subsets as one table, fills one reused row buffer and
+gathers only non-padding tokens.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ from shapgraph.models import two_topic_corpus
 from shapgraph.valuation import DEFAULT_BATCH_SIZE
 
 NB = build_demo_nb()
-# one graph per shape for every case, so that later cases run on templates
-# that earlier ones, with another method or weighting, left behind
+# one graph per shape for every case, so that its kept plans of one method
+# and weighting sit beside those of the others without being mixed up
 CHAIN = chain_graph(400)
 GRID = grid_graph(10, 10)
 CASES = [

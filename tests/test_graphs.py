@@ -7,7 +7,6 @@ from shapgraph import (
     BudgetExceededError,
     ConfigurationError,
     chain_graph,
-    connected_components,
     connected_subsets_containing,
     diameter,
     general_graph,
@@ -26,6 +25,7 @@ from oracles import (
     connected_subsets_oracle,
     interval_count,
 )
+from reference_path import connected_components
 
 
 class TestMemberMatrix:

@@ -125,6 +125,15 @@ class TestLogOddsCurve:
         with pytest.raises(EvaluationError, match="instance 0: .*chain and grid"):
             log_odds_curve(nb, instances, MethodSpec("c-shapley-reg"), triangle, (0.0, 0.5))
 
+    @pytest.mark.parametrize("method", ["random", "exact", "l-shapley"])
+    def test_instance_of_another_length_is_refused_before_any_model_call(self, method):
+        nb, instances, _ = nb_and_instances(n=2)
+        short = Instance(instances[1].values[:11], instances[1].reference[:11])
+        model = CountingModel(nb)
+        with pytest.raises(ConfigurationError, match="^instance 1 has 11 features but the graph has 12 nodes$"):
+            log_odds_curve(model, [instances[0], short], MethodSpec(method), chain_graph(12), (0.0, 0.5))
+        assert model.calls == 0
+
     def test_fraction_grid_validation(self):
         nb, instances, _ = nb_and_instances(n=1)
         with pytest.raises(ConfigurationError, match="start at 0"):

@@ -28,7 +28,7 @@ from shapgraph import _kernels
 from shapgraph.theory import _TINY, _marginal, _MarginalTable, value_matrix
 
 from oracles import absolute_mi_oracle, conditional_oracle, shapley_subset_oracle
-from reference_path import JointValueFunction
+from reference_path import JointValueFunction, conditional
 
 
 class TestLemma1:
@@ -166,13 +166,13 @@ class TestExactConditionalModel:
         for x in range(4):
             table[x, x & 1] = 0.25
         model = ExactConditionalModel(DiscreteJoint(2, 2, table))
-        probs = model.conditional(np.array([1, 0]), 0b11)
+        probs = conditional(model, np.array([1, 0]), 0b11)
         np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-15)
 
     def test_empty_subset_is_label_marginal(self):
         joint = random_joint(3, 3, 5)
         model = ExactConditionalModel(joint)
-        probs = model.conditional(np.array([0, 1, 0]), 0)
+        probs = conditional(model, np.array([0, 1, 0]), 0)
         np.testing.assert_allclose(probs, joint.label_marginal(), atol=1e-14)
 
     def test_matches_bayes_oracle(self):
@@ -182,7 +182,7 @@ class TestExactConditionalModel:
         for _ in range(25):
             values = rng.integers(0, 2, size=4)
             subset = int(rng.integers(0, 16))
-            got = model.conditional(values, subset)
+            got = conditional(model, values, subset)
             expected = conditional_oracle(joint.table, 4, 3, values, subset)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -193,7 +193,7 @@ class TestExactConditionalModel:
         for _ in range(30):
             values = rng.integers(0, 2, size=5)
             subset = int(rng.integers(0, 32))
-            assert model.conditional(values, subset).sum() == pytest.approx(1.0, abs=1e-12)
+            assert conditional(model, values, subset).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mass_event_raises(self):
         table = np.zeros((4, 2))
@@ -201,13 +201,13 @@ class TestExactConditionalModel:
         table[0b11] = [0.0, 0.5]
         model = ExactConditionalModel(DiscreteJoint(2, 2, table))
         with pytest.raises(ZeroMassError, match="zero probability"):
-            model.conditional(np.array([1, 0]), 0b11)
+            conditional(model, np.array([1, 0]), 0b11)
 
     def test_value_vector_of_the_wrong_length_raises(self):
         model = ExactConditionalModel(random_joint(3, 2, 5))
         for values in (np.array([1, 0]), np.array([1, 0, 1, 1, 1])):
             with pytest.raises(EvaluationError, match=r"values must have shape \(n, 3\)"):
-                model.conditional(values, 0b01)
+                conditional(model, values, 0b01)
 
     def test_value_function_counts_subsets(self):
         joint = random_joint(3, 2, 8)
@@ -606,7 +606,7 @@ class TestWideJointsBuildNoTable:
         try:
             model = ExactConditionalModel(joint)
             out = model.evaluate_batch(values)
-            probs = model.conditional(values[0], 0b1010_0000_1111_0001)
+            probs = conditional(model, values[0], 0b1010_0000_1111_0001)
             vf = JointValueFunction(joint, values[1])
             scores = vf.scores([0, 0b11, (1 << d) - 1])
             mi = mutual_information(joint, 0b1, 0b110, 0b1000, True)

@@ -8,7 +8,6 @@ from shapgraph import (
     EvaluationError,
     Instance,
     ValueFunction,
-    marginal_contribution,
     plugin_masked_instance,
     subset_of,
     chain_graph,
@@ -18,6 +17,8 @@ from shapgraph import (
 from shapgraph.graphs import pack_masks, row_masks, unpack_rows
 from shapgraph.models import UniformModel, train_naive_bayes, two_topic_corpus
 from shapgraph.valuation import FunctionGame, SetFunction, SubsetTable, TableGame, additive_game, masked_rows
+
+from reference_path import marginal_contribution
 
 
 class OneHotModel:

@@ -12,6 +12,7 @@ from shapgraph import (
     exact_shapley,
     general_graph,
     grid_graph,
+    k_neighborhood,
     l_shapley,
     l_shapley_all,
     myerson_value,
@@ -564,17 +565,52 @@ class TestTermTemplates:
     """The all-features plans sum exactly each feature's own terms, in
     their order, and keep the plans of one graph apart."""
 
+    @pytest.mark.parametrize("method,weighting", [("l_shapley", None), ("c_shapley", "myerson"), ("c_shapley", "interior")])
     @pytest.mark.parametrize("name", list(LOCAL_GRAPHS))
-    def test_one_graph_across_weightings_and_orders(self, name):
+    def test_plan_equals_per_feature_terms(self, name, method, weighting):
         g, ks = LOCAL_GRAPHS[name]
-        for method, weighting in (("c_shapley", "myerson"), ("c_shapley", "interior"), ("l_shapley", None)):
-            for k in ks:
-                if name == "grid10x10" and method == "l_shapley" and k == 2:
-                    continue  # 2^12 subsets per feature: slow to list term by term
-                game = FunctionGame(g.d, lambda m: math.sin(m % 1_000_003) + 0.125 * m.bit_count())
-                res = attribution.local_plan(method, g, k, weighting).run(game)
-                for i in range(g.d):
-                    assert res.scores[i] == weighted_marginal(game, i, _terms(method, g, i, k, weighting))
+        game = FunctionGame(g.d, lambda m: math.sin(m % 1_000_003) + 0.125 * m.bit_count())
+        for k in ks:
+            if name == "grid10x10" and method == "l_shapley" and k == 2:
+                continue  # 2^12 subsets per feature: slow to list term by term
+            plan = attribution.local_plan(method, g, k, weighting)
+            res = plan.run(game)
+            needed = set()
+            for i in range(g.d):
+                terms = _terms(method, g, i, k, weighting)
+                needed.update(m for mask, _ in terms for m in (mask, mask & ~(1 << i)))
+                assert res.scores[i] == weighted_marginal(game, i, terms)
+            assert len(plan.subsets) == len(needed)
+
+    def test_shared_local_key_with_different_subgraphs(self):
+        g, k = SHARED_LOCAL_KEY, 2
+        for i in (2, 5):
+            nbhd = k_neighborhood(g, i, k)
+            lo = (nbhd & -nbhd).bit_length() - 1
+            assert (i - lo, nbhd >> lo) == (2, 0b111)
+        game = FunctionGame(g.d, lambda m: math.sin(m) + 0.125 * m.bit_count())
+        for weighting in ("myerson", "interior"):
+            shifted = [[(m >> lo, w) for m, w in c_shapley_terms(g, i, k, weighting)] for i, lo in ((2, 0), (5, 3))]
+            assert shifted[0] != shifted[1]  # one shape of neighbourhood, two term lists
+            res = attribution.local_plan("c_shapley", g, k, weighting).run(game)
+            for i in (2, 5):
+                assert res.scores[i] == weighted_marginal(game, i, c_shapley_terms(g, i, k, weighting))
+                single = attribution.local_plan("c_shapley", g, k, weighting, [i]).run(game)
+                assert single.scores[i] == res.scores[i]
+
+    def test_one_graph_across_weightings_and_orders(self):
+        g = grid_graph(3, 4)
+        for k, weighting in ((2, "myerson"), (2, "interior"), (3, "interior"), (3, "myerson"), (2, "myerson")):
+            game = synthetic_game(g.d, seed=10)
+            res = c_shapley_all(game, g, k, weighting=weighting)
+            for i in range(g.d):
+                expected = weighted_marginal(game, i, c_shapley_terms(g, i, k, weighting))
+                assert res.scores[i] == expected
+        for k in (1, 2, 1):
+            game = synthetic_game(g.d, seed=11)
+            res = l_shapley_all(game, g, k)
+            for i in range(g.d):
+                assert res.scores[i] == weighted_marginal(game, i, l_shapley_terms(g, i, k))
 
     def test_plan_build_keeps_masks_off_python_ints(self):
         import tracemalloc

@@ -46,8 +46,6 @@ from .graphs import (
 )
 from .valuation import SetFunction, SubsetTable
 
-DEFAULT_MYERSON_LIMIT = 15
-
 C_SHAPLEY_WEIGHTINGS = ("myerson", "interior")
 
 
@@ -145,8 +143,8 @@ def exact_shapley_weights(d: int) -> np.ndarray:
 def kept_plan(g: FeatureGraph, key: tuple, build: Callable[[], Plan]) -> Plan:
     """The plan kept on the graph under ``key``, (method, order, variant),
     built by ``build`` on first use and kept for as long as the graph lives.
-    Planners check their limits before the lookup, so a lowered limit still
-    refuses a kept plan."""
+    Myerson checks its limit before the lookup, so a lowered limit still
+    refuses its kept plan; the others check theirs only when built."""
     plan = g._tables.get(key)
     if plan is None:
         plan = g._tables[key] = build()
@@ -360,10 +358,10 @@ def myerson_plan(g: FeatureGraph) -> Plan:
     then every connected subset.  It is kept on the graph (see
     :func:`kept_plan`)."""
     d = g.d
-    if d > DEFAULT_MYERSON_LIMIT:
+    if 1 << d > graphs.ENUMERATION_LIMIT:
         raise ConfigurationError(
-            f"Myerson value on {d} features decomposes all 2^{d} subsets "
-            f"(limit {DEFAULT_MYERSON_LIMIT}); use c_shapley for an approximation"
+            f"Myerson value on {d} features decomposes all 2^{d} subsets, over the limit of "
+            f"{graphs.ENUMERATION_LIMIT}; use c_shapley for an approximation"
         )
     return kept_plan(g, ("myerson", None, None), lambda: _myerson_plan(g))
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 
-# The most subsets any one listing may hold: the subsets of an L-Shapley
-# neighbourhood or of all d features, or a C-Shapley feature's connected
-# subsets.  Read at call time, so one setting governs every estimator.
+# The most keys any one table the package builds may hold, read at call time so
+# that one setting governs every check: subsets (L-/C-Shapley listings, or 2^d for
+# exact Shapley, exhaustive KernelSHAP and Myerson), atoms of a dense joint (2^d),
+# or (mask, assignment) pairs (3^d epsilon-scan marginals, 4^d value-matrix entries).
 ENUMERATION_LIMIT = 1 << 20
 
 

@@ -147,8 +147,9 @@ def _validate_fractions(fractions: Sequence[float]) -> tuple[float, ...]:
     fr = tuple(float(f) for f in fractions)
     if not fr or fr[0] != 0.0:
         raise ConfigurationError("fraction grid must start at 0")
-    if any(b <= a for a, b in zip(fr, fr[1:])) or fr[-1] > 1.0:
-        raise ConfigurationError("fractions must increase within [0, 1]")
+    # phrased so that a NaN, which fails every comparison, is refused too
+    if not all(a < b for a, b in zip(fr, fr[1:])) or not fr[-1] <= 1.0:
+        raise ConfigurationError(f"fractions must increase within [0, 1], got {list(fr)}")
     return fr
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import chunk_rows
 from .errors import ConfigurationError, EvaluationError, ProtocolError
-from .theory import DiscreteJoint
+from .theory import DiscreteJoint, check_joint_size
 from .valuation import checked_codes
 
 WIRE_VERSION = 1
@@ -219,20 +219,14 @@ class MarkovLabelModel:
 
     def dense_joint(self) -> DiscreteJoint:
         d, C = self.d, self.num_classes
-        table = np.empty((1 << d, C))
-        for y in range(C):
-            # extend one position at a time; feature j's value is bit j
-            dist = self.class_prior[y] * self.initial[y]
-            for j in range(1, d):
-                width = 1 << j
-                nxt = np.zeros(width * 2)
-                for atom in range(width):
-                    prev_bit = (atom >> (j - 1)) & 1
-                    for v in range(2):
-                        nxt[atom | (v << j)] = dist[atom] * self.transitions[j - 1, y, prev_bit, v]
-                dist = nxt
-            table[:, y] = dist
-        return DiscreteJoint(d, C, table)
+        # dist[y, atom]: P(y, atom) over the positions so far, feature j's value being bit j
+        dist = self.class_prior[:, None] * self.initial
+        for j in range(1, d):
+            # x_{j-1} is 1 on the upper half of the atoms so far; x_j = v puts
+            # an atom in half v of the next
+            step = np.repeat(self.transitions[j - 1], 1 << (j - 1), axis=1)  # [y, atom, v]
+            dist = (dist[:, None, :] * step.transpose(0, 2, 1)).reshape(C, 2 << j)
+        return DiscreteJoint(d, C, np.ascontiguousarray(dist.T))
 
     def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(seed)
@@ -322,8 +316,7 @@ def markov_label_model(
     features.  All probabilities stay strictly inside (0, 1), so the joint is
     strictly positive.
     """
-    if d > 12:
-        raise ConfigurationError(f"dense joints cap the chain length at 12, got {d}")
+    check_joint_size(d, num_classes)
     model = build_markov_model(seed, d, mixing, num_classes)
     return model, model.dense_joint()
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, graphs
 from .attribution import exact_shapley_weights, local_plan
 from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
 from .graphs import (
@@ -27,9 +27,6 @@ from .graphs import (
 )
 from .valuation import VALUE_MODES, checked_codes
 
-MAX_DENSE_FEATURES = 16
-MAX_EXHAUSTIVE_FEATURES = 12
-MAX_VERIFY_FEATURES = 10
 BOUND_SLACK = 1e-9
 
 # Only guards log(0) on zero-mass branches that are excluded from every sum;
@@ -83,8 +80,7 @@ class DiscreteJoint:
 
     def __post_init__(self):
         d, C = self.num_features, self.num_classes
-        if d > MAX_DENSE_FEATURES:
-            raise ConfigurationError(f"dense joints support at most {MAX_DENSE_FEATURES} features, got {d}")
+        check_joint_size(d, C)
         table = np.asarray(self.table, dtype=np.float64)
         object.__setattr__(self, "table", table)
         if table.shape != (1 << d, C):
@@ -108,10 +104,19 @@ class DiscreteJoint:
         return self.table.sum(axis=0)
 
 
+def check_joint_size(d: int, num_classes: int) -> None:
+    """Refuse a joint of no class or of over ``graphs.ENUMERATION_LIMIT`` atoms."""
+    if num_classes < 1:
+        raise ConfigurationError(f"a dense joint needs at least one class, got {num_classes}")
+    if 1 << d > graphs.ENUMERATION_LIMIT:
+        raise ConfigurationError(
+            f"a dense joint on {d} features needs 2^{d} atoms, over the limit of {graphs.ENUMERATION_LIMIT}"
+        )
+
+
 def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
     """Strictly positive random joint: normalized exponential variates."""
-    if d > MAX_DENSE_FEATURES:  # refused before its 2**d rows are drawn
-        raise ConfigurationError(f"dense joints support at most {MAX_DENSE_FEATURES} features, got {d}")
+    check_joint_size(d, num_classes)
     rng = np.random.default_rng(seed)
     masses = rng.exponential(size=(1 << d, num_classes))
     return DiscreteJoint(d, num_classes, masses / masses.sum())
@@ -352,11 +357,11 @@ def _epsilon_supremum(m: _MarginalTable, i: int, scans) -> EpsilonCertificate:
 
 
 def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _MarginalTable | None) -> _MarginalTable:
-    if joint.d > MAX_EXHAUSTIVE_FEATURES:
+    d = joint.d
+    if 3**d > graphs.ENUMERATION_LIMIT:
         raise BudgetExceededError(
-            f"exhaustive supremum over feature subsets is limited to "
-            f"{MAX_EXHAUSTIVE_FEATURES} features, got {joint.d}",
-            count=1 << joint.d,
+            f"epsilon scan on {d} features needs 3^{d} marginal rows, over the limit of {graphs.ENUMERATION_LIMIT}",
+            count=1 << d,
         )
     if not (s >> i) & 1:
         raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
@@ -421,9 +426,10 @@ def _verify_theorem(
     theorem: int, joint: DiscreteJoint, g: FeatureGraph, i: int, k: int, s: int | None
 ) -> TheoremReport:
     d = joint.d
-    if d > MAX_VERIFY_FEATURES:
+    if 4**d > graphs.ENUMERATION_LIMIT:
         raise BudgetExceededError(
-            f"theorem verification is limited to {MAX_VERIFY_FEATURES} features, got {d}",
+            f"theorem check on {d} features needs 4^{d} value-matrix entries, "
+            f"over the limit of {graphs.ENUMERATION_LIMIT}",
             count=1 << d,
         )
     if s is None:

@@ -9,7 +9,8 @@ and the per-mask loops of the memoized value and of the batched plan.
 It also holds what only tests use: the connected components of a subset,
 a marginal contribution, the exact conditional of a dense joint, the
 component-additive extension of a game over a graph, and the score of a
-subset at one atom of a dense joint under exact conditionals.
+subset at one atom of a dense joint under exact conditionals; and the
+per-atom loop that built a Markov label model's dense joint table.
 """
 
 import numpy as np
@@ -55,6 +56,25 @@ def conditional(model, values, subset):
             f"with values {[int(bits[0, j]) for j in members_of(subset)]}"
         )
     return joint_rows / mass
+
+
+def markov_joint_table(model):
+    """The (2**d, C) joint table of a :class:`MarkovLabelModel`, extended one
+    atom and one value at a time; feature j's value is bit j."""
+    d, C = model.d, model.num_classes
+    table = np.empty((1 << d, C))
+    for y in range(C):
+        dist = model.class_prior[y] * model.initial[y]
+        for j in range(1, d):
+            width = 1 << j
+            nxt = np.zeros(width * 2)
+            for atom in range(width):
+                prev_bit = (atom >> (j - 1)) & 1
+                for v in range(2):
+                    nxt[atom | (v << j)] = dist[atom] * model.transitions[j - 1, y, prev_bit, v]
+            dist = nxt
+        table[:, y] = dist
+    return table
 
 
 def gather_log_probs(nb, tokens):

@@ -20,7 +20,7 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
-from shapgraph import attribution, graphs, harness, regression
+from shapgraph import attribution, graphs, harness, models, regression, theory
 from shapgraph.attribution import (
     c_shapley_terms,
     connected_subset_weight,
@@ -516,9 +516,9 @@ class TestMyerson:
         assert res.model_evaluations == d * (d + 1) // 2 + 1
 
     def test_limit_refusal(self):
-        game = additive_game(np.ones(16))
+        game = additive_game(np.ones(21))
         with pytest.raises(ValueError, match="c_shapley"):
-            myerson_value(game, chain_graph(16))
+            myerson_value(game, chain_graph(21))
 
 
 class TestShiftInvarianceAcrossMethods:
@@ -636,26 +636,101 @@ class TestTermTemplates:
         np.testing.assert_array_equal(plan.reduce(values), np.stack(single, axis=1))
 
 
+def _built(*args, **kwargs):
+    raise AssertionError("a table was built past the limit")
+
+
+def _uniform_joint(d: int) -> "theory.DiscreteJoint":
+    """A one-class joint on d features, its table built without a draw."""
+    return theory.DiscreteJoint(d, 1, np.full((1 << d, 1), 1.0 / (1 << d)))
+
+
+def _random_joint5(game):
+    return theory.random_joint(5, 2, 0)
+
+
 class TestEnumerationLimit:
-    """``graphs.ENUMERATION_LIMIT`` caps exact Shapley and exhaustive
-    KernelSHAP as it caps L- and C-Shapley (see
-    ``test_over_budget_raises_before_any_model_call``)."""
+    """``graphs.ENUMERATION_LIMIT``, read at call time, is the one cap on
+    every table the package builds: each check compares the keys of the
+    largest table it is about to build (subsets, atoms, or (mask,
+    assignment) pairs) with it.  A table at the limit is built; one over it
+    is refused before any model call or table draw."""
+
+    # name: (keys of the largest table, the call on a 5-feature game, its
+    # error, and what the refusal must come before)
+    CASES = {
+        "exact": (1 << 5, exact_shapley, ConfigurationError, ()),
+        "kernelshap-exhaustive": (
+            (1 << 5) - 2, lambda game: regression.kernelshap(game, 0, exhaustive=True), ConfigurationError, ()
+        ),
+        # feature 2's neighbourhood is the whole chain: 2^4 subsets hold it
+        "l-shapley": (1 << 4, lambda game: l_shapley_all(game, chain_graph(5), 2), BudgetExceededError, ()),
+        # and 3 x 3 intervals of it hold feature 2
+        "c-shapley": (9, lambda game: c_shapley_all(game, chain_graph(5), 2), BudgetExceededError, ()),
+        "myerson": (1 << 5, lambda game: myerson_value(game, chain_graph(5)), ConfigurationError, ()),
+        "random-joint": (1 << 5, _random_joint5, ConfigurationError, ((np.random, "default_rng"),)),
+        "markov-joint": (
+            1 << 5,
+            lambda game: models.markov_label_model(0, 5, 0.5),
+            ConfigurationError,
+            ((np.random, "default_rng"), (models.MarkovLabelModel, "dense_joint")),
+        ),
+        "epsilon-l": (
+            3**5,
+            lambda game: theory.epsilon_for_lshapley(_random_joint5(game), chain_graph(5), 2, 0b00100),
+            BudgetExceededError,
+            ((theory, "_MarginalTable"),),
+        ),
+        "epsilon-c": (
+            3**5,
+            lambda game: theory.epsilon_for_cshapley(_random_joint5(game), chain_graph(5), 2, 0b01110),
+            BudgetExceededError,
+            ((theory, "_MarginalTable"),),
+        ),
+        "theorem1": (
+            4**5,
+            lambda game: theory.verify_theorem1(_random_joint5(game), chain_graph(5), 2, 1),
+            BudgetExceededError,
+            ((theory, "_MarginalTable"), (theory, "value_matrix")),
+        ),
+        "theorem2": (
+            4**5,
+            lambda game: theory.verify_theorem2(_random_joint5(game), chain_graph(5), 2, 1),
+            BudgetExceededError,
+            ((theory, "_MarginalTable"), (theory, "value_matrix")),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_table_is_capped_by_the_one_limit(self, case, monkeypatch):
+        keys, call, error, built_after = self.CASES[case]
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", keys)
+        call(CountingGame(5))  # at the limit, built
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", keys - 1)
+        for owner, name in built_after:
+            monkeypatch.setattr(owner, name, _built)
+        game = CountingGame(5)
+        with pytest.raises(error, match=f"\\b{keys - 1}\\b"):
+            call(game)
+        assert game.calls == 0
 
     @pytest.mark.parametrize(
-        "plan,cost",
+        "call,largest,error",
         [
-            (attribution.exact_shapley_plan, lambda d: 1 << d),
-            (lambda d: regression.kernelshap_plan(d, 0, exhaustive=True), lambda d: (1 << d) - 2),
+            (lambda d: myerson_value(CountingGame(d), chain_graph(d)), 20, ConfigurationError),
+            (lambda d: theory.random_joint(d, 2, 0), 20, ConfigurationError),
+            (lambda d: models.markov_label_model(0, d, 0.5), 20, ConfigurationError),
+            (lambda d: theory.epsilon_for_lshapley(_uniform_joint(d), chain_graph(d), 0, 1), 12, BudgetExceededError),
+            (lambda d: theory.verify_theorem1(_uniform_joint(d), chain_graph(d), 0, 1), 10, BudgetExceededError),
         ],
-        ids=["exact", "kernelshap-exhaustive"],
+        ids=["myerson", "random-joint", "markov-joint", "epsilon", "theorem"],
     )
-    def test_dense_plans_refuse_past_the_limit(self, plan, cost, monkeypatch):
-        for d in (3, 4, 5):
-            monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", cost(d))
-            plan(d)  # at the limit, planned
-            monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", cost(d) - 1)
-            with pytest.raises(ConfigurationError, match=f"on {d} features"):
-                plan(d)
+    def test_the_default_limit_admits_the_largest_d_and_refuses_one_more(self, call, largest, error, monkeypatch):
+        assert graphs.ENUMERATION_LIMIT == 1 << 20
+        call(largest)
+        monkeypatch.setattr(theory, "_MarginalTable", _built)
+        with pytest.raises(error, match=f"on {largest + 1} features"):
+            call(largest + 1)
 
     def test_dense_plans_refuse_d21_before_listing(self, monkeypatch):
         def listed(*args, **kwargs):
@@ -696,13 +771,12 @@ class TestPlanCache:
 
     def test_a_lowered_limit_refuses_a_kept_plan(self, monkeypatch):
         attribution.exact_shapley_plan(5)
+        g = chain_graph(5)
+        attribution.myerson_plan(g)
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", (1 << 5) - 1)
         with pytest.raises(ConfigurationError, match="on 5 features"):
             attribution.exact_shapley_plan(5)
-        g = chain_graph(6)
-        attribution.myerson_plan(g)
-        monkeypatch.setattr(attribution, "DEFAULT_MYERSON_LIMIT", 5)
-        with pytest.raises(ConfigurationError, match="on 6 features"):
+        with pytest.raises(ConfigurationError, match="on 5 features"):
             attribution.myerson_plan(g)
 
     @pytest.mark.parametrize("method", ["exact", "myerson"])

@@ -372,7 +372,7 @@ class TestBadInputExitsTwo:
     @pytest.fixture()
     def files(self, tmp_path, instance_file):
         wide = tmp_path / "wide.json"
-        wide.write_text(json.dumps({"values": [1] * 17, "reference": [0] * 17}))
+        wide.write_text(json.dumps({"values": [1] * 21, "reference": [0] * 21}))
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         one_row = tmp_path / "one.jsonl"
@@ -393,7 +393,7 @@ class TestBadInputExitsTwo:
         "reg-k0-bench": ["bench", "--method", "c-shapley-reg", "--d", "8", "--k", "0"],
         "sample-k0-bench": ["bench", "--method", "sample", "--d", "8", "--k", "0"],
         "exact-too-wide-bench": ["bench", "--method", "exact", "--d", "64"],
-        "myerson-d17": ["explain", "--model", "builtin:nb", "--method", "myerson", "--input", "{wide}"],
+        "myerson-d21": ["explain", "--model", "builtin:nb", "--method", "myerson", "--input", "{wide}"],
         "grid-no-dims": ["explain", "--model", "builtin:nb", "--method", "l-shapley",
                          "--graph", "grid", "--input", "{inst}"],
         "empty-dataset": ["evaluate", "--dataset", "{empty}", "--methods", "random", "--budget", "48"],
@@ -407,11 +407,15 @@ class TestBadInputExitsTwo:
         "k-negative-bench": ["bench", "--method", "c-shapley", "--d", "8", "--k", "-1"],
         "k-negative-theorem": ["theorem-check", "--trials", "1", "--k", "-1"],
         "theorem-d20": ["theorem-check", "--trials", "1", "--d", "20"],
+        "theorem-no-classes": ["theorem-check", "--trials", "1", "--classes", "0"],
+        "theorem-negative-classes": ["theorem-check", "--trials", "1", "--classes", "-1"],
         "theorem-no-trials": ["theorem-check", "--trials", "0"],
         "theorem-negative-trials": ["theorem-check", "--trials", "-3"],
         "bench-d0": ["bench", "--method", "exact", "--d", "0"],
         "fractions-not-numbers": ["evaluate", "--dataset", "{one}", "--methods", "random", "--budget", "48",
                                   "--fractions", "0,x"],
+        "fractions-nan": ["evaluate", "--dataset", "{one}", "--methods", "exact", "--budget", "4096",
+                          "--fractions", "0,nan,0.5"],
         "dataset-missing": ["evaluate", "--dataset", "{missing}", "--methods", "random", "--budget", "48"],
         "lemma-negative": ["lemma-check", "--max-n", "-1"],
         "tcp-no-port": ["explain", "--model", "external:tcp localhost", "--method", "exact", "--input", "{inst}"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,18 @@ class TestLogOddsCurve:
         nb, instances, _ = nb_and_instances(n=1)
         with pytest.raises(ConfigurationError, match="start at 0"):
             log_odds_curve(nb, instances, MethodSpec("random"), chain_graph(12), [0.1, 0.2])
+
+    @pytest.mark.parametrize("fractions", [[0, math.nan, 0.5], [0, 0.5, math.nan], [0, math.inf]])
+    def test_fractions_that_are_not_finite_are_refused_before_any_model_call(self, fractions, monkeypatch):
+        def planned(*args):
+            raise AssertionError("a plan was built")
+
+        monkeypatch.setattr(harness, "method_plan", planned)
+        nb, instances, _ = nb_and_instances(n=1)
+        model = CountingModel(nb)
+        with pytest.raises(ConfigurationError, match="fractions must increase within \\[0, 1\\], got \\[0.0, "):
+            log_odds_curve(model, instances, MethodSpec("exact"), chain_graph(12), fractions)
+        assert model.calls == 0
 
     def test_correct_only_filters(self):
         nb, instances, labels = nb_and_instances(n=10)

@@ -36,7 +36,7 @@ from shapgraph.models import (
 from shapgraph.model_server import serve_stream, serve_tcp
 from shapgraph.valuation import masked_rows
 
-from reference_path import conditional, gather_log_probs
+from reference_path import conditional, gather_log_probs, markov_joint_table
 
 
 class TestNaiveBayes:
@@ -180,6 +180,14 @@ class TestMarkovLabelModel:
         np.testing.assert_array_equal(j1.table, j2.table)
         np.testing.assert_array_equal(m1.transitions, m2.transitions)
         assert j1.table.min() > 0
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_joint_equals_the_per_atom_loop(self, num_classes):
+        for d in range(1, 13):
+            for seed in range(3):
+                model, joint = markov_label_model(seed=seed, d=d, mixing=0.6, num_classes=num_classes)
+                np.testing.assert_array_equal(joint.table, markov_joint_table(model))
+                assert joint.table.flags.c_contiguous
 
     def test_local_independence_certificate(self):
         _, joint = markov_label_model(seed=4, d=6, mixing=0.6)

@@ -65,8 +65,14 @@ class TestDiscreteJoint:
             table[0, 0] = -0.25
             table[0, 1] = 0.5
             DiscreteJoint(2, 2, table)
-        with pytest.raises(ValueError, match="at most"):
-            DiscreteJoint(17, 2, np.zeros((1 << 17, 2)))
+        # refused before the table is read, so its shape is never checked
+        with pytest.raises(ValueError, match="over the limit"):
+            DiscreteJoint(21, 2, np.zeros((1, 2)))
+        for classes in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"at least one class, got {classes}$"):
+                DiscreteJoint(2, classes, np.zeros((4, 0)))
+            with pytest.raises(ConfigurationError, match=f"at least one class, got {classes}$"):
+                random_joint(2, classes, 0)
         for bad in (np.nan, np.inf):
             table = np.full((4, 2), 0.125)
             table[1, 0] = bad

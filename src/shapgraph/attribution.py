@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _kernels, graphs
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import ConfigurationError
 from .graphs import (
     FeatureGraph,
     connected_subsets_containing,
@@ -154,11 +154,7 @@ def kept_plan(g: FeatureGraph, key: tuple, build: Callable[[], Plan]) -> Plan:
 def exact_shapley_plan(d: int) -> Plan:
     """The plan of exact Shapley values on d features: all 2**d subsets.
     The plan of the last d planned is kept for the next call."""
-    if 1 << d > graphs.ENUMERATION_LIMIT:
-        raise ConfigurationError(
-            f"exact Shapley on {d} features needs 2^{d} evaluations, over the limit of "
-            f"{graphs.ENUMERATION_LIMIT}; use l_shapley / c_shapley / sample_shapley instead"
-        )
+    graphs.check_size(1 << d, f"subsets of exact Shapley on {d} features")
     return _exact_plan(d)
 
 
@@ -184,19 +180,13 @@ def l_shapley_terms(g: FeatureGraph, i: int, k: int) -> list[tuple[int, float]]:
 
     The weights are the exact-Shapley coefficients restricted to the
     k-neighborhood: ``shapley_coefficient(|N|, |T|)`` for each T containing i.
-    The terms run in descending order of T, the whole neighbourhood first.
-    More than ``graphs.ENUMERATION_LIMIT`` of them raise
-    :class:`BudgetExceededError` before any is listed.
+    The terms run in descending order of T, the whole neighbourhood first;
+    they are refused by :func:`~shapgraph.graphs.check_size` before any is
+    listed.
     """
     nbhd = k_neighborhood(g, i, k)
     n = nbhd.bit_count()
-    limit = graphs.ENUMERATION_LIMIT
-    if 1 << (n - 1) > limit:
-        raise BudgetExceededError(
-            f"local estimate at node {i} would enumerate 2^{n - 1} subsets of its "
-            f"{n}-node neighborhood, beyond the limit of {limit}",
-            count=limit,
-        )
+    graphs.check_size(1 << (n - 1), f"L-Shapley terms of node {i}, whose neighbourhood holds {n} of {g.d} features")
     rest = reversed(submasks(nbhd & ~(1 << i)))
     return [(sub | (1 << i), shapley_coefficient(n, sub.bit_count() + 1)) for sub in rest]
 
@@ -212,18 +202,22 @@ def local_plan(
 
     Each feature's terms are packed, S and S minus i interleaved, into one
     block of member rows, so the plan's masks are never all Python integers
-    at once; the blocks are freed before one :meth:`SubsetTable.distinct`
-    over their rows.  The all-features C-Shapley plan of a 10x10 grid at
-    k=2 peaks at about 8 MB of traced allocations this way.
+    at once; the rows are counted as each block is appended, and the blocks
+    are freed before one :meth:`SubsetTable.distinct` over their rows.  The
+    all-features C-Shapley plan of a 10x10 grid at k=2 peaks at about 8 MB
+    of traced allocations this way.
     """
     if features is None:
         return kept_plan(g, (method, k, weighting), lambda: local_plan(method, g, k, weighting, range(g.d)))
     d = g.d
     features = list(features)
     blocks, weight_blocks = [], []
+    rows, what = 0, f"packed rows of the {method} plan at k={k} on {d} features"
     for i in features:
         # called through the module so that tracing sees the enumeration
         terms = c_shapley_terms(g, i, k, weighting) if method == "c_shapley" else l_shapley_terms(g, i, k)
+        rows += 2 * len(terms)
+        graphs.check_size(rows, what)
         bit = 1 << i
         masks: list[int] = []
         for mask, _ in terms:
@@ -325,6 +319,7 @@ def sample_shapley_plan(d: int, num_permutations: int, seed: int) -> Plan:
     prefixes of ``num_permutations`` orderings drawn from the seed."""
     if num_permutations < 1:
         raise ConfigurationError("need at least one permutation")
+    graphs.check_size(num_permutations * (d + 1), f"permutation prefixes on {d} features")
     rng = np.random.default_rng(seed)
     perms = [rng.permutation(d) for _ in range(num_permutations)]
     prefixes = []
@@ -357,12 +352,7 @@ def myerson_plan(g: FeatureGraph) -> Plan:
     """The plan of the Myerson value on the graph's d features: v(empty),
     then every connected subset.  It is kept on the graph (see
     :func:`kept_plan`)."""
-    d = g.d
-    if 1 << d > graphs.ENUMERATION_LIMIT:
-        raise ConfigurationError(
-            f"Myerson value on {d} features decomposes all 2^{d} subsets, over the limit of "
-            f"{graphs.ENUMERATION_LIMIT}; use c_shapley for an approximation"
-        )
+    graphs.check_size(1 << g.d, f"subsets of the Myerson value on {g.d} features")
     return kept_plan(g, ("myerson", None, None), lambda: _myerson_plan(g))
 
 

@@ -33,7 +33,7 @@ from .models import (
     train_naive_bayes,
     two_topic_corpus,
 )
-from .theory import lemma1_check, random_joint, verify_theorem1, verify_theorem2
+from .theory import check_value_matrix_size, lemma1_check, random_joint, verify_theorem1, verify_theorem2
 from .valuation import ValueFunction
 
 DEMO_CORPUS_SEED = 0
@@ -131,6 +131,8 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     methods = [MethodSpec.parse(m) for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigurationError(f"--methods names no method, got {args.methods!r}")
     instances, labels = load_dataset(args.dataset)
     if not instances:
         raise ConfigurationError(f"dataset {args.dataset!r} holds no rows")
@@ -183,6 +185,7 @@ def cmd_lemma_check(args) -> int:
 def cmd_theorem_check(args) -> int:
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
+    check_value_matrix_size(args.d)  # before any joint is drawn
     records = []
     all_hold = True
     for trial in range(args.trials):

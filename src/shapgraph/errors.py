@@ -6,7 +6,11 @@ class ShapgraphError(Exception):
 
 
 class BudgetExceededError(ShapgraphError):
-    """An enumeration or evaluation budget was exhausted before completion."""
+    """A table over ``graphs.ENUMERATION_LIMIT`` keys, refused by
+    :func:`shapgraph.graphs.check_size` before it is built, or a plan over the
+    masking harness's evaluation budget.  ``count`` is the keys the table
+    needed (for a listing that stopped part-way, the keys reached when it
+    stopped), or the evaluations the plan needed."""
 
     def __init__(self, message: str, count: int | None = None):
         super().__init__(message)

@@ -21,11 +21,23 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 
-# The most keys any one table the package builds may hold, read at call time so
-# that one setting governs every check: subsets (L-/C-Shapley listings, or 2^d for
-# exact Shapley, exhaustive KernelSHAP and Myerson), atoms of a dense joint (2^d),
-# or (mask, assignment) pairs (3^d epsilon-scan marginals, 4^d value-matrix entries).
+# The most keys any one table the package builds may hold, read at call time by
+# :func:`check_size`, the one check: subsets (L-/C-Shapley listings, or 2^d for
+# exact Shapley and Myerson), packed rows of an L-/C-Shapley plan, design rows of
+# a regression, permutation prefixes, atoms of a dense joint (2^d), or (mask,
+# assignment) pairs (3^d epsilon-scan marginals, 4^d value-matrix entries).
 ENUMERATION_LIMIT = 1 << 20
+
+
+def check_size(keys: int, what: str) -> None:
+    """Refuse a table of more than :data:`ENUMERATION_LIMIT` keys before it is
+    built: raise :class:`BudgetExceededError` whose ``count`` is ``keys``, the
+    keys the table needed, or for a listing that stops part-way, the keys
+    reached when it stopped.  ``what`` names the keys and the table, with its
+    d where there is one, as in "subsets of exact Shapley on 21 features"."""
+    limit = ENUMERATION_LIMIT
+    if keys > limit:
+        raise BudgetExceededError(f"{what}: {keys}, over the limit of {limit}", count=keys)
 
 
 def subset_of(indices: Iterable[int]) -> int:
@@ -233,13 +245,13 @@ def connected_subsets_in(g: FeatureGraph, i: int, universe: int) -> list[int]:
     Duplicate-free by construction: a node may only enter a subset through the
     branch where it first became reachable, so no seen-set is needed.
 
-    Raises :class:`BudgetExceededError` once more than
-    :data:`ENUMERATION_LIMIT` subsets would be emitted.
+    Refused by :func:`check_size` once more than :data:`ENUMERATION_LIMIT`
+    subsets would be emitted.
     """
     if not (universe >> i) & 1:
         raise ValueError(f"node {i} is not inside the given universe")
     out: list[int] = []
-    limit = ENUMERATION_LIMIT
+    what = f"connected subsets holding node {i} on {g.d} features, listed before stopping"
     # (subset, nodes that may extend it, nodes no descendant may add); a
     # stack rather than a recursive closure, which would keep ``out`` in a
     # reference cycle until the next garbage collection
@@ -247,12 +259,7 @@ def connected_subsets_in(g: FeatureGraph, i: int, universe: int) -> list[int]:
     stack = [(1 << i, list(iter_bits(seed)), (1 << i) | seed)]
     while stack:
         sub, candidates, banned = stack.pop()
-        if len(out) >= limit:
-            raise BudgetExceededError(
-                f"connected-subset enumeration for node {i} exceeded its limit: "
-                f"{limit} subsets emitted with more remaining",
-                count=limit,
-            )
+        check_size(len(out) + 1, what)
         out.append(sub)
         for pos, w in enumerate(candidates):
             fresh = g.adjacency[w] & universe & ~banned

@@ -259,6 +259,8 @@ def compare_methods(
     if graph is None:
         graph = _default_graph(d)
     specs = [MethodSpec.parse(m) if isinstance(m, str) else m for m in methods]
+    if not specs:
+        raise ConfigurationError("no methods to compare")
     names = [spec.name for spec in specs]
     if len(set(names)) < len(names):  # the count table and the CSV rows are keyed by name
         raise ConfigurationError(f"each method may be listed once, got {names}")

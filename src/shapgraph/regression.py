@@ -139,20 +139,18 @@ def kernelshap_plan(d: int, num_samples: int, seed: int = 0, exhaustive: bool = 
     if constrained is None:
         constrained = exhaustive
     if exhaustive:
-        if (1 << d) - 2 > graphs.ENUMERATION_LIMIT:
-            raise ConfigurationError(
-                f"exhaustive kernelshap on {d} features needs 2^{d} evaluations bar two, over the limit of "
-                f"{graphs.ENUMERATION_LIMIT}; sample num_samples subsets instead"
-            )
+        graphs.check_size((1 << d) - 2, f"design rows of exhaustive KernelSHAP on {d} features")
         rows = [m for m in range(1, (1 << d) - 1)]
     else:
         if num_samples < d:
             raise ConfigurationError(
                 f"kernelshap needs at least d={d} samples, got {num_samples}"
             )
+        counts = _stratified_sizes(d, num_samples)
+        graphs.check_size(sum(counts), f"design rows of sampled KernelSHAP on {d} features")
         rng = np.random.default_rng(seed)
         rows = []
-        for size, count in zip(range(1, d), _stratified_sizes(d, num_samples)):
+        for size, count in zip(range(1, d), counts):
             if count:
                 rows.extend(_sample_masks_of_size(d, size, count, rng))
     return _fit_plan("kernelshap", d, rows, constrained, seed=None if exhaustive else seed)
@@ -184,20 +182,26 @@ def connected_design_rows(g: FeatureGraph, k: int) -> list[int]:
     Chains contribute every interval of length at most k; grids contribute
     every axis-aligned n-by-n patch with n at most k, the patch at the
     corner shifted to each place.  The full feature set is never a row (its
-    kernel weight is undefined).
+    kernel weight is undefined).  The rows are counted before each size's
+    are listed, and refused by :func:`~shapgraph.graphs.check_size`.
     """
     d = g.d
+    rows: list[int] = []
+    what = f"design rows of regression C-Shapley at k={k} on {d} features"
     if g.kind == "chain":
-        return [((1 << n) - 1) << start for n in range(1, min(k, d - 1) + 1) for start in range(d - n + 1)]
+        for n in range(1, min(k, d - 1) + 1):
+            graphs.check_size(len(rows) + d - n + 1, what)
+            rows.extend(((1 << n) - 1) << start for start in range(d - n + 1))
+        return rows
     if g.kind != "grid":
         raise UnsupportedTopologyError(
             f"connected-subset regression supports chain and grid graphs, got {g.kind!r}"
         )
     R, C = g.rows, g.cols
-    rows: list[int] = []
     for n in range(1, min(k, R, C) + 1):
         if n == R and n == C:
             continue  # the full grid is not a usable row
+        graphs.check_size(len(rows) + (R - n + 1) * (C - n + 1), what)
         # n ones in each of the first n rows: ((1 << n) - 1) times the sum of 1 << (r * C) for r < n
         patch = ((1 << n) - 1) * (((1 << (n * C)) - 1) // ((1 << C) - 1))
         rows.extend(patch << (r * C + c) for r in range(R - n + 1) for c in range(C - n + 1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels, graphs
 from .attribution import exact_shapley_weights, local_plan
-from .errors import BudgetExceededError, ConfigurationError, ZeroMassError
+from .errors import ConfigurationError, ZeroMassError
 from .graphs import (
     FeatureGraph,
     connected_subsets_in,
@@ -25,7 +25,7 @@ from .graphs import (
     row_masks,
     submasks,
 )
-from .valuation import VALUE_MODES, checked_codes
+from .valuation import checked_codes
 
 BOUND_SLACK = 1e-9
 
@@ -105,13 +105,17 @@ class DiscreteJoint:
 
 
 def check_joint_size(d: int, num_classes: int) -> None:
-    """Refuse a joint of no class or of over ``graphs.ENUMERATION_LIMIT`` atoms."""
+    """Refuse a joint of no class, or of more atoms than
+    :func:`~shapgraph.graphs.check_size` admits."""
     if num_classes < 1:
         raise ConfigurationError(f"a dense joint needs at least one class, got {num_classes}")
-    if 1 << d > graphs.ENUMERATION_LIMIT:
-        raise ConfigurationError(
-            f"a dense joint on {d} features needs 2^{d} atoms, over the limit of {graphs.ENUMERATION_LIMIT}"
-        )
+    graphs.check_size(1 << d, f"atoms of a dense joint on {d} features")
+
+
+def check_value_matrix_size(d: int) -> None:
+    """Refuse a value matrix, and so a theorem check, on d features: 4^d
+    (mask, atom) entries."""
+    graphs.check_size(4**d, f"value-matrix entries on {d} features")
 
 
 def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
@@ -264,18 +268,15 @@ class ExactConditionalModel:
         return np.log(np.maximum(joint_rows / mass, _TINY))
 
 
-def value_matrix(
-    joint: DiscreteJoint, mode: str = "expected_logprob", _marginals: _MarginalTable | None = None
-) -> np.ndarray:
-    """V[mask, atom]: subset score at every atom under exact conditionals.
+def value_matrix(joint: DiscreteJoint, _marginals: _MarginalTable | None = None) -> np.ndarray:
+    """V[mask, atom]: the expected log-probability of the label given the
+    subset, at every atom, under exact conditionals.
 
     Columns for zero-mass atoms are filled with zeros; every consumer weighs
-    columns by atom mass, so those entries never contribute.  A mode outside
-    ``VALUE_MODES`` raises ``ConfigurationError``.
+    columns by atom mass, so those entries never contribute.
     """
-    if mode not in VALUE_MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
     d, C = joint.d, joint.num_classes
+    check_value_matrix_size(d)
     m = _marginals if _marginals is not None else _MarginalTable(joint)
     px = joint.feature_marginal()
     # the full-mask marginal is the joint table itself
@@ -286,16 +287,10 @@ def value_matrix(
     log_cond = np.log(np.maximum(joint_rows / np.where(mass > 0, mass, 1.0), _TINY))
     V = np.empty((1 << d, 1 << d))
     step = _kernels.chunk_rows(C << (d + 3))
-    if mode == "predicted_class_logprob":
-        pred = np.argmax(base, axis=1)
-        flat = log_cond.reshape(-1)
-        for lo in range(0, 1 << d, step):
-            V[lo : lo + step] = flat[m.codes(np.arange(lo, min(lo + step, 1 << d))) * C + pred]
-    else:
-        live = base > 0
-        for lo in range(0, 1 << d, step):
-            logp = np.take(log_cond, m.codes(np.arange(lo, min(lo + step, 1 << d))), axis=0)
-            V[lo : lo + step] = _row_sums(np.where(live, base * logp, 0.0))
+    live = base > 0
+    for lo in range(0, 1 << d, step):
+        logp = np.take(log_cond, m.codes(np.arange(lo, min(lo + step, 1 << d))), axis=0)
+        V[lo : lo + step] = _row_sums(np.where(live, base * logp, 0.0))
     return V
 
 
@@ -357,12 +352,7 @@ def _epsilon_supremum(m: _MarginalTable, i: int, scans) -> EpsilonCertificate:
 
 
 def _epsilon_marginals(joint: DiscreteJoint, i: int, s: int, marginals: _MarginalTable | None) -> _MarginalTable:
-    d = joint.d
-    if 3**d > graphs.ENUMERATION_LIMIT:
-        raise BudgetExceededError(
-            f"epsilon scan on {d} features needs 3^{d} marginal rows, over the limit of {graphs.ENUMERATION_LIMIT}",
-            count=1 << d,
-        )
+    graphs.check_size(3**joint.d, f"marginal rows of an epsilon scan on {joint.d} features")
     if not (s >> i) & 1:
         raise ValueError(f"feature {i} must belong to the subset {members_of(s)}")
     return marginals if marginals is not None else _MarginalTable(joint)
@@ -426,12 +416,7 @@ def _verify_theorem(
     theorem: int, joint: DiscreteJoint, g: FeatureGraph, i: int, k: int, s: int | None
 ) -> TheoremReport:
     d = joint.d
-    if 4**d > graphs.ENUMERATION_LIMIT:
-        raise BudgetExceededError(
-            f"theorem check on {d} features needs 4^{d} value-matrix entries, "
-            f"over the limit of {graphs.ENUMERATION_LIMIT}",
-            count=1 << d,
-        )
+    check_value_matrix_size(d)
     if s is None:
         s = k_neighborhood(g, i, k)
     marginals = _MarginalTable(joint)

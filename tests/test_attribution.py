@@ -5,7 +5,6 @@ import pytest
 
 from shapgraph import (
     BudgetExceededError,
-    ConfigurationError,
     c_shapley,
     c_shapley_all,
     chain_graph,
@@ -107,10 +106,12 @@ class TestExactShapley:
             exact_shapley(plain).scores, exact_shapley(shifted).scores
         )
 
-    def test_limit_refusal_mentions_approximations(self):
+    def test_limit_refusal_names_the_table(self):
         game = additive_game(np.ones(25))
-        with pytest.raises(ValueError, match="l_shapley"):
+        with pytest.raises(BudgetExceededError, match="subsets of exact Shapley on 25 features: 33554432,") as err:
             exact_shapley(game)
+        assert err.value.count == 1 << 25
+        assert game.eval_count == 0
 
     def test_reducer_takes_many_games(self):
         plan = attribution.exact_shapley_plan(6)
@@ -174,9 +175,9 @@ class TestLShapley:
         # refused before any is listed
         game = additive_game(np.ones(25))
         g = grid_graph(5, 5)
-        with pytest.raises(BudgetExceededError, match="2\\^24 subsets") as err:
+        with pytest.raises(BudgetExceededError, match="terms of node 12, whose neighbourhood holds 25") as err:
             l_shapley(game, g, 12, 4)
-        assert err.value.count == graphs.ENUMERATION_LIMIT
+        assert err.value.count == 1 << 24
         assert game.eval_count == 0
 
     def test_d1(self):
@@ -300,7 +301,9 @@ class TestBatchedPlan:
         vf = ValueFunction(model, Instance(two_topic_corpus(3, 1, doc_len=d)[0][0], np.zeros(d, dtype=int)))
         with pytest.raises(BudgetExceededError, match="node 39") as err:
             all_fn(vf, g, k)
-        assert err.value.count == graphs.ENUMERATION_LIMIT == 1000
+        # L refuses the hub's 2^13 terms before listing them; C stops its
+        # listing at the first subset over the limit of 1000
+        assert err.value.count == (1 << 13 if all_fn is l_shapley_all else 1001)
         assert model.calls == 0 and vf.eval_count == 0
 
     def test_warm_cache_charges_only_new_subsets(self):
@@ -517,8 +520,10 @@ class TestMyerson:
 
     def test_limit_refusal(self):
         game = additive_game(np.ones(21))
-        with pytest.raises(ValueError, match="c_shapley"):
+        with pytest.raises(BudgetExceededError, match="Myerson value on 21 features") as err:
             myerson_value(game, chain_graph(21))
+        assert err.value.count == 1 << 21
+        assert game.eval_count == 0
 
 
 class TestShiftInvarianceAcrossMethods:
@@ -650,87 +655,113 @@ def _random_joint5(game):
 
 
 class TestEnumerationLimit:
-    """``graphs.ENUMERATION_LIMIT``, read at call time, is the one cap on
-    every table the package builds: each check compares the keys of the
-    largest table it is about to build (subsets, atoms, or (mask,
-    assignment) pairs) with it.  A table at the limit is built; one over it
-    is refused before any model call or table draw."""
+    """``graphs.check_size`` is the one check against
+    ``graphs.ENUMERATION_LIMIT``, read at call time, and every table the
+    package builds passes through it: subsets, plan rows, design rows,
+    permutation prefixes, atoms, or (mask, assignment) pairs.  A table at
+    the limit is built; one over it is refused with a
+    ``BudgetExceededError`` whose ``count`` is the keys it needed, before any
+    model call or table draw."""
 
-    # name: (keys of the largest table, the call on a 5-feature game, its
-    # error, and what the refusal must come before)
+    # name: (keys of the largest table, the call on a 5-feature game, and
+    # what the refusal must come before)
     CASES = {
-        "exact": (1 << 5, exact_shapley, ConfigurationError, ()),
-        "kernelshap-exhaustive": (
-            (1 << 5) - 2, lambda game: regression.kernelshap(game, 0, exhaustive=True), ConfigurationError, ()
-        ),
-        # feature 2's neighbourhood is the whole chain: 2^4 subsets hold it
-        "l-shapley": (1 << 4, lambda game: l_shapley_all(game, chain_graph(5), 2), BudgetExceededError, ()),
+        "exact": (1 << 5, exact_shapley, ()),
+        "kernelshap-exhaustive": ((1 << 5) - 2, lambda game: regression.kernelshap(game, 0, exhaustive=True), ()),
+        # 5 design rows of each size 1 to 4, by kernel mass
+        "kernelshap-sampled": (20, lambda game: regression.kernelshap(game, 20), ((np.random, "default_rng"),)),
+        # feature 2's neighbourhood is the whole chain: 2^4 terms hold it
+        "l-shapley": (1 << 4, lambda game: l_shapley_terms(chain_graph(5), 2, 2), ()),
         # and 3 x 3 intervals of it hold feature 2
-        "c-shapley": (9, lambda game: c_shapley_all(game, chain_graph(5), 2), BudgetExceededError, ()),
-        "myerson": (1 << 5, lambda game: myerson_value(game, chain_graph(5)), ConfigurationError, ()),
-        "random-joint": (1 << 5, _random_joint5, ConfigurationError, ((np.random, "default_rng"),)),
+        "c-shapley": (9, lambda game: c_shapley_terms(chain_graph(5), 2, 2), ()),
+        # S and S minus i of 4 + 8 + 16 + 8 + 4 terms
+        "l-plan": (80, lambda game: l_shapley_all(game, chain_graph(5), 2), ()),
+        # of 3 + 6 + 9 + 6 + 3 terms
+        "c-plan": (54, lambda game: c_shapley_all(game, chain_graph(5), 2), ()),
+        # the one-feature plans of feature 2
+        "l-plan-one-feature": (2 << 4, lambda game: l_shapley(game, chain_graph(5), 2, 2), ()),
+        "c-plan-one-feature": (2 * 9, lambda game: c_shapley(game, chain_graph(5), 2, 2), ()),
+        # intervals of length 1 to 4
+        "regression-c": (5 + 4 + 3 + 2, lambda game: regression.regression_c_shapley(game, chain_graph(5), 4), ()),
+        # 3 permutations of 6 prefixes each
+        "permutations": (3 * 6, lambda game: sample_shapley(game, 3, 0), ((np.random, "default_rng"),)),
+        "myerson": (1 << 5, lambda game: myerson_value(game, chain_graph(5)), ()),
+        "random-joint": (1 << 5, _random_joint5, ((np.random, "default_rng"),)),
         "markov-joint": (
             1 << 5,
             lambda game: models.markov_label_model(0, 5, 0.5),
-            ConfigurationError,
             ((np.random, "default_rng"), (models.MarkovLabelModel, "dense_joint")),
         ),
         "epsilon-l": (
             3**5,
             lambda game: theory.epsilon_for_lshapley(_random_joint5(game), chain_graph(5), 2, 0b00100),
-            BudgetExceededError,
             ((theory, "_MarginalTable"),),
         ),
         "epsilon-c": (
             3**5,
             lambda game: theory.epsilon_for_cshapley(_random_joint5(game), chain_graph(5), 2, 0b01110),
-            BudgetExceededError,
             ((theory, "_MarginalTable"),),
         ),
         "theorem1": (
             4**5,
             lambda game: theory.verify_theorem1(_random_joint5(game), chain_graph(5), 2, 1),
-            BudgetExceededError,
             ((theory, "_MarginalTable"), (theory, "value_matrix")),
         ),
         "theorem2": (
             4**5,
             lambda game: theory.verify_theorem2(_random_joint5(game), chain_graph(5), 2, 1),
-            BudgetExceededError,
             ((theory, "_MarginalTable"), (theory, "value_matrix")),
         ),
+        "value-matrix": (4**5, lambda game: theory.value_matrix(_uniform_joint(5)), ((theory, "_MarginalTable"),)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_every_table_is_capped_by_the_one_limit(self, case, monkeypatch):
-        keys, call, error, built_after = self.CASES[case]
+        keys, call, built_after = self.CASES[case]
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", keys)
         call(CountingGame(5))  # at the limit, built
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", keys - 1)
         for owner, name in built_after:
             monkeypatch.setattr(owner, name, _built)
         game = CountingGame(5)
-        with pytest.raises(error, match=f"\\b{keys - 1}\\b"):
+        with pytest.raises(BudgetExceededError, match=f": {keys}, over the limit of {keys - 1}$") as err:
             call(game)
+        assert err.value.count == keys
         assert game.calls == 0
 
     @pytest.mark.parametrize(
-        "call,largest,error",
+        "call,largest",
         [
-            (lambda d: myerson_value(CountingGame(d), chain_graph(d)), 20, ConfigurationError),
-            (lambda d: theory.random_joint(d, 2, 0), 20, ConfigurationError),
-            (lambda d: models.markov_label_model(0, d, 0.5), 20, ConfigurationError),
-            (lambda d: theory.epsilon_for_lshapley(_uniform_joint(d), chain_graph(d), 0, 1), 12, BudgetExceededError),
-            (lambda d: theory.verify_theorem1(_uniform_joint(d), chain_graph(d), 0, 1), 10, BudgetExceededError),
+            (lambda d: myerson_value(CountingGame(d), chain_graph(d)), 20),
+            (lambda d: theory.random_joint(d, 2, 0), 20),
+            (lambda d: models.markov_label_model(0, d, 0.5), 20),
+            (lambda d: theory.epsilon_for_lshapley(_uniform_joint(d), chain_graph(d), 0, 1), 12),
+            (lambda d: theory.verify_theorem1(_uniform_joint(d), chain_graph(d), 0, 1), 10),
+            (lambda d: theory.value_matrix(_uniform_joint(d)), 10),
         ],
-        ids=["myerson", "random-joint", "markov-joint", "epsilon", "theorem"],
+        ids=["myerson", "random-joint", "markov-joint", "epsilon", "theorem", "value-matrix"],
     )
-    def test_the_default_limit_admits_the_largest_d_and_refuses_one_more(self, call, largest, error, monkeypatch):
+    def test_the_default_limit_admits_the_largest_d_and_refuses_one_more(self, call, largest, monkeypatch):
         assert graphs.ENUMERATION_LIMIT == 1 << 20
         call(largest)
         monkeypatch.setattr(theory, "_MarginalTable", _built)
-        with pytest.raises(error, match=f"on {largest + 1} features"):
+        with pytest.raises(BudgetExceededError, match=f"on {largest + 1} features"):
             call(largest + 1)
+
+    @pytest.mark.parametrize(
+        "call,keys",
+        [
+            # 25575 permutations of 41 prefixes fit in 2^20, 25576 do not
+            (lambda: attribution.sample_shapley_plan(40, 25576, 0), 25576 * 41),
+            (lambda: regression.kernelshap_plan(40, (1 << 20) + 1), (1 << 20) + 1),
+        ],
+        ids=["permutations", "kernelshap-sampled"],
+    )
+    def test_the_default_limit_refuses_a_sampled_plan_before_any_draw(self, call, keys, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _built)
+        with pytest.raises(BudgetExceededError, match="on 40 features") as err:
+            call()
+        assert err.value.count == keys
 
     def test_dense_plans_refuse_d21_before_listing(self, monkeypatch):
         def listed(*args, **kwargs):
@@ -738,9 +769,9 @@ class TestEnumerationLimit:
 
         monkeypatch.setattr(attribution.Plan, "of_masks", listed)
         monkeypatch.setattr(regression, "_fit_plan", listed)
-        with pytest.raises(ConfigurationError, match="needs 2\\^21 evaluations"):
+        with pytest.raises(BudgetExceededError, match="exact Shapley on 21 features: 2097152,"):
             attribution.exact_shapley_plan(21)
-        with pytest.raises(ConfigurationError, match="needs 2\\^21 evaluations"):
+        with pytest.raises(BudgetExceededError, match="exhaustive KernelSHAP on 21 features: 2097150,"):
             regression.kernelshap_plan(21, 0, exhaustive=True)
 
 
@@ -774,9 +805,9 @@ class TestPlanCache:
         g = chain_graph(5)
         attribution.myerson_plan(g)
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", (1 << 5) - 1)
-        with pytest.raises(ConfigurationError, match="on 5 features"):
+        with pytest.raises(BudgetExceededError, match="on 5 features"):
             attribution.exact_shapley_plan(5)
-        with pytest.raises(ConfigurationError, match="on 5 features"):
+        with pytest.raises(BudgetExceededError, match="on 5 features"):
             attribution.myerson_plan(g)
 
     @pytest.mark.parametrize("method", ["exact", "myerson"])

@@ -407,6 +407,9 @@ class TestBadInputExitsTwo:
         "k-negative-bench": ["bench", "--method", "c-shapley", "--d", "8", "--k", "-1"],
         "k-negative-theorem": ["theorem-check", "--trials", "1", "--k", "-1"],
         "theorem-d20": ["theorem-check", "--trials", "1", "--d", "20"],
+        "theorem-d11": ["theorem-check", "--trials", "1", "--d", "11"],
+        "sample-too-many-bench": ["bench", "--method", "sample", "--d", "40", "--k", "30000"],
+        "methods-empty": ["evaluate", "--dataset", "{one}", "--methods", ",", "--budget", "48"],
         "theorem-no-classes": ["theorem-check", "--trials", "1", "--classes", "0"],
         "theorem-negative-classes": ["theorem-check", "--trials", "1", "--classes", "-1"],
         "theorem-no-trials": ["theorem-check", "--trials", "0"],
@@ -421,10 +424,22 @@ class TestBadInputExitsTwo:
         "tcp-no-port": ["explain", "--model", "external:tcp localhost", "--method", "exact", "--input", "{inst}"],
     }
 
+    # what a case must refuse before calling
+    REFUSED_BEFORE = {
+        "theorem-d20": ("random_joint",),
+        "theorem-d11": ("random_joint",),
+        "methods-empty": ("load_dataset", "resolve_model"),
+    }
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_error_message_not_traceback(self, files, case, capsys):
+    def test_error_message_not_traceback(self, files, case, capsys, monkeypatch):
         from shapgraph import cli
 
+        def called(*args, **kwargs):
+            raise AssertionError(f"{case} was not refused first")
+
+        for name in self.REFUSED_BEFORE.get(case, ()):
+            monkeypatch.setattr(cli, name, called)
         argv = [arg.format(**files) for arg in self.CASES[case]]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -254,15 +254,29 @@ class TestConnectedSubsets:
 
     def test_budget_error_names_count(self, monkeypatch):
         monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 10)
-        with pytest.raises(BudgetExceededError) as err:
+        with pytest.raises(BudgetExceededError, match="node 5 on 16 features") as err:
             connected_subsets_containing(grid_graph(4, 4), 5, 3)
-        assert err.value.count == 10
-        assert "10" in str(err.value)
+        # the listing stops at the first subset over the limit
+        assert err.value.count == 11
+        assert "over the limit of 10" in str(err.value)
 
     def test_every_result_is_one_component(self):
         g = grid_graph(3, 3)
         for m in connected_subsets_containing(g, 4, 2):
             assert connected_components(g, m) == [m]
+
+
+class TestCheckSize:
+    @pytest.mark.parametrize("over", [-1, 0, 1])
+    def test_refuses_only_past_the_limit_read_at_call_time(self, over, monkeypatch):
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 100)
+        if over <= 0:
+            graphs.check_size(100 + over, "rows of a table on 7 features")
+            return
+        with pytest.raises(BudgetExceededError) as err:
+            graphs.check_size(101, "rows of a table on 7 features")
+        assert str(err.value) == "rows of a table on 7 features: 101, over the limit of 100"
+        assert err.value.count == 101
 
 
 class TestConnectedComponents:

@@ -268,8 +268,8 @@ class TestPlannedCost:
             ("l-shapley:2", BudgetExceededError),
             ("c-shapley:3", BudgetExceededError),
             ("c-shapley-reg:6", BudgetExceededError),
-            ("exact", ConfigurationError),
-            ("myerson", ConfigurationError),
+            ("exact", BudgetExceededError),
+            ("myerson", BudgetExceededError),
         ],
     )
     def test_refused_methods_make_no_model_call(self, method, error):
@@ -346,3 +346,12 @@ class TestMethodSpecErrors:
             compare_methods(NoCalls(2), instances, ["l-shapley:1", "l-shapley:2"], budget=400)
         with pytest.raises(ConfigurationError, match="once"):
             compare_methods(NoCalls(2), instances, ["random", MethodSpec("random")], budget=400)
+
+    def test_an_empty_method_list_is_refused_before_any_model_call(self):
+        class NoCalls(UniformModel):
+            def evaluate_batch(self, values):
+                raise AssertionError("the model was called")
+
+        instances = [Instance(np.arange(12.0), np.zeros(12))]
+        with pytest.raises(ConfigurationError, match="no methods"):
+            compare_methods(NoCalls(2), instances, [], budget=400)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shapgraph import (
+    BudgetExceededError,
     ConfigurationError,
     UnsupportedTopologyError,
     chain_graph,
@@ -17,7 +18,7 @@ from shapgraph import (
     subset_of,
     synthetic_game,
 )
-from shapgraph import regression
+from shapgraph import graphs, regression
 from shapgraph.graphs import pack_masks, unpack_rows
 from shapgraph.regression import connected_design_rows, kernelshap_plan, solve_weighted
 from shapgraph.cli import build_demo_nb
@@ -141,8 +142,9 @@ class TestKernelShap:
 
     def test_exhaustive_design_is_refused_past_the_exact_limit(self):
         # as exact Shapley is: the design is 2^d - 2 subsets, refused before they are listed
-        with pytest.raises(ConfigurationError, match=r"exhaustive kernelshap on 21 features needs 2\^21 evaluations"):
+        with pytest.raises(BudgetExceededError, match="design rows of exhaustive KernelSHAP on 21 features") as err:
             kernelshap_plan(21, 0, exhaustive=True)
+        assert err.value.count == (1 << 21) - 2
 
     def test_large_sample_count_saturates_design(self):
         game = synthetic_game(4, seed=7)
@@ -158,6 +160,14 @@ class TestRegressionCShapley:
     def test_grid_row_count_example(self):
         rows = connected_design_rows(grid_graph(4, 4), 2)
         assert len(rows) == 16 + 9
+
+    def test_grid_rows_are_refused_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 16 + 9)
+        assert len(connected_design_rows(grid_graph(4, 4), 2)) == 16 + 9
+        monkeypatch.setattr(graphs, "ENUMERATION_LIMIT", 16 + 8)
+        with pytest.raises(BudgetExceededError, match="regression C-Shapley at k=2 on 16 features: 25,") as err:
+            connected_design_rows(grid_graph(4, 4), 2)
+        assert err.value.count == 16 + 9
 
     def test_rows_never_include_full_set(self):
         rows = connected_design_rows(chain_graph(4), 10)

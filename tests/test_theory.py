@@ -66,7 +66,7 @@ class TestDiscreteJoint:
             table[0, 1] = 0.5
             DiscreteJoint(2, 2, table)
         # refused before the table is read, so its shape is never checked
-        with pytest.raises(ValueError, match="over the limit"):
+        with pytest.raises(BudgetExceededError, match="atoms of a dense joint on 21 features: 2097152, over the limit"):
             DiscreteJoint(21, 2, np.zeros((1, 2)))
         for classes in (0, -1):
             with pytest.raises(ConfigurationError, match=f"at least one class, got {classes}$"):
@@ -354,22 +354,6 @@ class TestTheorems:
             assert verify_theorem2(joint, g, 2, 1).holds
 
 
-class TestValueMatrixPredictedMode:
-    def test_columns_match_value_function(self):
-        joint = random_joint(4, 3, 99)
-        V = value_matrix(joint, mode="predicted_class_logprob")
-        for atom in (0, 7, 11):
-            values = np.array([(atom >> j) & 1 for j in range(4)])
-            vf = JointValueFunction(joint, values, mode="predicted_class_logprob")
-            for mask in range(16):
-                assert V[mask, atom] == pytest.approx(vf(mask), abs=1e-12)
-
-    def test_unknown_mode_is_refused(self):
-        # a near miss of "predicted_class_logprob" is not read as the other mode
-        with pytest.raises(ConfigurationError, match="'predicted-class'"):
-            value_matrix(random_joint(3, 2, 0), mode="predicted-class")
-
-
 # ---------------------------------------------------------------------------
 # Bitwise references: the per-mask code the ternary marginal table replaced.
 # Every figure must equal (==) what these loops compute, not just approximate
@@ -450,7 +434,7 @@ def per_probe_epsilon_c(joint, g, i, s):
     return per_probe_epsilon(joint, i, scans)
 
 
-def per_mask_value_matrix(joint, mode):
+def per_mask_value_matrix(joint):
     d = joint.d
     m = PerMaskMarginals(joint)
     p_full = m.atoms((1 << d) - 1, True)
@@ -462,11 +446,7 @@ def per_mask_value_matrix(joint, mode):
         mass = joint_rows.sum(axis=1, keepdims=True)
         cond = joint_rows / np.where(mass > 0, mass, 1.0)
         logp = np.log(np.maximum(cond, 1e-300))
-        if mode == "predicted_class_logprob":
-            pred = np.argmax(base, axis=1)
-            V[mask] = np.take_along_axis(logp, pred[:, None], axis=1)[:, 0]
-        else:
-            V[mask] = np.sum(np.where(base > 0, base * logp, 0.0), axis=1)
+        V[mask] = np.sum(np.where(base > 0, base * logp, 0.0), axis=1)
     return V
 
 
@@ -533,12 +513,12 @@ class TestBitwiseReferences:
         for i in range(5):
             assert epsilon_for_lshapley(joint, g, i, 1 << i) == per_probe_epsilon_l(joint, g, i, 1 << i)
 
-    @pytest.mark.parametrize("mode", ["expected_logprob", "predicted_class_logprob"])
+    @pytest.mark.parametrize("mode", ["expected_logprob"])  # the one mode value_matrix computes
     @pytest.mark.parametrize("C", [1, 2, 3, 9])
     @pytest.mark.parametrize("d", [1, 3, 6, 8])
     def test_value_matrix_equals_per_mask_loop(self, d, C, mode):
         for joint in (random_joint(d, C, 80 + d), sparse_joint(d, C, 80 + d)):
-            assert (value_matrix(joint, mode) == per_mask_value_matrix(joint, mode)).all()
+            assert (value_matrix(joint) == per_mask_value_matrix(joint)).all()
 
     @pytest.mark.parametrize("C", [1, 2, 3, 9, 17])
     def test_evaluate_batch_equals_per_row_loop(self, C):
@@ -557,7 +537,7 @@ class TestBitwiseReferences:
         i = 3
         for seed in range(3):
             joint = random_joint(7, 2, 95 + seed)
-            V = per_mask_value_matrix(joint, "expected_logprob")
+            V = per_mask_value_matrix(joint)
             exact = _kernels.shapley_scatter(V, 7, exact_shapley_weights(7))[i]
             for theorem, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
                 verify = verify_theorem1 if theorem == 1 else verify_theorem2

@@ -107,13 +107,15 @@ class Plan:
         """The plan that reduces the values of ``masks``, subsets of d
         features, in their order and repeats included."""
         subsets, _, inverse = SubsetTable.distinct(pack_masks(masks, d), d)
+        inverse = inverse.astype(np.int32)  # rows of a table of at most ENUMERATION_LIMIT
         return cls(method, subsets, lambda values: reduce(values[inverse]), **meta)
 
     def run(self, game: SetFunction) -> AttributionResult:
         """Value the subsets in one ``value_table`` call and reduce them.
 
-        ``model_evaluations`` is every subset the call valued, those that
-        ``prepare`` valued included; per step, those fall to the first.
+        ``model_evaluations`` is every subset the call valued, the full set
+        that a fresh value function values with them included; per step, that
+        one falls to the first.
         """
         before = game.eval_count
         values, new = game.value_table(self.subsets)

@@ -226,7 +226,9 @@ def graph_distance(g: FeatureGraph, i: int, j: int) -> int:
 
 
 def diameter(g: FeatureGraph) -> int:
-    return max(graph_distance(g, i, j) for i in range(g.d) for j in range(i, g.d))
+    """The longest shortest path: the most steps a breadth-first search from
+    one node takes to reach every node, over all nodes."""
+    return max(sum(1 for _ in reach(g, 1 << i)) - 1 for i in range(g.d))
 
 
 def k_neighborhood(g: FeatureGraph, i: int, k: int) -> int:

@@ -103,8 +103,8 @@ def random_plan(d: int, seed: int) -> Plan:
 
 def planned_evaluations(plan: Plan) -> int:
     """The evaluations ``plan.run`` makes on a fresh :class:`ValueFunction`:
-    its subsets, plus the full set, which ``prepare`` values first, when
-    there are any and it is not among them."""
+    its subsets, plus the full set, which it values with them, when there
+    are any and it is not among them."""
     subsets = plan.subsets
     full = pack_masks([(1 << subsets.d) - 1], subsets.d)
     return len(subsets) + int(len(subsets) > 0 and not subsets.find(full)[1][0])

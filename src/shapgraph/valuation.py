@@ -148,11 +148,10 @@ def _byte_keys(rows: np.ndarray) -> np.ndarray:
 class SetFunction:
     """Memoized real-valued function of feature subsets.
 
-    Subclasses implement ``_evaluate_many``, which values distinct subsets
-    not valued before, and may implement ``_evaluate_packed`` (the same for
-    packed member rows) and ``_prepare``.  Callers use ``__call__`` or the
-    batched ``scores`` for masks, and ``value_table`` for a
-    :class:`SubsetTable`.  ``eval_count`` is the number of distinct subsets
+    Subclasses implement ``_evaluate_packed``, which values distinct subsets
+    not valued before, given as packed member rows in table order.  Callers
+    use ``__call__`` or the batched ``scores`` for masks, and ``value_table``
+    for a :class:`SubsetTable`.  ``eval_count`` is the number of distinct subsets
     ever evaluated, which repeated queries never increase.
 
     Each value is kept once: in the store, one table and its values, or in
@@ -171,26 +170,13 @@ class SetFunction:
         self._count = 0  # subsets in the store and the runs
         self._lock = threading.Lock()
 
-    def _evaluate_many(self, masks: list[int]) -> list[float]:
-        raise NotImplementedError
-
     def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
-        """Values of the distinct subsets of packed member ``rows``."""
-        return np.asarray(self._evaluate_many(row_masks(rows)), dtype=np.float64)
+        """Values of the distinct subsets of packed member ``rows``, under the lock."""
+        raise NotImplementedError
 
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def prepare(self) -> None:
-        """Value whatever every other subset's value depends on; the first
-        ``scores`` or ``value_table`` call that values anything does this
-        too.  Plain set functions depend on nothing."""
-        with self._lock:
-            self._prepare()
-
-    def _prepare(self) -> None:
-        """``prepare`` under the lock."""
 
     def _keep(self, run: SubsetTable, values: np.ndarray) -> None:
         """Keep the values of the newly valued subsets of ``run``, under the
@@ -228,13 +214,10 @@ class SetFunction:
     def value_table(self, table: SubsetTable) -> tuple[np.ndarray, np.ndarray]:
         """Values of the table's subsets, in its row order, and a boolean mask
         of those this call valued: the subsets not kept yet, valued in one
-        call, in table order, and kept as one run.  ``prepare`` runs first,
-        so what it values counts as valued before."""
+        call, in table order, and kept as one run."""
         if table.d != self.d:
             raise ConfigurationError(f"a table of subsets of {table.d} features, valued by a set function of {self.d}")
         with self._lock:
-            if len(table):
-                self._prepare()
             values = np.empty(len(table))
             if self._count < len(table):
                 new = np.ones(len(table), dtype=bool)
@@ -267,7 +250,8 @@ class ValueFunction(SetFunction):
     or ``"plugin"`` (mask with the instance's reference vector, which is the
     same average over a sample of one row: the reference).
     Probabilities are floored at 1e-12 before logs so fully masked inputs
-    cannot produce infinities.
+    cannot produce infinities.  The full instance, which every score needs,
+    is valued in the model call of the first subsets valued.
     """
 
     def __init__(
@@ -311,7 +295,7 @@ class ValueFunction(SetFunction):
     def base_probs(self) -> np.ndarray:
         """Model class probabilities at the unmasked instance."""
         if self._base_probs is None:
-            self.prepare()
+            self.scores([(1 << self.d) - 1])
         return self._base_probs
 
     def _conditional_probs(self, rows: np.ndarray) -> np.ndarray:
@@ -358,17 +342,23 @@ class ValueFunction(SetFunction):
             subsets = ", ".join(str(tuple(np.flatnonzero(keep).tolist())) for keep in unpack_rows(rows[:4], self.d))
             raise EvaluationError(f"model evaluation failed while scoring subsets [{subsets}...]: {exc}") from exc
 
-    def _prepare(self) -> None:
-        # Every score needs the model's distribution at the full instance (argmax
-        # class or expectation weights), so it is valued first and kept as usual.
-        if self._base_probs is None:
-            rows = pack_masks([(1 << self.d) - 1], self.d)
-            probs = self._conditional_probs(rows)
-            self._base_probs = probs[0] / probs[0].sum()
-            self._keep(SubsetTable(rows, self.d), self._score_from_probs(probs))
-
     def _evaluate_packed(self, rows: np.ndarray) -> np.ndarray:
-        return self._score_from_probs(self._conditional_probs(rows))
+        if self._base_probs is not None:
+            return self._score_from_probs(self._conditional_probs(rows))
+        # Every score needs the model's distribution at the full instance
+        # (argmax class or expectation weights).  Nothing is valued yet, so
+        # ``rows`` is a whole table, whose last row is the full set's if it
+        # holds it: that row sorts after every other.  Else the full set is
+        # valued in the same model call, after the table, and kept as its own run.
+        full = pack_masks([(1 << self.d) - 1], self.d)
+        listed = len(rows) > 0 and (rows[-1] == full[0]).all()
+        probs = self._conditional_probs(rows if listed else np.concatenate([rows, full]))
+        self._base_probs = probs[-1] / probs[-1].sum()
+        values = self._score_from_probs(probs)
+        if listed:
+            return values
+        self._keep(SubsetTable(full, self.d), values[-1:].copy())
+        return values[:-1]
 
     def _score_from_probs(self, probs: np.ndarray) -> np.ndarray:
         """Scores of an (n, num_classes) array of class probabilities, one per row."""
@@ -477,8 +467,8 @@ class TableGame(SetFunction):
             )
         self.table = table
 
-    def _evaluate_many(self, masks):
-        return [self.table[m] for m in masks]
+    def _evaluate_packed(self, rows):
+        return self.table[row_masks(rows)]
 
 
 class FunctionGame(SetFunction):
@@ -488,8 +478,8 @@ class FunctionGame(SetFunction):
         super().__init__(d)
         self._fn = fn
 
-    def _evaluate_many(self, masks):
-        return [self._fn(m) for m in masks]
+    def _evaluate_packed(self, rows):
+        return np.asarray([self._fn(m) for m in row_masks(rows)], dtype=np.float64)
 
 
 def synthetic_game(

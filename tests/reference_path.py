@@ -17,7 +17,7 @@ import numpy as np
 
 from shapgraph.attribution import c_shapley_terms, l_shapley_terms
 from shapgraph.errors import ConfigurationError, ZeroMassError
-from shapgraph.graphs import members_of, reach
+from shapgraph.graphs import members_of, reach, row_masks
 from shapgraph.theory import _TINY, ExactConditionalModel, _marginal
 from shapgraph.valuation import DEFAULT_BATCH_SIZE, LOG_PROB_FLOOR, SetFunction, synthetic_game
 
@@ -245,12 +245,12 @@ class GraphRestrictedGame(SetFunction):
         self.graph = graph
         self.normalize_empty = normalize_empty
 
-    def _evaluate_many(self, masks):
-        comps_per_mask = [connected_components(self.graph, m) for m in masks]
+    def _evaluate_packed(self, rows):
+        comps_per_mask = [connected_components(self.graph, m) for m in row_masks(rows)]
         all_comps = sorted({c for comps in comps_per_mask for c in comps})
         vals = dict(zip(all_comps, self.inner.scores(all_comps))) if all_comps else {}
         baseline = self.inner(0) if self.normalize_empty else 0.0
-        return [float(sum(vals[c] - baseline for c in comps)) for comps in comps_per_mask]
+        return np.array([float(sum(vals[c] - baseline for c in comps)) for comps in comps_per_mask])
 
 
 def decomposable_chain_game(d, graph, seed):
@@ -274,13 +274,13 @@ class JointValueFunction(SetFunction):
         self._base = base
         self._pred = int(np.argmax(base))
 
-    def _evaluate_many(self, masks):
+    def _evaluate_packed(self, rows):
         out = []
-        for m in masks:
+        for m in row_masks(rows):
             cond = conditional(self.model, self._values, m)
             logp = np.log(np.maximum(cond, _TINY))
             if self.mode == "predicted_class_logprob":
                 out.append(float(logp[self._pred]))
             else:
                 out.append(float(np.sum(np.where(self._base > 0, self._base * logp, 0.0))))
-        return out
+        return np.array(out)

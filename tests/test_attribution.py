@@ -198,9 +198,9 @@ class CountingGame(FunctionGame):
         super().__init__(d, lambda m: (m * 2654435761 % 1000003) / 1000003.0)
         self.calls = 0
 
-    def _evaluate_many(self, masks):
+    def _evaluate_packed(self, rows):
         self.calls += 1
-        return super()._evaluate_many(masks)
+        return super()._evaluate_packed(rows)
 
 
 def _per_feature_alone(estimator, make_game, g, k):
@@ -228,9 +228,10 @@ class TestBatchedPlan:
     @pytest.mark.parametrize("all_fn,one_fn", [(l_shapley_all, l_shapley), (c_shapley_all, c_shapley)])
     @pytest.mark.parametrize("d,k", [(7, 3), (40, 2), (9, 0)])
     def test_per_feature_evaluations_match_one_feature_at_a_time(self, all_fn, one_fn, d, k):
-        # a value function also values its unmasked instance on first use;
-        # at d=7, k=3 some neighborhoods cover every feature, so the full set
-        # is requested again by a later feature of the same batch
+        # a value function also values its unmasked instance with the first
+        # subsets it values, so one feature at a time counts the full set at
+        # feature 0; at d=7, k=3 some neighborhoods cover every feature, so
+        # the plan lists the full set and counts it at the first of those
         nb = build_demo_nb()
         doc = two_topic_corpus(5, 1, doc_len=d)[0][0]
 
@@ -240,7 +241,13 @@ class TestBatchedPlan:
         g = chain_graph(d)
         game = make_game()
         res = all_fn(game, g, k)
-        assert res.per_feature_evaluations == _per_feature_alone(one_fn, make_game, g, k)
+        expected = _per_feature_alone(one_fn, make_game, g, k)
+        covering = [i for i in range(d) if k_neighborhood(g, i, k) == (1 << d) - 1]
+        if covering:
+            expected[0] -= 1
+            expected[covering[0]] += 1
+        assert covering == ([3] if (d, k) == (7, 3) else [])
+        assert res.per_feature_evaluations == expected
         assert sum(res.per_feature_evaluations) == res.model_evaluations == game.eval_count
         for i in range(d):
             assert res.scores[i] == one_fn(make_game(), g, i, k)
@@ -789,6 +796,20 @@ class TestPlanCache:
         assert attribution.exact_shapley_plan(6) is plan
         attribution.exact_shapley_plan(5)
         assert attribution.exact_shapley_plan(6) is not plan
+
+    def test_kept_exact_plan_holds_int32_indices(self):
+        import tracemalloc
+
+        attribution._exact_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            attribution.exact_shapley_plan(16)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 2^16 packed rows of 2 bytes and 2^16 int32 indices, about 0.40 MB;
+        # int64 indices made it 0.66 MB
+        assert kept < 500_000, kept
 
     def test_myerson_plan_is_kept_on_the_graph(self):
         g = grid_graph(2, 3)

@@ -65,8 +65,9 @@ def test_buffered_rows_equal_np_where_rows_block_by_block():
     # The reference values each flush of pending features in blocks of its
     # own, in the order the features need the subsets; the plan table values
     # all new subsets in blocks that run on over the whole plan, in the byte
-    # order of their packed rows.  Both value the full set first, and the
-    # rows are the same, one per subset.
+    # order of their packed rows, then the full set, which no plan here
+    # lists and the reference values first, on its own.  The rows are the
+    # same, one per subset.
     for _, g, method, k, weighting in CASES:
         x = _instance(g.d, seed=18)
         current = ref.RecordingModel(NB)
@@ -74,14 +75,14 @@ def test_buffered_rows_equal_np_where_rows_block_by_block():
         earlier = ref.RecordingModel(ref.GatherModel(NB))
         masks = list(_reference(earlier, x, g, method, k, weighting)[1].cache)  # in the order valued
         width = (g.d + 7) // 8
-        order = [0] + sorted(range(1, len(masks)), key=lambda r: masks[r].to_bytes(width, "little"))
+        order = sorted(range(1, len(masks)), key=lambda r: masks[r].to_bytes(width, "little")) + [0]
         got, expected = np.concatenate(current.blocks), np.concatenate(earlier.blocks)[order]
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
-        # the only one-row block is the unmasked instance, valued first
-        assert [len(block) for block in current.blocks].count(1) == 1
-        np.testing.assert_array_equal(current.blocks[0], x.values[None, :])
-        assert len(current.blocks) == 1 + -(-(len(got) - 1) // DEFAULT_BATCH_SIZE) < len(earlier.blocks)
+        # the unmasked instance is the last row of the last block, and every block but that is full
+        np.testing.assert_array_equal(current.blocks[-1][-1], x.values)
+        assert [len(block) for block in current.blocks[:-1]] == [DEFAULT_BATCH_SIZE] * (len(current.blocks) - 1)
+        assert len(current.blocks) == -(-len(got) // DEFAULT_BATCH_SIZE) < len(earlier.blocks)
 
 
 @pytest.mark.parametrize("g,l_k,c_k", [(chain_graph(60), 2, 3), (grid_graph(6, 7), 1, 2)], ids=["chain60", "grid6x7"])

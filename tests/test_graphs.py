@@ -147,6 +147,18 @@ class TestDistance:
             for j in range(8):
                 assert graph_distance(g, start, j) == dist[j]
 
+    def test_diameter_is_the_largest_bfs_distance(self):
+        rng = np.random.default_rng(2)
+        cases = [chain_graph(d) for d in (1, 2, 7, 40)] + [grid_graph(r, c) for r, c in ((1, 1), (3, 3), (4, 7))]
+        for _ in range(20):
+            d = int(rng.integers(2, 30))
+            tree = [(int(rng.integers(0, j)), j) for j in range(1, d)]  # every node joins an earlier one
+            pairs = {tuple(sorted(map(int, rng.choice(d, 2, replace=False)))) for _ in range(int(rng.integers(0, d)))}
+            cases.append(general_graph(d, sorted(set(tree) | pairs)))
+        for g in cases:
+            assert diameter(g) == max(max(bfs_distances(g.d, g.edges, i).values()) for i in range(g.d))
+        assert diameter(chain_graph(400)) == 399
+
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
             graph_distance(chain_graph(3), 0, 3)

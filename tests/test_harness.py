@@ -281,20 +281,20 @@ class TestPlannedCost:
 
 
 class TestCurveModelCalls:
-    """Per instance a curve calls the model to value the plan's subsets (the
-    full set first, then the rest) and once on the masked rows, whose first
-    row is the unmasked prediction.  ``correct_only`` adds one unmasked call
-    per instance, made before the plan runs."""
+    """Per instance a curve calls the model once to value the plan's subsets
+    (the full set with them, in the same call) and once on the masked rows,
+    whose first row is the unmasked prediction.  ``correct_only`` adds one
+    unmasked call per instance, made before the plan runs."""
 
     @pytest.mark.parametrize("correct_only", [False, True])
-    def test_three_calls_per_instance_and_method(self, correct_only):
+    def test_two_calls_per_instance_and_method(self, correct_only):
         nb, instances, labels = nb_and_instances(n=6)
         for method in ["l-shapley:1", "c-shapley-reg:4", "kernelshap", "sample", "random"]:
             model = CountingModel(nb)
             (curve,), _ = compare_methods(
                 model, instances, [method], budget=48, labels=labels, correct_only=correct_only, fractions=[0, 0.25, 0.5]
             )
-            per_used = 1 if method == "random" else 3
+            per_used = 1 if method == "random" else 2
             assert model.calls == curve.num_instances * per_used + (len(instances) if correct_only else 0), method
 
     def test_second_call_at_the_same_d_builds_no_plan(self, monkeypatch):

@@ -18,11 +18,13 @@ from shapgraph import (
     chain_graph,
     epsilon_for_lshapley,
     k_neighborhood,
+    l_shapley_all,
 )
 from shapgraph._kernels import chunk_rows
 from shapgraph.graphs import pack_masks
 from shapgraph.models import (
     PADDING_TOKEN,
+    WIRE_BATCH_LIMIT,
     ExternalModel,
     ExternalModelEndpoint,
     NaiveBayesModel,
@@ -433,6 +435,10 @@ time.sleep(30)
 """
 
 
+# a model server whose hello lists only eval, so every request carries rows
+_EVAL_ONLY_HOST = "import sys, shapgraph.model_server as server; server.OPS[:] = ['eval']; sys.exit(server.main())"
+
+
 class TestExternalModel:
     def test_uniform_echo_scores_log_c(self, tmp_path):
         path = tmp_path / "uniform.json"
@@ -446,6 +452,30 @@ class TestExternalModel:
                 assert vf(s) == pytest.approx(-np.log(4), abs=1e-9)
         finally:
             ext.close()
+
+    @pytest.mark.parametrize("serve", ["-m shapgraph.model_server", f'-c "{_EVAL_ONLY_HOST}"'], ids=["masked", "eval"])
+    def test_explanation_sends_no_request_for_the_full_instance_alone(self, tmp_path, monkeypatch, serve):
+        # the full instance travels in the last request, with the plan's last subsets
+        nb, path = _nb_fixture(tmp_path)
+        sent = []
+        open_channel = ExternalModel._open_channel
+
+        def recording(self):
+            channel = open_channel(self)
+            send = channel.send
+            channel.send = lambda line: sent.append(json.loads(line)) or send(line)
+            return channel
+
+        monkeypatch.setattr(ExternalModel, "_open_channel", recording)
+        ext = external_model(ExternalModelEndpoint("subprocess", f"{sys.executable} {serve} --model-file {path}"))
+        try:
+            doc = two_topic_corpus(9, 1, doc_len=30, vocab_size=30)[0][0]
+            result = l_shapley_all(ValueFunction(ext, Instance(doc, np.zeros(30, dtype=int))), chain_graph(30), 2)
+        finally:
+            ext.close()
+        sizes = [len(r.get("masks", r.get("instances", []))) for r in sent if r["op"].startswith("eval")]
+        assert len(sizes) == -(-result.model_evaluations // WIRE_BATCH_LIMIT) > 1
+        assert sizes[:-1] == [WIRE_BATCH_LIMIT] * (len(sizes) - 1) and sum(sizes) == result.model_evaluations
 
     def test_subprocess_round_trip_matches_in_process(self, tmp_path):
         nb, path = _nb_fixture(tmp_path)

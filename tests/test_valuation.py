@@ -182,9 +182,9 @@ class TestModelOutputCheck:
             def evaluate_batch(self, values):
                 return np.zeros((len(values), 2))  # exp sums to 2
 
-        # the full instance is valued first, so its block is the one named
+        # the full instance is valued in the block of the first subsets, after them
         vf = ValueFunction(Broken(), Instance(np.arange(1, 7), np.zeros(6, dtype=int)), **ESTIMATORS[estimator])
-        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3, 4, 5\)\.\.\.\]: probability rows .* do not sum to 1"):
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(0, 1, 2, 3, 4, 5\)\.\.\.\]: probability rows .* do not sum to 1"):
             vf.scores([3])
 
     def test_float32_softmax_passes(self):
@@ -239,16 +239,16 @@ class TestImportanceScore:
         x = make_instance()
         vf = ValueFunction(TokenSumModel(), x)
         vf.scores([3, 5, 3, 0, 5])
-        # the full mask is always evaluated first to anchor the predicted class
+        # the full mask is valued with the first subsets, to anchor the predicted class
         assert vf.eval_count == 4
         vf.scores([3, 0])
         assert vf.eval_count == 4
 
-    def test_prepare_values_the_full_instance_once(self):
+    def test_base_probs_values_the_full_instance_once(self):
         vf = ValueFunction(TokenSumModel(), make_instance())
         assert 15 not in vf and vf.eval_count == 0
-        vf.prepare()
-        vf.prepare()
+        base = vf.base_probs()
+        assert vf.base_probs() is base
         assert 15 in vf and vf.eval_count == 1
         vf.scores([3, 15])
         assert vf.eval_count == 2 and 3 in vf
@@ -315,7 +315,7 @@ class TestImportanceScore:
 
         g = chain_graph(6)
         vf = ValueFunction(NaNModel(), Instance(np.arange(1.0, 7.0), np.zeros(6)))
-        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3, 4, 5\).*NaN"):
+        with pytest.raises(EvaluationError, match=r"subsets \[\(\), \(0,\), \(1,\), \(0, 1\)\.\.\.\]: .*NaN"):
             l_shapley_all(vf, g, 1)
 
     def test_extra_class_column_raises_instead_of_zero_scores(self):
@@ -327,7 +327,8 @@ class TestImportanceScore:
 
         g = chain_graph(6)
         vf = ValueFunction(ThreeColumns(), Instance(np.arange(1.0, 7.0), np.zeros(6)))
-        with pytest.raises(EvaluationError, match=r"subsets \[.*shape \(1, 2\), got \(1, 3\)"):
+        # the plan's 20 subsets and the full set, in one block
+        with pytest.raises(EvaluationError, match=r"subsets \[.*shape \(21, 2\), got \(21, 3\)"):
             l_shapley_all(vf, g, 1)
 
     def test_minus_inf_log_probs_are_floored(self):
@@ -341,6 +342,39 @@ class TestImportanceScore:
 
         vf = ValueFunction(Certain(), make_instance(), mode="expected_logprob")
         assert vf(0) == 0.0
+
+
+class TestFullInstanceWithFirstSubsets:
+    """A fresh value function values the unmasked instance in the model call
+    of the first subsets it is asked for, not in a call of its own."""
+
+    @staticmethod
+    def _counting(kind):
+        if kind == "masks_on_host":
+            return MasksOnHost(TokenSumModel()), {}
+        pool = np.random.default_rng(3).normal(size=(5, 4))
+        return Batched(TokenSumModel(), 256), ({"pool": pool, "m_samples": 3} if kind == "empirical" else {})
+
+    @pytest.mark.parametrize("kind", ["plugin", "empirical", "masks_on_host"])
+    def test_one_model_call_for_the_first_subsets_and_the_full_set(self, kind):
+        estimator = "plugin" if kind == "masks_on_host" else kind
+        model, kwargs = self._counting(kind)
+        vf = ValueFunction(model, make_instance(), estimator, **kwargs)
+        first = vf.scores([3, 5])
+        assert len(model.calls) == 1 and vf.eval_count == 3 and 15 in vf
+        assert vf.scores([3, 5, 15]).tolist() == [*first.tolist(), vf(15)] and len(model.calls) == 1
+
+        model, kwargs = self._counting(kind)
+        vf = ValueFunction(model, make_instance(), estimator, **kwargs)
+        listed = vf.scores([5, 15])  # the table holds the full set: valued once, as its last row
+        assert len(model.calls) == 1 and vf.eval_count == 2
+        assert listed.tolist() == [first[1], vf(15)]
+
+        model, kwargs = self._counting(kind)
+        vf = ValueFunction(model, make_instance(), estimator, **kwargs)
+        vf.base_probs()
+        vf.base_probs()
+        assert len(model.calls) == 1 and vf.eval_count == 1 and 15 in vf
 
 
 class TestEmpiricalEstimator:
@@ -369,11 +403,12 @@ class TestEmpiricalEstimator:
         x = make_instance()
         vf = ValueFunction(Recording(), x, estimator="empirical", pool=pool, m_samples=8, seed=0)
         vf.scores([0b0001, 0b0010])
-        # calls[0] probes the full mask; calls[1] is one 16-row block holding
-        # the 8 fixed hybrid rows of each of the two subsets, in subset order
-        assert len(calls) == 2
-        assert len(calls[1]) == 16
-        first, second = calls[1][:8], calls[1][8:]
+        # one 24-row block holding the 8 fixed hybrid rows of each of the two
+        # subsets, in subset order, then the 8 rows of the full mask
+        assert len(calls) == 1
+        assert len(calls[0]) == 24
+        first, second = calls[0][:8], calls[0][8:16]
+        np.testing.assert_array_equal(calls[0][16:], np.tile(x.values, (8, 1)))
         np.testing.assert_array_equal(first[:, 0], np.full(8, x.values[0]))  # kept position
         np.testing.assert_array_equal(second[:, 1], np.full(8, x.values[1]))
         # positions outside both subsets come from the same fixed pool draw
@@ -465,7 +500,7 @@ class TestBlockedRows:
         batched = Batched(model, 7)
         vf = ValueFunction(batched, x, "empirical", pool=pool, m_samples=10)
         vf.scores([1, 2, 3])
-        # the full instance first, then one subset of 10 rows per call
+        # one subset of 10 rows per call, the full instance last
         assert batched.calls == [10, 10, 10, 10]
 
     def test_empirical_error_names_the_failing_block(self):
@@ -483,16 +518,16 @@ class TestBlockedRows:
 
         pool = np.arange(8.0).reshape(2, 4)
         vf = ValueFunction(FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2)
-        # call 1 probes the full mask, call 2 holds subsets 1 and 2, call 3 subsets 3 and 4
-        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
-            vf.scores([1, 2, 3, 4])
-        assert calls == [2, 4, 4]
+        # two subsets per call: 1 and 2, 3 and 4, then 5 and 6, and the full mask in a fourth
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 2\), \(1, 2\)\.\.\.\]: boom"):
+            vf.scores([1, 2, 3, 4, 5, 6])
+        assert calls == [4, 4, 4] and vf.eval_count == 0
         # a table's blocks are named from its packed rows
         calls.clear()
         vf = ValueFunction(FailsThirdCall(), make_instance(), estimator="empirical", pool=pool, m_samples=2)
-        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(2,\)\.\.\.\]: boom"):
-            vf.value_table(_table([1, 2, 3, 4, 1], 4))
-        assert calls == [2, 4, 4] and vf.eval_count == 1
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 2\), \(1, 2\)\.\.\.\]: boom"):
+            vf.value_table(_table([1, 2, 3, 4, 5, 6, 1], 4))
+        assert calls == [4, 4, 4] and vf.eval_count == 0
 
 
 class TestMaskedRows:
@@ -528,7 +563,7 @@ class TestMaskedRows:
         model = build_nb()
         x = Instance(np.arange(1, 11), np.zeros(10, dtype=int))
         for vf in (ValueFunction(model, x), ValueFunction(MasksOnHost(model), x)):
-            vf.prepare()
+            vf.base_probs()
             with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
                 vf(mask)
             with pytest.raises(ConfigurationError, match=f"subset mask {mask:#x}"):
@@ -574,7 +609,7 @@ class TestMasksOnHost:
                 return super().evaluate_masked(values, fill, masks)[:-1]
 
         vf = ValueFunction(ShortReply(UniformModel(2)), make_instance())
-        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1, 2, 3\)\.\.\.\]: expected log-probs of shape \(1, 2\)"):
+        with pytest.raises(EvaluationError, match=r"subsets \[\(0, 1\), \(0, 1, 2, 3\)\.\.\.\]: expected log-probs of shape \(2, 2\)"):
             vf(3)
         assert vf.eval_count == 0
 
@@ -586,10 +621,11 @@ class TestMasksOnHost:
         # a table's blocks are named from its packed rows, past the first byte too
         host = ShortAfterFirst(UniformModel(2), batch_size=2)
         vf = ValueFunction(host, make_instance(12))
-        table = _table([0b11_0000, 0b1000_0000_0001, 0b110_0000, 0b10_0001_0000], 12)  # byte order leads with the two wide masks
+        # byte order puts the empty set and (8,) first, then the two wide masks
+        table = _table([0b11_0000, 0b1000_0000_0001, 0b110_0000, 0b10_0001_0000, 0, 1 << 8], 12)
         with pytest.raises(EvaluationError, match=r"subsets \[\(0, 11\), \(4, 9\)\.\.\.\]: expected log-probs of shape \(2, 2\)"):
             vf.value_table(table)
-        assert host.calls == [1, 2] and vf.eval_count == 1
+        assert host.calls == [2, 2] and vf.eval_count == 0
 
 
 class TestSubsetTable:
@@ -605,8 +641,8 @@ class TestSubsetTable:
     def test_value_table_finds_every_store_and_values_the_rest_once(self):
         game = synthetic_game(10, seed=4)
         calls = []
-        evaluate = game._evaluate_many
-        game._evaluate_many = lambda masks: calls.append(list(masks)) or evaluate(masks)
+        evaluate = game._evaluate_packed
+        game._evaluate_packed = lambda rows: calls.append(row_masks(rows)) or evaluate(rows)
         game.scores([3, 5])
         values, new = game.value_table(_table([5, 7, 3, 9, 7], 10))
         assert values.tolist() == game.table[[3, 5, 7, 9]].tolist()
@@ -723,7 +759,7 @@ class TestConcurrency:
                 assert seen <= {(1 << d) - 1}
                 # every subset the tables valued is in the store, and reading them again makes no call
                 calls = []
-                game._evaluate_many = lambda masks: calls.append(masks)
+                game._evaluate_packed = lambda rows: calls.append(rows)
                 assert 0 in game and (1 << d) - 2 in game and (1 << d) - 1 not in game
                 assert game.scores(range((1 << d) - 1)).tolist() == game.table[:-1].tolist()
                 assert calls == [] and game.eval_count == (1 << d) - 1
@@ -780,7 +816,6 @@ class TestSyntheticGame:
 
     def test_table_game_counts(self):
         game = TableGame(3, np.arange(8, dtype=float))
-        game.prepare()  # a plain table depends on nothing
         assert game.eval_count == 0
         game.scores([1, 2, 1])
         assert game.eval_count == 2

@@ -351,14 +351,13 @@ class ValueFunction(SetFunction):
         # holds it: that row sorts after every other.  Else the full set is
         # valued in the same model call, after the table, and kept as its own run.
         full = pack_masks([(1 << self.d) - 1], self.d)
-        listed = len(rows) > 0 and (rows[-1] == full[0]).all()
+        listed = (rows[-1] == full[0]).all()
         probs = self._conditional_probs(rows if listed else np.concatenate([rows, full]))
         self._base_probs = probs[-1] / probs[-1].sum()
         values = self._score_from_probs(probs)
-        if listed:
-            return values
-        self._keep(SubsetTable(full, self.d), values[-1:].copy())
-        return values[:-1]
+        if not listed:
+            self._keep(SubsetTable(full, self.d), values[-1:].copy())
+        return values[: len(rows)]
 
     def _score_from_probs(self, probs: np.ndarray) -> np.ndarray:
         """Scores of an (n, num_classes) array of class probabilities, one per row."""

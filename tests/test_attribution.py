@@ -808,7 +808,7 @@ class TestPlanCache:
         finally:
             tracemalloc.stop()
         # 2^16 packed rows of 2 bytes and 2^16 int32 indices, about 0.40 MB;
-        # int64 indices made it 0.66 MB
+        # int64 indices would make it 0.66 MB
         assert kept < 500_000, kept
 
     def test_myerson_plan_is_kept_on_the_graph(self):

@@ -457,17 +457,10 @@ class TestExternalModel:
     def test_explanation_sends_no_request_for_the_full_instance_alone(self, tmp_path, monkeypatch, serve):
         # the full instance travels in the last request, with the plan's last subsets
         nb, path = _nb_fixture(tmp_path)
-        sent = []
-        open_channel = ExternalModel._open_channel
-
-        def recording(self):
-            channel = open_channel(self)
-            send = channel.send
-            channel.send = lambda line: sent.append(json.loads(line)) or send(line)
-            return channel
-
-        monkeypatch.setattr(ExternalModel, "_open_channel", recording)
+        channels = _record_channels(monkeypatch)
         ext = external_model(ExternalModelEndpoint("subprocess", f"{sys.executable} {serve} --model-file {path}"))
+        sent, send = [], channels[0].send
+        channels[0].send = lambda line: sent.append(json.loads(line)) or send(line)
         try:
             doc = two_topic_corpus(9, 1, doc_len=30, vocab_size=30)[0][0]
             result = l_shapley_all(ValueFunction(ext, Instance(doc, np.zeros(30, dtype=int))), chain_graph(30), 2)

@@ -28,6 +28,28 @@ def popcounts(num_bits: int) -> np.ndarray:
     return counts
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bitwise.  numpy adds a row of fewer than 8 items in
+    order, which a loop over the columns does far faster for short rows."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        out += a[..., c]
+    return out
+
+
+def row_maxes(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, bitwise, by the same loop as :func:`row_sums`; a
+    NaN anywhere in a row is its maximum either way."""
+    if a.shape[-1] >= 8:
+        return a.max(axis=-1)
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        np.maximum(out, a[..., c], out=out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Shapley reduction: attribution scores from a dense table of subset values.
 #

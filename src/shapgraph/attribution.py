@@ -236,7 +236,10 @@ def local_plan(
 
     def reduce(values: np.ndarray) -> np.ndarray:  # each feature's sum adds its terms to 0.0 in order
         scores = np.zeros((d,) + values.shape[1:])
-        np.add.at(scores, on, (weights * (values[with_i] - values[without_i]).T).T)
+        marginals = values[with_i]
+        marginals -= values[without_i]
+        np.multiply(weights, marginals.T, out=marginals.T)
+        np.add.at(scores, on, marginals)
         return scores
 
     first_turn = np.repeat(np.arange(len(features), dtype=np.int32), 2 * np.array(sizes))[first]

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import chunk_rows
+from ._kernels import chunk_rows, row_maxes, row_sums
 from .errors import ConfigurationError, EvaluationError, ProtocolError
 from .theory import DiscreteJoint, check_joint_size
 from .valuation import checked_codes
@@ -33,8 +33,11 @@ PADDING_TOKEN = 0
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """The log-softmax of each row of a C-contiguous (n, C) array, with the
+    bits of the axis reductions ``max(axis=1)`` and ``sum(axis=1)``."""
+    shifted = scores - row_maxes(scores)[:, None]
+    shifted -= np.log(row_sums(np.exp(shifted)))[:, None]
+    return shifted
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,14 @@ class NaiveBayesModel:
     Token id 0 is reserved for padding and contributes nothing to the
     likelihood, so plug-in masking with a zero reference is exactly
     conditioning on the remaining tokens.
+
+    ``masks_on_host`` is true: a :class:`~shapgraph.valuation.ValueFunction`
+    hands it packed subsets through :meth:`evaluate_masked`, which scores the
+    masked rows without building them, with the bits ``evaluate_batch``
+    gives those rows.
     """
+
+    masks_on_host = True
 
     log_priors: np.ndarray  # (C,)
     log_likelihoods: np.ndarray  # (C, vocab_size); column 0 is padding
@@ -70,25 +80,65 @@ class NaiveBayesModel:
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         tokens = checked_codes(values, self.vocab_size, "token ids")
-        padded = self._padded_log_likelihoods
-        # numpy sums the full (C, n, d) gather position by position, 0..d-1,
-        # for any number of rows n, one included.  Padding adds exactly +0.0,
-        # which leaves a running sum unchanged, so adding only the other
-        # tokens in the same order gives the same bits; bincount adds its
-        # weights in input order.  Rows are taken a few at a time, so the
-        # padding mask, a byte per token, stays within one chunk; the gathered
-        # arrays hold 8 bytes per non-padding token, a few per row for the
-        # masked rows of L- and C-Shapley.
         n, d = tokens.shape
-        step = chunk_rows(d)
+
+        def pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            chunk = tokens[a:b].ravel()
+            at = np.flatnonzero(chunk != PADDING_TOKEN)
+            return at // d, chunk[at]
+
+        return self._log_probs(n, chunk_rows(d), pairs)
+
+    def evaluate_masked(self, values: np.ndarray, fill: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The log-probs of the rows :func:`~shapgraph.valuation.masked_rows`
+        builds from the instance's (d,) ``values``, the (m, d) ``fill`` and
+        the packed member ``rows`` of some subsets, bit for bit, without
+        building them: row ``r * m + j`` takes ``values[pos]`` where subset r
+        keeps pos and ``fill[j, pos]`` elsewhere, and only the positions
+        whose token is not padding are read from the subsets' bits."""
+        fill = checked_codes(fill, self.vocab_size, "fill token ids")
+        m, d = fill.shape
+        values = checked_codes(np.asarray(values)[None, :], self.vocab_size, "token ids", d)[0]
+        # row r * m + j holds tokens[k - 1, j, pos] at pos: fill[j, pos] (k = 1)
+        # where subset r drops pos, values[pos] (k = 2) where it keeps it
+        tokens = np.empty((2, m, d), dtype=np.int64)
+        tokens[0], tokens[1] = fill, values
+        fill_live, kept_live = np.packbits(tokens != PADDING_TOKEN, axis=2, bitorder="little")
+        kept_live = kept_live[0]
+        tokens = tokens.ravel()
+
+        def pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            block = rows[a // m : b // m, None, :]
+            kept = block & kept_live
+            # live[r, j, pos] is 1 where row r * m + j holds a token at pos, not
+            # padding; k[r, j, pos] is then k as above, and 0 at padding
+            live = np.unpackbits(kept | (~block & fill_live), axis=2, count=d, bitorder="little")
+            k = live + np.unpackbits(kept, axis=2, count=d, bitorder="little")
+            at = np.flatnonzero(live.view(bool))
+            where = (k.ravel().take(at) - 1).astype(np.intp) * (m * d) + at % (m * d)
+            return at // d, tokens.take(where)
+
+        return self._log_probs(len(rows) * m, m * chunk_rows(m * d), pairs)
+
+    def _log_probs(self, n: int, step: int, pairs) -> np.ndarray:
+        """The log-probs of n rows, scored ``step`` rows at a time from
+        ``pairs(a, b)``: the row, counted from a, and the token of every
+        non-padding position of rows a to b - 1, in row-major order.
+
+        numpy sums the full (C, n, d) gather position by position, 0..d-1,
+        for any number of rows n, one included.  Padding adds exactly +0.0,
+        which leaves a running sum unchanged, so adding only the other tokens
+        in the same order gives the same bits; bincount adds its weights in
+        input order.  A step of rows keeps the byte-per-position scans that
+        find the tokens within one chunk; the gathered arrays hold 8 bytes
+        per token, a few per row for the masked rows of L- and C-Shapley.
+        """
+        padded = self._padded_log_likelihoods
         scores = np.empty((n, self.num_classes))
         for a in range(0, n, step):
-            chunk = tokens[a : a + step].ravel()
-            at = np.flatnonzero(chunk != PADDING_TOKEN)
-            kept = chunk[at]
-            row = at // d
+            row, tokens = pairs(a, min(a + step, n))
             for c in range(self.num_classes):
-                scores[a : a + step, c] = np.bincount(row, padded[c].take(kept), min(step, n - a))
+                scores[a : a + step, c] = np.bincount(row, padded[c].take(tokens), min(step, n - a))
         scores += self.log_priors
         return _log_softmax(scores)
 

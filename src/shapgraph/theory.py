@@ -98,7 +98,7 @@ class DiscreteJoint:
 
     def feature_marginal(self) -> np.ndarray:
         """P(x) for every atom."""
-        return _row_sums(self.table)
+        return _kernels.row_sums(self.table)
 
     def label_marginal(self) -> np.ndarray:
         return self.table.sum(axis=0)
@@ -124,17 +124,6 @@ def random_joint(d: int, num_classes: int, seed: int) -> DiscreteJoint:
     rng = np.random.default_rng(seed)
     masses = rng.exponential(size=(1 << d, num_classes))
     return DiscreteJoint(d, num_classes, masses / masses.sum())
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)``, bitwise.  numpy adds a row of fewer than 8 items in
-    order, which a loop over the columns does far faster for short rows."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    out = a[..., 0].copy()
-    for c in range(1, a.shape[-1]):
-        out += a[..., c]
-    return out
 
 
 def _ternary_codes(d: int) -> np.ndarray:
@@ -283,14 +272,14 @@ def value_matrix(joint: DiscreteJoint, _marginals: _MarginalTable | None = None)
     base = joint.table / np.where(px[:, None] > 0, px[:, None], 1.0)
     # log conditionals of every (mask, restriction) row of the table at once
     joint_rows = m.table(True)
-    mass = _row_sums(joint_rows)[:, None]
+    mass = _kernels.row_sums(joint_rows)[:, None]
     log_cond = np.log(np.maximum(joint_rows / np.where(mass > 0, mass, 1.0), _TINY))
     V = np.empty((1 << d, 1 << d))
     step = _kernels.chunk_rows(C << (d + 3))
     live = base > 0
     for lo in range(0, 1 << d, step):
         logp = np.take(log_cond, m.codes(np.arange(lo, min(lo + step, 1 << d))), axis=0)
-        V[lo : lo + step] = _row_sums(np.where(live, base * logp, 0.0))
+        V[lo : lo + step] = _kernels.row_sums(np.where(live, base * logp, 0.0))
     return V
 
 

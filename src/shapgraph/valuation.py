@@ -17,6 +17,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from ._kernels import row_sums
 from .errors import ConfigurationError, EvaluationError
 from .graphs import members_of, pack_masks, row_masks, unpack_rows
 
@@ -59,6 +60,7 @@ class ModelContract(Protocol):
     log-probs of the ``len(rows) * m`` rows that :func:`masked_rows` builds
     from the same three arguments, in its order, checked as
     ``evaluate_batch``'s are.
+    :class:`~shapgraph.models.NaiveBayesModel` declares it, and
     ``ExternalModel`` sets it when its host lists ``eval_masked`` in the
     ``hello`` reply; any other model gets rows.  Masks out of range for d features raise
     ``ConfigurationError`` before any model call, on either path.
@@ -180,9 +182,12 @@ class SetFunction:
 
     def _keep(self, run: SubsetTable, values: np.ndarray) -> None:
         """Keep the values of the newly valued subsets of ``run``, under the
-        lock.  A strided view, such as one class's column of log-probs, is
-        copied so that it does not keep its whole base array alive."""
-        self._pending.append((run, np.ascontiguousarray(values)))
+        lock.  A strided view is copied so that it does not keep its whole
+        base array alive.  The kept array is made read-only: ``value_table``
+        returns it as the values when it valued the whole table."""
+        values = np.ascontiguousarray(values)
+        values.flags.writeable = False
+        self._pending.append((run, values))
         self._count += len(run)
 
     def _merge(self) -> None:
@@ -230,9 +235,13 @@ class SetFunction:
                 at, hit = self._store[0].find(table.rows)
                 values[hit] = self._store[1][at]
                 new = ~hit
-            missing = new.nonzero()[0]
-            if len(missing):
-                run = table if len(missing) == len(table) else SubsetTable(table.rows[missing], self.d)
+            count = np.count_nonzero(new)
+            if count and count == len(table):  # every subset is new: no index, and the fresh values are the values
+                values = self._evaluate_packed(table.rows)
+                self._keep(table, values)
+            elif count:
+                missing = new.nonzero()[0]
+                run = SubsetTable(table.rows[missing], self.d)
                 values[missing] = fresh = self._evaluate_packed(run.rows)
                 self._keep(run, fresh)
             return values, new
@@ -298,16 +307,19 @@ class ValueFunction(SetFunction):
             self.scores([(1 << self.d) - 1])
         return self._base_probs
 
-    def _conditional_probs(self, rows: np.ndarray) -> np.ndarray:
+    def _conditional_probs(self, rows: np.ndarray, full: np.ndarray | None = None) -> np.ndarray:
         """Estimated class probabilities for each subset, one row per packed
-        member row of ``rows``.
+        member row of ``rows``, and one more for ``full``, the full set's
+        packed row, when that is given.
 
         Each subset makes one model row per fill row (see
         :func:`masked_rows`), and its estimate is the mean over them.  Rows
         are scored one block of whole subsets at a time: ``batch_size // m``
-        of them, and at least one.  A model whose ``masks_on_host`` is true
-        gets each block as the instance, the fill and the block's packed
-        rows, and builds the model rows itself.  For any other model every block
+        of them, and at least one.  ``full`` joins the last block, or makes a
+        block of its own when that one is already full.  A model whose
+        ``masks_on_host`` is true gets each block as the instance, the fill
+        and the block's packed rows, and builds the model rows itself, or
+        scores them without building them.  For any other model every block
         is written into one buffer kept for the next: a fresh array per
         block, far larger than ``_kernels.CHUNK_BYTES``, would be mapped and
         faulted in anew each time.
@@ -318,9 +330,12 @@ class ValueFunction(SetFunction):
         on_host = getattr(self.model, "masks_on_host", False)
         if self._rows is None and not on_host:
             self._rows = np.empty((step * m, d), dtype=np.result_type(values, fill))
-        probs = np.empty((len(rows), self.model.num_classes))
-        for start in range(0, len(rows), step):
+        total = len(rows) + (full is not None)
+        probs = np.empty((total, self.model.num_classes))
+        for start in range(0, total, step):
             block = rows[start : start + step]
+            if full is not None and start + step >= total:
+                block = np.concatenate([block, full])
             n = len(block) * m
             if on_host:
                 block_probs = self._run_block(block, n, self.model.evaluate_masked, values, fill, block)
@@ -349,10 +364,10 @@ class ValueFunction(SetFunction):
         # (argmax class or expectation weights).  Nothing is valued yet, so
         # ``rows`` is a whole table, whose last row is the full set's if it
         # holds it: that row sorts after every other.  Else the full set is
-        # valued in the same model call, after the table, and kept as its own run.
+        # valued in the table's last model call, after it, and kept as its own run.
         full = pack_masks([(1 << self.d) - 1], self.d)
         listed = (rows[-1] == full[0]).all()
-        probs = self._conditional_probs(rows if listed else np.concatenate([rows, full]))
+        probs = self._conditional_probs(rows, None if listed else full)
         self._base_probs = probs[-1] / probs[-1].sum()
         values = self._score_from_probs(probs)
         if not listed:
@@ -361,11 +376,12 @@ class ValueFunction(SetFunction):
 
     def _score_from_probs(self, probs: np.ndarray) -> np.ndarray:
         """Scores of an (n, num_classes) array of class probabilities, one per row."""
-        logp = np.log(np.maximum(probs, LOG_PROB_FLOOR))
         base = self._base_probs
         if self.mode == "predicted_class_logprob":
-            return logp[:, int(np.argmax(base))]
-        return np.where(base > 0, base * logp, 0.0).sum(axis=1)
+            column = np.maximum(probs[:, int(np.argmax(base))], LOG_PROB_FLOOR)
+            return np.log(column, out=column)
+        logp = np.log(np.maximum(probs, LOG_PROB_FLOOR))
+        return row_sums(np.where(base > 0, base * logp, 0.0))
 
 
 def masked_rows(values: np.ndarray, fill: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

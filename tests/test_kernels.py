@@ -172,3 +172,12 @@ def test_restriction_indices_values():
 
 def test_env_flag_reported():
     assert _kernels.USE_NUMBA is False
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_row_sums_and_maxes_equal_the_axis_reductions(width):
+    a = np.random.default_rng(width).normal(scale=1e3, size=(2, 33, width))
+    a[0, 5, -1] = np.nan  # a NaN is its row's maximum, as for max(axis=-1)
+    for given in (a, a[1], a[1].T.copy().T):
+        np.testing.assert_array_equal(_kernels.row_sums(given), given.sum(axis=-1))
+        np.testing.assert_array_equal(_kernels.row_maxes(given), given.max(axis=-1))

@@ -34,6 +34,7 @@ from shapgraph.models import (
     markov_label_model,
     train_naive_bayes,
     two_topic_corpus,
+    _log_softmax,
 )
 from shapgraph.model_server import serve_stream, serve_tcp
 from shapgraph.valuation import masked_rows
@@ -173,6 +174,71 @@ class TestNaiveBayesGather:
         out = nb.evaluate_batch(tokens)
         assert out.shape == (shape[0], 2)
         np.testing.assert_array_equal(out, gather_log_probs(nb, tokens))
+
+
+class TestNaiveBayesMasked:
+    """``evaluate_masked`` against the rows ``masked_rows`` builds, scored by
+    ``evaluate_batch`` and by the full gather, bit for bit."""
+
+    @staticmethod
+    def _subsets(d, rng):
+        """Packed rows of the empty set, the full set and random subsets of
+        varied sizes, enough of them to span more than one chunk of rows."""
+        keep = rng.random((300, d)) < rng.random((300, 1))
+        keep[0], keep[1] = False, True
+        return np.packbits(keep, axis=1, bitorder="little")
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 100])
+    @pytest.mark.parametrize("num_classes", [1, 2, 3, 9])
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("fill_kind", ["zero", "tokens"])
+    def test_equals_the_rows_it_stands_for(self, d, num_classes, m, fill_kind):
+        rng = np.random.default_rng([d, num_classes, m])
+        nb = TestNaiveBayesGather._model(num_classes, seed=d)
+        values = rng.integers(1, nb.vocab_size, d)
+        values[rng.random(d) < 0.2] = PADDING_TOKEN
+        fill = np.zeros((m, d), dtype=np.int64)
+        if fill_kind == "tokens":
+            fill = rng.integers(1, nb.vocab_size, (m, d))
+            fill[rng.random((m, d)) < 0.5] = PADDING_TOKEN
+        # the second block reads no instance token, and with a zero fill no token at all
+        for rows in (self._subsets(d, rng), pack_masks([0, 0, 0], d)):
+            got = nb.evaluate_masked(values, fill, rows)
+            built = masked_rows(values, fill, rows)
+            np.testing.assert_array_equal(got, nb.evaluate_batch(built))
+            np.testing.assert_array_equal(got, gather_log_probs(nb, built))
+            assert got.shape == (len(rows) * m, num_classes) and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("where", ["values", "fill"])
+    def test_bad_token_names_the_subsets(self, where):
+        nb = TestNaiveBayesGather._model(2)
+        x = Instance(np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        pool = np.ones((3, 4), dtype=np.int64)
+        if where == "values":
+            x.values[3] = nb.vocab_size
+        else:
+            pool[:, 2] = -1
+        with pytest.raises(EvaluationError, match=r"must lie in \[0, 200\)"):
+            nb.evaluate_masked(x.values, pool, pack_masks([1], 4))
+        # a bad token is refused even where no subset of the block reads it
+        vf = ValueFunction(nb, x, estimator="empirical", pool=pool, m_samples=2)
+        with pytest.raises(EvaluationError, match=r"scoring subsets \[\(0,\), \(0, 1\), \(0, 1, 2, 3\)\.\.\.\]: .*must lie in"):
+            vf.scores([1, 3])
+        assert vf.eval_count == 0
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("num_classes", [1, 2, 7, 8, 9])
+    def test_equals_the_axis_reductions(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        scores = rng.normal(scale=30.0, size=(257, num_classes))
+        if num_classes > 1:
+            scores[3, -1] = -np.inf  # a class of probability 0
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        got = _log_softmax(scores)
+        np.testing.assert_array_equal(got, expected)
+        assert got.strides == expected.strides
 
 
 class TestMarkovLabelModel:

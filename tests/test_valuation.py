@@ -376,6 +376,23 @@ class TestFullInstanceWithFirstSubsets:
         vf.base_probs()
         assert len(model.calls) == 1 and vf.eval_count == 1 and 15 in vf
 
+    @pytest.mark.parametrize("kind", ["plugin", "masks_on_host"])
+    def test_full_set_joins_the_last_block_or_makes_its_own(self, kind):
+        for masks, calls in (([1, 2, 3, 4, 5], [4, 2]), (list(range(8)), [4, 4, 1])):
+            model = MasksOnHost(TokenSumModel(), 4) if kind == "masks_on_host" else Batched(TokenSumModel(), 4)
+            vf = ValueFunction(model, make_instance())
+            values = vf.scores(masks)
+            assert model.calls == calls and vf.eval_count == len(masks) + 1
+            listed = ValueFunction(TokenSumModel(), make_instance()).scores(masks + [15])
+            assert values.tolist() == listed[:-1].tolist() and vf(15) == listed[-1]
+
+    def test_values_of_a_whole_table_are_read_only(self):
+        vf = ValueFunction(TokenSumModel(), make_instance())
+        values, new = vf.value_table(_table([1, 2, 3], 4))
+        assert new.all()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
 
 class TestEmpiricalEstimator:
     def test_scores_deterministic_per_seed(self):
